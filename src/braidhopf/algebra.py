@@ -10,13 +10,18 @@ Algebra bundles a presentation with memoized normal forms, products,
 involutions and antipodes; Algebra.free() is the rule-free twin on the same
 alphabet and braiding, used when something must be computed upstairs before
 passing to the quotient.
+
+Two helpers serve every layer above: slot_map applies a word map to a run
+of slots, linearly, and memoized keeps the per-basis-input caches of an
+owner (an algebra, a functional, a deformation) in its one memo table.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import defaultdict
+from functools import wraps
 
-from .presentation import AlgebraPresentation, PresentationError, parse_element_terms
+from .presentation import AlgebraPresentation, parse_element_terms
 from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
 
 
@@ -41,9 +46,6 @@ class Tensor:
         t = cls(len(key))
         t.terms[key] = T_ONE
         return t
-
-    def zero_like(self) -> "Tensor":
-        return Tensor(self.rank)
 
     def add_term(self, key, coeff):
         coeff = as_tpoly(coeff)
@@ -83,11 +85,6 @@ class Tensor:
             p = v * c
             if p:
                 out.terms[key] = p
-        return out
-
-    def conj_coeffs(self) -> "Tensor":
-        out = Tensor(self.rank)
-        out.terms = {key: v.conj() for key, v in self.terms.items()}
         return out
 
     def substitute(self, r) -> "Tensor":
@@ -131,6 +128,36 @@ def tensor_product(u: Tensor, v: Tensor) -> Tensor:
     return out
 
 
+def slot_map(u: Tensor, i: int, k: int, fn, rank: int) -> Tensor:
+    """Replace slots [i, i+k) of every key of u by the slots of fn(*words),
+    linearly.  fn takes the k words and returns a Tensor of the given rank;
+    rank 0 covers counits and functionals."""
+    out = Tensor(u.rank - k + rank)
+    for key, c in u.terms.items():
+        head, tail = key[:i], key[i + k:]
+        for mid, v in fn(*key[i:i + k]).terms.items():
+            out.add_term(head + mid + tail, c * v)
+    return out
+
+
+def memoized(fn):
+    """Memoize fn(owner, key) in owner.memo, the one table an owner keeps
+    for all its memoized functions: a defaultdict(dict) from the function
+    name to its entries.  The table lives on the owner, so nothing outlives
+    it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(owner, key):
+        table = owner.memo[name]
+        v = table.get(key)
+        if v is None:
+            v = table[key] = fn(owner, key)
+        return v
+
+    return cached
+
+
 class Algebra:
     """A presented algebra with memoized quotient arithmetic."""
 
@@ -141,10 +168,7 @@ class Algebra:
         if self.apply_rules:
             for rule in pres.rules:
                 self._rules[rule.lhs] = rule.rhs  # inconsistent dups fail confluence
-        self._nf: dict = {}
-        self._inv: dict = {}
-        self._anti: dict = {}
-        self._basis: dict = {}
+        self.memo = defaultdict(dict)
         self._free = None
 
     # -- construction -----------------------------------------------------
@@ -156,9 +180,6 @@ class Algebra:
         if self._free is None:
             self._free = Algebra(self.pres, apply_rules=False)
         return self._free
-
-    def zero(self, rank: int) -> Tensor:
-        return Tensor(rank)
 
     def one(self) -> Tensor:
         return Tensor.basis(((),))
@@ -178,20 +199,13 @@ class Algebra:
     def parse_element(self, text: str) -> Tensor:
         names = {g: k for k, g in enumerate(self.pres.generators)}
         terms = parse_element_terms(text, names)
-        out = Tensor(1)
-        for w, c in terms.items():
-            for key, v in self.normal_form_word(w).terms.items():
-                out.add_term(key, v * c)
-        return out
+        return slot_map(self.element(terms), 0, 1, self.normal_form_word, 1)
 
     # -- grading and braiding --------------------------------------------
 
     def grade(self, w) -> int:
         g = self.pres.grades
         return sum(g[k] for k in w)
-
-    def word_degree(self, w) -> int:
-        return len(w)
 
     def braid_coeff(self, w1, w2, inverse: bool = False) -> Scalar:
         """Coefficient picked up when the word w1 crosses over w2 (or the
@@ -215,35 +229,38 @@ class Algebra:
     def normal_form_word(self, w) -> Tensor:
         """Canonical representative of a word as a combination of normal
         monomials.  Rewrites the leftmost ill-ordered pair first; any order
-        agrees once confluence holds."""
+        agrees once confluence holds.  A worklist instead of recursion keeps
+        long words off the call stack; every word passed through gets an
+        entry in the memo table, as under memoized."""
         w = tuple(w)
-        cached = self._nf.get(w)
-        if cached is not None:
-            return cached
+        memo = self.memo["normal_form_word"]
+        done = memo.get(w)
+        if done is not None:
+            return done
         rules = self._rules
-        pos = -1
-        if rules:
-            for p in range(len(w) - 1):
-                if (w[p], w[p + 1]) in rules:
-                    pos = p
-                    break
-        if pos < 0:
-            result = Tensor.basis((w,))
-        else:
+        todo = [w]
+        while todo:
+            cur = todo[-1]
+            if cur in memo:
+                todo.pop()
+                continue
+            pos = next((p for p in range(len(cur) - 1)
+                        if (cur[p], cur[p + 1]) in rules), None)
+            if pos is None:
+                memo[cur] = Tensor.basis((cur,))
+                continue
+            subs = [(cur[:pos] + rw + cur[pos + 2:], coeff)
+                    for rw, coeff in rules[(cur[pos], cur[pos + 1])]]
+            missing = [sub for sub, _ in subs if sub not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
             result = Tensor(1)
-            for rw, coeff in rules[(w[pos], w[pos + 1])]:
-                sub = self.normal_form_word(w[:pos] + rw + w[pos + 2:])
-                for key, c in sub.terms.items():
+            for sub, coeff in subs:
+                for key, c in memo[sub].terms.items():
                     result.add_term(key, c * coeff)
-        self._nf[w] = result
-        return result
-
-    def normal_form(self, symbols) -> Tensor:
-        """Normal form of a word given as generator symbols (or indices)."""
-        w = tuple(
-            s if isinstance(s, int) else self.pres.gen_index(s) for s in symbols
-        )
-        return self.normal_form_word(w)
+            memo[cur] = result
+        return memo[w]
 
     def mul_words(self, w1, w2) -> Tensor:
         return self.normal_form_word(tuple(w1) + tuple(w2))
@@ -260,14 +277,10 @@ class Algebra:
 
     # -- involution -------------------------------------------------------
 
+    @memoized
     def involution_word(self, w) -> Tensor:
-        w = tuple(w)
-        cached = self._inv.get(w)
-        if cached is None:
-            star = self.pres.star
-            cached = self.normal_form_word(tuple(star[k] for k in reversed(w)))
-            self._inv[w] = cached
-        return cached
+        star = self.pres.star
+        return self.normal_form_word(tuple(star[k] for k in reversed(w)))
 
     def involution(self, a: Tensor) -> Tensor:
         """The *-operation: antilinear, word-reversing."""
@@ -281,43 +294,36 @@ class Algebra:
 
     # -- antipode ---------------------------------------------------------
 
+    @memoized
     def antipode_word(self, w) -> Tensor:
-        """S on a basis word via S(g v) = mul(braid(S(g) (x) S(v)))."""
-        w = tuple(w)
-        cached = self._anti.get(w)
-        if cached is not None:
-            return cached
+        """S on a basis word via S(g v) = mul(braid(S(g) (x) S(v))).  A new
+        long word memoizes its suffixes shortest first, so the recursion
+        stays one level deep."""
         if not w:
-            result = self.one()
-        else:
-            sg = self.element(dict(self.pres.antipode[w[0]]))
-            sv = self.antipode_word(w[1:])
-            result = Tensor(1)
-            for (u,), cu in sg.terms.items():
-                for (v,), cv in sv.terms.items():
-                    k = self.braid_coeff(u, v)
-                    prod = self.mul_words(v, u)
-                    c = cu * cv * k
-                    for key, val in prod.terms.items():
-                        result.add_term(key, val * c)
-        self._anti[w] = result
+            return self.one()
+        if len(w) > 2 and w[1:] not in self.memo["antipode_word"]:
+            for k in range(len(w) - 2, 0, -1):
+                self.antipode_word(w[k:])
+        sg = self.element(dict(self.pres.antipode[w[0]]))
+        sv = self.antipode_word(w[1:])
+        result = Tensor(1)
+        for (u,), cu in sg.terms.items():
+            for (v,), cv in sv.terms.items():
+                k = self.braid_coeff(u, v)
+                prod = self.mul_words(v, u)
+                c = cu * cv * k
+                for key, val in prod.terms.items():
+                    result.add_term(key, val * c)
         return result
 
     def antipode(self, a: Tensor) -> Tensor:
-        out = Tensor(1)
-        for (w,), c in a.terms.items():
-            img = self.antipode_word(w)
-            for key, v in img.terms.items():
-                out.add_term(key, v * c)
-        return out
+        return slot_map(a, 0, 1, self.antipode_word, 1)
 
     # -- basis enumeration -------------------------------------------------
 
+    @memoized
     def basis(self, max_degree: int):
         """All normal monomials of length <= max_degree, shortlex order."""
-        cached = self._basis.get(max_degree)
-        if cached is not None:
-            return cached
         rules = self._rules if self.apply_rules else {}
         out = [()]
         layer = [()]
@@ -331,7 +337,6 @@ class Algebra:
                     nxt.append(w + (g,))
             layer = nxt
             out.extend(layer)
-        self._basis[max_degree] = out
         return out
 
     # -- formatting --------------------------------------------------------
@@ -383,19 +388,3 @@ class Algebra:
                 parts.append(body)
         return " ".join(parts)
 
-
-def normal_form(alg: Algebra, symbols) -> Tensor:
-    """Free-function form of Algebra.normal_form."""
-    return alg.normal_form(symbols)
-
-
-def mul(alg: Algebra, a: Tensor, b: Tensor) -> Tensor:
-    return alg.mul(a, b)
-
-
-def involution(alg: Algebra, a: Tensor) -> Tensor:
-    return alg.involution(a)
-
-
-def antipode(alg: Algebra, a: Tensor) -> Tensor:
-    return alg.antipode(a)

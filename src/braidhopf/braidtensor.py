@@ -19,7 +19,7 @@ coefficient, so everything here stays basis-to-basis.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Tensor
+from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
 from .scalars import Scalar, TPoly, T_ONE, T_ZERO
 
 
@@ -69,17 +69,6 @@ def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int,
     return out
 
 
-def permute(u: Tensor, p) -> Tensor:
-    """Slot permutation: result slot k holds input slot p[k] (0-based)."""
-    p = tuple(p)
-    if sorted(p) != list(range(u.rank)):
-        raise ValueError("not a permutation of the slots")
-    out = Tensor(u.rank)
-    for key, c in u.terms.items():
-        out.add_term(tuple(key[j] for j in p), c)
-    return out
-
-
 def _product_keys(alg, akey, bkey) -> Tensor:
     """The rank-n braided product applied to two basis slot-tuples."""
     n = len(akey)
@@ -112,35 +101,21 @@ def braided_product(alg: Algebra, u: Tensor, v: Tensor) -> Tensor:
     return out
 
 
+@memoized
 def comul_word(alg: Algebra, w) -> Tensor:
     """Comultiplication of a basis word, memoized on the algebra."""
-    w = tuple(w)
-    cache = alg.__dict__.setdefault("_comul_cache", {})
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
     if not w:
-        result = alg.unit_tensor(2)
-    elif len(w) == 1:
-        result = Tensor(2)
-        result.add_term((w, ()), T_ONE)
-        result.add_term(((), w), T_ONE)
-    else:
-        result = braided_product(alg, comul_word(alg, w[:1]),
-                                 comul_word(alg, w[1:]))
-    cache[w] = result
-    return result
+        return alg.unit_tensor(2)
+    if len(w) == 1:
+        return Tensor(2, {(w, ()): T_ONE, ((), w): T_ONE})
+    return braided_product(alg, comul_word(alg, w[:1]), comul_word(alg, w[1:]))
 
 
 def comul(alg: Algebra, a: Tensor) -> Tensor:
     """Comultiplication, extended linearly over rank-1 tensors."""
     if a.rank != 1:
         raise ValueError("comul acts on rank-1 tensors")
-    out = Tensor(2)
-    for (w,), c in a.terms.items():
-        for key, v in comul_word(alg, w).terms.items():
-            out.add_term(key, v * c)
-    return out
+    return slot_map(a, 0, 1, lambda w: comul_word(alg, w), 2)
 
 
 def comul_iter(alg: Algebra, a: Tensor, n: int) -> Tensor:
@@ -149,19 +124,19 @@ def comul_iter(alg: Algebra, a: Tensor, n: int) -> Tensor:
         raise ValueError("comul_iter needs n >= 1")
     if a.rank != 1:
         raise ValueError("comul_iter acts on rank-1 tensors")
-    cur = a
     for _ in range(n - 1):
-        out = Tensor(cur.rank + 1)
-        for key, c in cur.terms.items():
-            for (k0, k1), v in comul_word(alg, key[0]).terms.items():
-                out.add_term((k0, k1) + key[1:], v * c)
-        cur = out
-    return cur
+        a = slot_map(a, 0, 1, lambda w: comul_word(alg, w), 2)
+    return a
 
 
 def counit(a: Tensor) -> TPoly:
     """Coefficient of the all-units slot-tuple."""
     return a.terms.get(((),) * a.rank, T_ZERO)
+
+
+def counit_word(w) -> Tensor:
+    """The counit of a basis word as a rank-0 tensor, for slot_map."""
+    return Tensor.basis(()) if w == () else Tensor(0)
 
 
 def star_tensor(alg: Algebra, u: Tensor) -> Tensor:
@@ -183,31 +158,27 @@ def star_tensor(alg: Algebra, u: Tensor) -> Tensor:
 def lambda_n_key(alg: Algebra, key) -> Tensor:
     """Comultiplication of the rank-n tensor power on a basis slot-tuple;
     the 2n result slots interleave as (a', a'', b', b'', ...) regrouped to
-    (a', b', ..., a'', b'', ...) by the inductive braids."""
-    n = len(key)
-    if n == 1:
+    (a', b', ..., a'', b'', ...) by the inductive braids.  Rank 2 is
+    memoized on the algebra."""
+    if len(key) == 1:
         return comul_word(alg, key[0])
-    cache = alg.__dict__.setdefault("_lambda_cache", {}) if n == 2 else None
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    head = comul_word(alg, key[0])
-    tail = lambda_n_key(alg, key[1:])
-    combined = Tensor(2 * n)
-    for (h0, h1), ch in head.terms.items():
-        for tkey, ct in tail.terms.items():
-            combined.add_term((h0, h1) + tkey, ch * ct)
-    result = braid_at(alg, combined, 1, 1, n - 1)
-    if cache is not None:
-        cache[tuple(key)] = result
-    return result
+    if len(key) == 2:
+        return _lambda_pair(alg, tuple(key))
+    return _lambda_split(alg, key)
+
+
+@memoized
+def _lambda_pair(alg: Algebra, key) -> Tensor:
+    return _lambda_split(alg, key)
+
+
+def _lambda_split(alg: Algebra, key) -> Tensor:
+    combined = tensor_product(comul_word(alg, key[0]),
+                              lambda_n_key(alg, key[1:]))
+    return braid_at(alg, combined, 1, 1, len(key) - 1)
 
 
 def lambda_n(alg: Algebra, u: Tensor) -> Tensor:
     """Comultiplication on the rank-n tensor power, linear extension."""
-    out = Tensor(2 * u.rank)
-    for key, c in u.terms.items():
-        for k2, v in lambda_n_key(alg, key).terms.items():
-            out.add_term(k2, v * c)
-    return out
+    return slot_map(u, 0, u.rank, lambda *key: lambda_n_key(alg, key),
+                    2 * u.rank)

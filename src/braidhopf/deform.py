@@ -16,10 +16,11 @@ vanishes on the unit tuple, which is enforced).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Algebra, Tensor, tensor_product
+from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
 from .braidtensor import comul_word, lambda_n_key
 from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
 
@@ -36,8 +37,7 @@ class Functional:
     walking comultiplication splits to add up zeros.
     """
 
-    __slots__ = ("alg", "arity", "name", "trivial", "_fn", "_memo", "_exp",
-                 "_powers")
+    __slots__ = ("alg", "arity", "name", "trivial", "_fn", "memo")
 
     def __init__(self, alg: Algebra, arity: int, fn, name: str = "F",
                  trivial: bool = False):
@@ -46,16 +46,11 @@ class Functional:
         self.name = name
         self.trivial = trivial
         self._fn = fn
-        self._memo = {}
-        self._exp = {}
-        self._powers = None
+        self.memo = defaultdict(dict)
 
+    @memoized
     def on_key(self, key) -> TPoly:
-        v = self._memo.get(key)
-        if v is None:
-            v = as_tpoly(self._fn(key))
-            self._memo[key] = v
-        return v
+        return as_tpoly(self._fn(key))
 
     def __call__(self, u: Tensor) -> TPoly:
         return eval_functional(self, u)
@@ -140,24 +135,21 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
     return Functional(alg, n, conv, name=f"({F.name} * {G.name})")
 
 
+@memoized
 def conv_power(F: Functional, k: int) -> Functional:
     """The k-th convolution power of F (k = 0 is the rank-n counit)."""
-    if F._powers is None:
-        F._powers = [counit_functional(F.alg, F.arity), F]
-    while len(F._powers) <= k:
-        F._powers.append(convolve_fn(F, F._powers[-1]))
-    return F._powers[k]
+    if k == 0:
+        return counit_functional(F.alg, F.arity)
+    if k == 1:
+        return F
+    return convolve_fn(F, conv_power(F, k - 1))
 
 
+@memoized
 def conv_exp_key(F: Functional, key) -> TPoly:
     """e*^{tF} on a basis slot-tuple, formal in t."""
-    cached = F._exp.get(key)
-    if cached is not None:
-        return cached
     if F.trivial:
-        v = T_ONE if all(w == () for w in key) else T_ZERO
-        F._exp[key] = v
-        return v
+        return T_ONE if all(w == () for w in key) else T_ZERO
     if F.on_key(((),) * F.arity):
         raise ValueError(
             "convolution exponential requires the functional to vanish on "
@@ -168,7 +160,6 @@ def conv_exp_key(F: Functional, key) -> TPoly:
         pk = conv_power(F, k).on_key(key)
         if pk:
             tot = tot + TPoly.term(Scalar(Fraction(1, factorial(k))), k) * pk
-    F._exp[key] = tot
     return tot
 
 
@@ -196,7 +187,7 @@ class MapNode:
     """Linear map from the algebra into itself (or into scalars), given by
     its action on basis words and extended linearly."""
 
-    __slots__ = ("alg", "scalar_valued", "name", "_fn", "_memo")
+    __slots__ = ("alg", "scalar_valued", "name", "_fn", "memo")
 
     def __init__(self, alg: Algebra, fn, scalar_valued: bool = False,
                  name: str = "map"):
@@ -204,14 +195,11 @@ class MapNode:
         self.scalar_valued = scalar_valued
         self.name = name
         self._fn = fn
-        self._memo = {}
+        self.memo = defaultdict(dict)
 
+    @memoized
     def on_word(self, w):
-        v = self._memo.get(w)
-        if v is None:
-            v = self._fn(w)
-            self._memo[w] = v
-        return v
+        return self._fn(w)
 
     def __call__(self, u: Tensor):
         if u.rank != 1:
@@ -223,11 +211,7 @@ class MapNode:
                 if v:
                     tot = tot + v * c
             return tot
-        out = Tensor(1)
-        for (w,), c in u.terms.items():
-            for key, v in self.on_word(w).terms.items():
-                out.add_term(key, v * c)
-        return out
+        return slot_map(u, 0, 1, self.on_word, 1)
 
     def __repr__(self):
         return f"MapNode({self.name})"
@@ -298,27 +282,21 @@ class Deformation:
         self.L = L if L is not None else cocycle_functional(alg)
         if self.L.arity != 2:
             raise ValueError("the generator must have arity 2")
-        self._mu = {}
-        self._sigma = {}
+        self.memo = defaultdict(dict)
         self._sigma_fn = None
-        self._st = {}
 
     # -- the deformed product ---------------------------------------------
 
     def expL_key(self, key) -> TPoly:
         return conv_exp_key(self.L, key)
 
+    @memoized
     def mu_t_key(self, key) -> Tensor:
         """mu_t on a basis pair, formal in t."""
-        cached = self._mu.get(key)
-        if cached is not None:
-            return cached
         if self.L.trivial:
             # the exponential degenerates to the counit pair, which picks
             # the identity split out of Lambda_2
-            out = self.alg.mul_words(key[0], key[1])
-            self._mu[key] = out
-            return out
+            return self.alg.mul_words(key[0], key[1])
         out = Tensor(1)
         for k2, v in lambda_n_key(self.alg, key).terms.items():
             e = self.expL_key(k2[2:])
@@ -326,7 +304,6 @@ class Deformation:
                 continue
             for (pw,), pc in self.alg.mul_words(k2[0], k2[1]).terms.items():
                 out.add_term((pw,), pc * v * e)
-        self._mu[key] = out
         return out
 
     def mu_t(self, u: Tensor, v: Tensor | None = None,
@@ -346,18 +323,15 @@ class Deformation:
 
     # -- sigma and the deformed antipode ----------------------------------
 
+    @memoized
     def sigma_word(self, w) -> TPoly:
         """sigma = L . (S (x) id) . comul on a basis word."""
-        cached = self._sigma.get(w)
-        if cached is not None:
-            return cached
         tot = T_ZERO
         for (k0, k1), v in comul_word(self.alg, w).terms.items():
             for (sk,), sc in self.alg.antipode_word(k0).terms.items():
                 lv = self.L.on_key((sk, k1))
                 if lv:
                     tot = tot + v * sc * lv
-        self._sigma[w] = tot
         return tot
 
     def sigma_functional(self) -> Functional:
@@ -375,11 +349,9 @@ class Deformation:
         e = conv_exp_key(self.sigma_functional(), (w,))
         return e.flip_sign() if time_sign < 0 else e
 
+    @memoized
     def st_word(self, w) -> Tensor:
         """S_t = S * e*^{-t sigma} on a basis word, formal in t."""
-        cached = self._st.get(w)
-        if cached is not None:
-            return cached
         out = Tensor(1)
         for (k0, k1), v in comul_word(self.alg, w).terms.items():
             e = self.ft_key(k1, time_sign=-1)
@@ -387,7 +359,6 @@ class Deformation:
                 continue
             for key, sc in self.alg.antipode_word(k0).terms.items():
                 out.add_term(key, sc * v * e)
-        self._st[w] = out
         return out
 
     def st(self, u: Tensor, time_sign: int = 1) -> Tensor:
@@ -427,20 +398,20 @@ class SesquiForm:
     """Form on pairs (conjugated first argument, plain second argument);
     antilinear in the first slot and linear in the second."""
 
-    __slots__ = ("alg", "name", "_fn", "_memo")
+    __slots__ = ("alg", "name", "_fn", "memo")
 
     def __init__(self, alg: Algebra, fn, name: str = "form"):
         self.alg = alg
         self.name = name
         self._fn = fn
-        self._memo = {}
+        self.memo = defaultdict(dict)
 
     def on_words(self, wa, wb) -> TPoly:
-        v = self._memo.get((wa, wb))
-        if v is None:
-            v = as_tpoly(self._fn(wa, wb))
-            self._memo[(wa, wb)] = v
-        return v
+        return self._pair((wa, wb))
+
+    @memoized
+    def _pair(self, pair) -> TPoly:
+        return as_tpoly(self._fn(*pair))
 
     def __call__(self, a: Tensor, b: Tensor) -> TPoly:
         if a.rank != 1 or b.rank != 1:

@@ -11,10 +11,10 @@ structure maps with the quotient) have their own check functions below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, as_scalar, parse_rational
+from .scalars import Scalar
 
 Word = tuple  # tuple[int, ...): generator indices; () is the unit monomial
 
@@ -580,8 +580,7 @@ def reduction_closure(element: dict, by_lhs: dict) -> set:
     return results
 
 
-def check_quotient_compatibility(pres: AlgebraPresentation,
-                                 max_degree: int = 4) -> Report:
+def check_quotient_compatibility(source, max_degree: int = 4) -> Report:
     """Verify the ideal spanned by the relations is stable under the
     structure maps, so comultiplication, counit, braiding and antipode
     descend to the quotient.  Four sub-checks per rule:
@@ -591,93 +590,46 @@ def check_quotient_compatibility(pres: AlgebraPresentation,
     (c) braiding any basis monomial across lhs - rhs normalizes to 0,
     (d) the antipode of lhs - rhs normalizes to 0.
 
-    Assumes confluence already passed.
+    source is a presentation or an Algebra over one.  Assumes confluence
+    already passed.
     """
-    from .algebra import Algebra
-    from .braidtensor import comul
+    from .algebra import Algebra, Tensor, slot_map, tensor_product
+    from .braidtensor import braid_mn, comul
 
-    alg = Algebra(pres)
+    alg = source if isinstance(source, Algebra) else Algebra(source)
+    pres = alg.pres
     free = alg.free()
 
     def nf_slots(tensor):
-        out = tensor.zero_like()
-        for key, c in tensor.terms.items():
-            parts = [alg.normal_form_word(w) for w in key]
-            _splice_into(out, parts, c)
-        return out
+        for i in range(tensor.rank):
+            tensor = slot_map(tensor, i, 1, alg.normal_form_word, 1)
+        return tensor
+
+    def defect(subcheck, rhs, where):
+        return Report("quotient-compat", "fail", max_degree, {
+            "input": where, "subcheck": subcheck, "lhs": "0", "rhs": rhs})
 
     for rule in pres.rules:
         rel = free.element({rule.lhs: Scalar(1)})
         for w, coeff in rule.rhs:
             rel = rel + free.element({w: -coeff})
+        where = pres.word_str(rule.lhs)
 
-        # (b) counit agreement
         eps = rel.terms.get(((),))
         if eps:
-            return Report("quotient-compat", "fail", max_degree, {
-                "input": pres.word_str(rule.lhs),
-                "subcheck": "b",
-                "lhs": "0",
-                "rhs": str(eps),
-            })
-
-        # (a) comultiplication defect
-        defect = comul(free, rel)
-        defect = nf_slots(defect)
-        if defect.terms:
-            return Report("quotient-compat", "fail", max_degree, {
-                "input": pres.word_str(rule.lhs),
-                "subcheck": "a",
-                "lhs": "0",
-                "rhs": alg.format(defect),
-            })
-
-        # (d) antipode defect
-        sdef = alg.zero(1)
-        for w, c in rel.terms.items():
-            sdef = sdef + free.antipode_word(w[0]).scale(c)
-        sdef = nf_slots(sdef)
-        if sdef.terms:
-            return Report("quotient-compat", "fail", max_degree, {
-                "input": pres.word_str(rule.lhs),
-                "subcheck": "d",
-                "lhs": "0",
-                "rhs": alg.format(sdef),
-            })
-
-        # (c) braiding stability, both sides
+            return defect("b", str(eps), where)
+        out = nf_slots(comul(free, rel))
+        if out.terms:
+            return defect("a", alg.format(out), where)
+        out = nf_slots(free.antipode(rel))
+        if out.terms:
+            return defect("d", alg.format(out), where)
         for m in alg.basis(max_degree):
-            for flip in (False, True):
-                out = alg.zero(2)
-                for w, c in rel.terms.items():
-                    w = w[0]
-                    if flip:
-                        k = alg.braid_coeff(w, m)
-                        pair = (m, w)
-                    else:
-                        k = alg.braid_coeff(m, w)
-                        pair = (w, m)
-                    parts = [alg.normal_form_word(pair[0]),
-                             alg.normal_form_word(pair[1])]
-                    _splice_into(out, parts, c * k)
+            m1 = Tensor.basis((m,))
+            for u in (tensor_product(m1, rel), tensor_product(rel, m1)):
+                out = nf_slots(braid_mn(alg, u, 1, 1))
                 if out.terms:
-                    return Report("quotient-compat", "fail", max_degree, {
-                        "input": f"{pres.word_str(m)} across {pres.word_str(rule.lhs)}",
-                        "subcheck": "c",
-                        "lhs": "0",
-                        "rhs": alg.format(out),
-                    })
+                    return defect("c", alg.format(out),
+                                  f"{pres.word_str(m)} across {where}")
 
     return Report("quotient-compat", "pass", max_degree)
-
-
-def _splice_into(acc, parts, coeff):
-    """Accumulate the tensor product of rank-1 factors, scaled, into acc."""
-    from itertools import product
-
-    for combo in product(*(p.terms.items() for p in parts)):
-        key = tuple(kv[0][0] for kv in combo)
-        c = coeff
-        for kv in combo:
-            c = c * kv[1]
-        acc.add_term(key, c)

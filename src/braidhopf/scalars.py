@@ -139,7 +139,8 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> Scalar:
-        """Parse 'a/b', 'a/b + c/d i', 'c/d i', 'i', '-i' (whitespace-insensitive)."""
+        """Parse 'a/b', 'a/b + c/d i', 'c/d i', 'i', '-i' (whitespace-insensitive).
+        Malformed text, a zero denominator included, raises ValueError."""
         squeezed = re.sub(r"\s+", "", text)
         m = cls._PATTERN.match(squeezed)
         if not m or not squeezed or squeezed in "+-":
@@ -149,16 +150,16 @@ class Scalar:
         if not has_i:
             if re_part is None:
                 raise ValueError(f"malformed scalar {text!r}")
-            return cls(Fraction(re_part))
+            return cls(parse_rational(re_part))
         if re_part is not None and sep is None:
             # '3/4i' means (3/4)i, not 3/4 + i; composite forms need a sign.
             if im_part is not None:
                 raise ValueError(f"malformed scalar {text!r}")
-            return cls(0, Fraction(re_part))
-        im = Fraction(im_part) if im_part is not None else _ONE_F
+            return cls(0, parse_rational(re_part))
+        im = parse_rational(im_part) if im_part is not None else _ONE_F
         if sep == "-":
             im = -im
-        return cls(Fraction(re_part) if re_part is not None else 0, im)
+        return cls(parse_rational(re_part) if re_part is not None else 0, im)
 
 
 def as_scalar(x) -> Scalar:
@@ -340,20 +341,3 @@ T_ZERO = TPoly(())
 T_ONE = TPoly((S_ONE,))
 T_T = TPoly((S_ZERO, S_ONE))
 
-
-def scalar_op(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field operations by name: add, mul, conj-of-first, invert-first."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "conj-of-first":
-        return a.conj()
-    if op == "invert-first":
-        return a.inv()
-    raise ValueError(f"unknown scalar op {op!r}")
-
-
-def tpoly_eval(p: TPoly, r) -> Scalar:
-    """Exact evaluation of p at the rational point r."""
-    return as_tpoly(p).eval(r)

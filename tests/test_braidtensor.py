@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from braidhopf import Algebra, Scalar, Tensor, parse_presentation
 from braidhopf.braidtensor import (braid_mn, braid_pair, braided_product,
                                    comul, comul_iter, comul_word, counit,
-                                   lambda_n, lambda_n_key, permute,
-                                   star_tensor)
+                                   lambda_n, lambda_n_key, star_tensor)
 from braidhopf.scalars import TPoly, T_ONE, T_ZERO
 from braidhopf.verify import fixture_path
 
@@ -79,13 +78,6 @@ def test_braid_blocks_match_letterwise_coefficients():
 def test_braid_rejects_oversized_blocks():
     with pytest.raises(ValueError):
         braid_mn(CAR, Tensor.basis(((), ())), 2, 1)
-
-
-def test_permute_round_trip():
-    u = tensor(3, {((0,), (1,), (0, 0)): Scalar(2)})
-    assert permute(permute(u, (2, 0, 1)), (1, 2, 0)) == u
-    with pytest.raises(ValueError):
-        permute(u, (0, 0, 1))
 
 
 # -- comultiplication ------------------------------------------------------

@@ -50,6 +50,18 @@ def test_verify_json_matches_golden(capsys):
     assert out == (GOLDEN / "verify_car_subset.json").read_text()
 
 
+@pytest.mark.parametrize("name,degree", (
+    [(n, 2) for n in ("car", "car-badL", "car-negL", "car-wrongsign",
+                      "free2", "q2")]
+    + [(n, 3) for n in ("car-badL", "car-wrongsign", "q2")]))
+def test_verify_full_catalog_matches_golden(capsys, name, degree):
+    rc, out, _ = run(capsys, "verify", alg(name + ".alg"),
+                     "--max-degree", str(degree), "--format", "json")
+    assert rc == (0 if '"fail"' not in out else 1)
+    golden = GOLDEN / f"verify_{name}_d{degree}.json"
+    assert out == golden.read_text()
+
+
 def test_verify_json_is_valid_json(capsys):
     rc, out, _ = run(capsys, "verify", alg("q2.alg"), "--max-degree", "2",
                      "--format", "json")
@@ -68,6 +80,13 @@ def test_verify_unknown_check_id(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: unknown check id(s): nosuch")
+
+
+def test_verify_rejects_negative_degree(capsys):
+    rc, out, err = run(capsys, "verify", alg("car.alg"), "--max-degree", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: max degree must be nonnegative, got -1\n"
 
 
 def test_verify_missing_file(capsys):
@@ -97,6 +116,22 @@ def test_eval_spot_outputs(capsys, argv, want):
     rc, out, _ = run(capsys, "eval", alg("car.alg"), *argv)
     assert rc == 0
     assert out == want + "\n"
+
+
+def test_eval_long_words_do_not_exhaust_the_stack(capsys):
+    # 1600 anticommuting swaps, each giving -1: the coefficient is +1
+    rc, out, _ = run(capsys, "eval", alg("car.alg"), "--op", "mul",
+                     "--lhs", " ".join(["xs"] * 40),
+                     "--rhs", " ".join(["x"] * 40))
+    assert rc == 0
+    assert out == " ".join(["x"] * 40 + ["xs"] * 40) + "\n"
+
+
+def test_eval_antipode_of_a_long_word(capsys):
+    rc, out, _ = run(capsys, "eval", alg("car.alg"), "--op", "antipode",
+                     "--lhs", " ".join(["x"] * 1100))
+    assert rc == 0
+    assert out == " ".join(["x"] * 1100) + "\n"
 
 
 @pytest.mark.parametrize("argv", (
@@ -152,6 +187,18 @@ def test_schoenberg_hypothesis_violation(capsys):
     assert err == "error: psi is not hermitian at x\n"
 
 
+@pytest.mark.parametrize("argv,message", (
+    (("--t", ""), "no t sample points given"),
+    (("--max-degree", "-1"), "max degree must be nonnegative, got -1"),
+))
+def test_schoenberg_rejects_vacuous_input(capsys, argv, message):
+    rc, out, err = run(capsys, "schoenberg", alg("car.alg"),
+                       "--psi", str(fixture_path("zero.psi")), *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_schoenberg_json(capsys):
     rc, out, _ = run(capsys, "schoenberg", alg("car.alg"),
                      "--max-degree", "2", "--format", "json")
@@ -191,3 +238,32 @@ def test_qnogo_rejects_zero(capsys):
     rc, _, err = run(capsys, "qnogo", "--q", "0")
     assert rc == 2
     assert err.startswith("error:")
+
+
+# -- zero denominators -----------------------------------------------------
+
+
+def _one_error_line(rc, out, err):
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_zero_denominator_in_a_braiding_entry(capsys, tmp_path):
+    text = fixture_path("q2.alg").read_text().replace(
+        "xs x = 1/2", "xs x = 1/0", 1)
+    assert "xs x = 1/0" in text
+    path = tmp_path / "q2-zero.alg"
+    path.write_text(text)
+    _one_error_line(*run(capsys, "verify", str(path)))
+
+
+def test_zero_denominator_in_a_psi_table(capsys, tmp_path):
+    path = tmp_path / "zero-den.psi"
+    path.write_text("[psi]\nx xs = 1/0\n")
+    _one_error_line(*run(capsys, "schoenberg", alg("car.alg"),
+                         "--psi", str(path)))
+
+
+def test_zero_denominator_in_q(capsys):
+    _one_error_line(*run(capsys, "qnogo", "--q", "1/0"))

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from braidhopf import (AlgebraPresentation, PresentationError,
-                       parse_presentation, pretty_print)
+from braidhopf import (Algebra, AlgebraPresentation, PresentationError,
+                       parse_presentation, parse_psi, pretty_print)
 from braidhopf.presentation import (check_confluence,
                                     check_quotient_compatibility,
                                     format_element_terms, parse_element_terms,
@@ -208,6 +208,13 @@ def test_quotient_compat_passes_on_car():
     assert check_quotient_compatibility(load("car.alg"), 4).ok()
 
 
+def test_quotient_compat_accepts_an_algebra():
+    for name in ("car.alg", "car-wrongsign.alg"):
+        pres = load(name)
+        assert (check_quotient_compatibility(Algebra(pres), 3)
+                == check_quotient_compatibility(pres, 3))
+
+
 def test_quotient_compat_wrongsign_fails_comul_subcheck():
     rep = check_quotient_compatibility(load("car-wrongsign.alg"), 4)
     assert rep.status == "fail"
@@ -219,3 +226,40 @@ def test_quotient_compat_badL_still_passes():
     # a broken cocycle is not an ideal problem; it fails later, in the
     # cocycle check
     assert check_quotient_compatibility(load("car-badL.alg"), 4).ok()
+
+
+# -- fuzzing the parsers ---------------------------------------------------
+
+edits = st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 3),
+                           st.text("xs |=/019i+-[]:#\n", max_size=3)),
+                 max_size=4)
+
+
+def mutate(text, changes):
+    """Replace up to `cut` characters at each position by the inserted text."""
+    for pos, cut, ins in changes:
+        pos %= len(text) + 1
+        text = text[:pos] + ins + text[pos + cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIXTURES), edits)
+@example("q2.alg", [(328, 3, "1/0")])
+def test_mutated_presentations_parse_or_raise_presentation_error(name,
+                                                                 changes):
+    try:
+        parse_presentation(mutate(fixture_path(name).read_text(), changes))
+    except PresentationError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("xxs.psi", "zero.psi", "nonhermitian.psi")), edits)
+@example("xxs.psi", [(154, 1, "1/0")])
+def test_mutated_psi_tables_parse_or_raise_presentation_error(name, changes):
+    try:
+        parse_psi(mutate(fixture_path(name).read_text(), changes),
+                  load("car.alg"))
+    except PresentationError:
+        pass
