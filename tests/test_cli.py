@@ -52,7 +52,7 @@ def test_verify_json_matches_golden(capsys):
 
 @pytest.mark.parametrize("name,degree", (
     [(n, 2) for n in ("car", "car-badL", "car-negL", "car-wrongsign",
-                      "free2", "q2")]
+                      "free2", "freec", "q2")]
     + [(n, 3) for n in ("car-badL", "car-wrongsign", "q2")]))
 def test_verify_full_catalog_matches_golden(capsys, name, degree):
     rc, out, _ = run(capsys, "verify", alg(name + ".alg"),
