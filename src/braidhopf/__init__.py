@@ -11,11 +11,10 @@ from .presentation import (AlgebraPresentation, PresentationError, Report,
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import (braid_mn, braided_product, comul, comul_iter,
                           counit, lambda_n)
-from .deform import (Deformation, Functional, MapNode, SesquiForm,
-                     cocycle_defect, cocycle_functional, conv_exp, conv_map,
-                     convolve_fn, counit_functional, deformed_antipode, mu_t,
-                     psi_functional, sesquilinearize, sigma, table_functional,
-                     zero_functional)
+from .deform import (Deformation, Functional, SesquiForm, cocycle_defect,
+                     cocycle_functional, conv_exp, convolve_fn,
+                     counit_functional, psi_functional, sesquilinearize,
+                     sigma, table_functional, zero_functional)
 from .verify import (CHECK_IDS, HermitianMatrix, SchoenbergError,
                      fixture_path, parse_psi, psd_exact, q_presentation,
                      qnogo_eval, run_catalog, schoenberg_check)
@@ -29,7 +28,6 @@ __all__ = [
     "Deformation",
     "Functional",
     "HermitianMatrix",
-    "MapNode",
     "PresentationError",
     "Report",
     "Scalar",
@@ -44,14 +42,11 @@ __all__ = [
     "comul",
     "comul_iter",
     "conv_exp",
-    "conv_map",
     "convolve_fn",
     "counit",
     "counit_functional",
-    "deformed_antipode",
     "fixture_path",
     "lambda_n",
-    "mu_t",
     "parse_presentation",
     "parse_psi",
     "pretty_print",

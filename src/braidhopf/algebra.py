@@ -78,22 +78,19 @@ class Tensor:
 
     def scale(self, c) -> "Tensor":
         c = as_tpoly(c)
-        out = Tensor(self.rank)
-        if not c:
-            return out
-        for key, v in self.terms.items():
-            p = v * c
-            if p:
-                out.terms[key] = p
-        return out
+        return self.map_coeffs(lambda v: v * c)
 
     def substitute(self, r) -> "Tensor":
         """Evaluate every coefficient at the rational point r."""
+        return self.map_coeffs(lambda v: v.eval(r))
+
+    def map_coeffs(self, fn) -> "Tensor":
+        """Apply fn to every coefficient, dropping the zeros it yields."""
         out = Tensor(self.rank)
         for key, v in self.terms.items():
-            s = v.eval(r)
-            if s:
-                out.terms[key] = TPoly((s,))
+            c = as_tpoly(fn(v))
+            if c:
+                out.terms[key] = c
         return out
 
     def coefficient(self, key) -> TPoly:

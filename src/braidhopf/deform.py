@@ -180,92 +180,6 @@ def conv_exp(F: Functional, u: Tensor, time_sign: int = 1) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# maps out of the rank-1 coalgebra and their convolution
-
-
-class MapNode:
-    """Linear map from the algebra into itself (or into scalars), given by
-    its action on basis words and extended linearly."""
-
-    __slots__ = ("alg", "scalar_valued", "name", "_fn", "memo")
-
-    def __init__(self, alg: Algebra, fn, scalar_valued: bool = False,
-                 name: str = "map"):
-        self.alg = alg
-        self.scalar_valued = scalar_valued
-        self.name = name
-        self._fn = fn
-        self.memo = defaultdict(dict)
-
-    @memoized
-    def on_word(self, w):
-        return self._fn(w)
-
-    def __call__(self, u: Tensor):
-        if u.rank != 1:
-            raise ValueError("map nodes act on rank-1 tensors")
-        if self.scalar_valued:
-            tot = T_ZERO
-            for (w,), c in u.terms.items():
-                v = self.on_word(w)
-                if v:
-                    tot = tot + v * c
-            return tot
-        return slot_map(u, 0, 1, self.on_word, 1)
-
-    def __repr__(self):
-        return f"MapNode({self.name})"
-
-
-def identity_map(alg: Algebra) -> MapNode:
-    return MapNode(alg, lambda w: Tensor.basis((w,)), name="id")
-
-
-def antipode_map(alg: Algebra) -> MapNode:
-    return MapNode(alg, alg.antipode_word, name="S")
-
-
-def unit_counit_map(alg: Algebra) -> MapNode:
-    """1 delta: the unit of map convolution."""
-    return MapNode(alg, lambda w: alg.one() if w == () else Tensor(1),
-                   name="1delta")
-
-
-def functional_map(F: Functional) -> MapNode:
-    """An arity-1 functional viewed as a scalar-valued map node."""
-    if F.arity != 1:
-        raise ValueError("only arity-1 functionals convolve with maps")
-    return MapNode(F.alg, lambda w: F.on_key((w,)), scalar_valued=True,
-                   name=F.name)
-
-
-def conv_map(f: MapNode, g: MapNode) -> MapNode:
-    """Convolution mul . (f (x) g) . comul; scalar factors act by scaling."""
-    if f.alg is not g.alg:
-        raise ValueError("map nodes live over different algebras")
-    alg = f.alg
-    scalar = f.scalar_valued and g.scalar_valued
-
-    def fn(w):
-        out = T_ZERO if scalar else Tensor(1)
-        for (k0, k1), v in comul_word(alg, w).terms.items():
-            a = f.on_word(k0)
-            b = g.on_word(k1)
-            if scalar:
-                out = out + v * a * b
-            elif f.scalar_valued:
-                out = out + b.scale(v * a)
-            elif g.scalar_valued:
-                out = out + a.scale(v * b)
-            else:
-                out = out + alg.mul(a, b).scale(v)
-        return out
-
-    return MapNode(alg, fn, scalar_valued=scalar,
-                   name=f"({f.name} * {g.name})")
-
-
-# ---------------------------------------------------------------------------
 # the deformation context
 
 
@@ -313,13 +227,8 @@ class Deformation:
             u = tensor_product(u, v)
         if u.rank != 2:
             raise ValueError("mu_t consumes rank-2 tensors")
-        out = Tensor(1)
-        for key, c in u.terms.items():
-            for k, val in self.mu_t_key(key).terms.items():
-                if time_sign < 0:
-                    val = val.flip_sign()
-                out.add_term(k, val * c)
-        return out
+        return slot_map(u, 0, 2, _at_time(
+            lambda a, b: self.mu_t_key((a, b)), time_sign), 1)
 
     # -- sigma and the deformed antipode ----------------------------------
 
@@ -365,29 +274,20 @@ class Deformation:
         """S_t (or S_{-t}) extended linearly."""
         if u.rank != 1:
             raise ValueError("the deformed antipode acts on rank-1 tensors")
-        out = Tensor(1)
-        for (w,), c in u.terms.items():
-            for key, val in self.st_word(w).terms.items():
-                if time_sign < 0:
-                    val = val.flip_sign()
-                out.add_term(key, val * c)
-        return out
+        return slot_map(u, 0, 1, _at_time(self.st_word, time_sign), 1)
 
 
-def mu_t(defm: Deformation, u: Tensor, v: Tensor | None = None,
-         time_sign: int = 1) -> Tensor:
-    return defm.mu_t(u, v, time_sign)
+def _at_time(fn, time_sign: int):
+    """The word map fn, or fn with t -> -t in its values for time_sign < 0."""
+    if time_sign > 0:
+        return fn
+    return lambda *words: fn(*words).map_coeffs(TPoly.flip_sign)
 
 
 def sigma(source, L: Functional | None = None) -> Functional:
     """sigma = L . (S (x) id) . comul for an algebra or a presentation."""
     alg = source if isinstance(source, Algebra) else Algebra(source)
     return Deformation(alg, L).sigma_functional()
-
-
-def deformed_antipode(defm: Deformation, a: Tensor,
-                      time_sign: int = 1) -> Tensor:
-    return defm.st(a, time_sign)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 _ZERO_F = Fraction(0)
 _ONE_F = Fraction(1)
@@ -273,6 +274,12 @@ class TPoly:
 
     def conj(self) -> TPoly:
         return TPoly(tuple(c.conj() for c in self.coeffs))
+
+    def shift(self, j: int) -> TPoly:
+        """The coefficient of s^j in p(t + s), a polynomial in t:
+        sum_i C(i + j, j) p_{i+j} t^i."""
+        return TPoly(tuple(c * comb(i + j, j)
+                           for i, c in enumerate(self.coeffs[j:])))
 
     def flip_sign(self) -> TPoly:
         """Substitute t -> -t."""

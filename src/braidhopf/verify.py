@@ -23,18 +23,13 @@ from .algebra import Algebra, Tensor, slot_map, tensor_product
 from .braidtensor import (braid_at, braid_mn, braid_pair, braided_product,
                           comul, comul_iter, comul_word, counit, counit_word,
                           lambda_n_key, star_tensor)
-from .deform import (Deformation, Functional, MapNode, cocycle_defect,
-                     conv_exp, conv_exp_key, conv_map, conv_power,
-                     conv_sesqui, convolve_fn, identity_map, psi_functional,
-                     sesquilinearize)
+from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
+                     conv_exp_key, conv_power, conv_sesqui, convolve_fn,
+                     psi_functional, sesquilinearize)
 from .presentation import (AlgebraPresentation, PresentationError, Report,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (Scalar, TPoly, T_ONE, T_T, T_ZERO, as_scalar, S_ONE,
                       S_ZERO)
-
-GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-        Fraction(-3, 2))
-HERMITIAN_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def fixture_path(name: str):
@@ -81,6 +76,24 @@ class VerifyContext:
 def _scalar(f):
     """A word-tuple -> TPoly map as a word map into rank-0 tensors."""
     return lambda *words: Tensor(0, {(): f(words)})
+
+
+# -- two-time laws: f(t + s) = g(t, s), decided in Q(i)[t][s] one power of s
+# at a time.  The s^j coefficient of f(t + s) is f.shift(j); g depends on s
+# only through factors evaluated at s, each of which contributes its t^j
+# coefficient.  Both sides vanish beyond the largest t-degree of f and of
+# those factors, so the powers compared are read off the polynomials.
+
+
+def _s_part(j):
+    """The coefficient map taking p(s) to the coefficient of s^j."""
+    return lambda p: TPoly(p.coeffs[j:j + 1])
+
+
+def _t_degree(*values) -> int:
+    """The largest t-degree among TPolys and the coefficients of Tensors."""
+    return max((p.degree() for v in values for p in (
+        v.terms.values() if isinstance(v, Tensor) else (v,))), default=-1)
 
 
 # -- input domains: each yields the tuples of words a check is evaluated at
@@ -359,13 +372,15 @@ def _mu_t_assoc_eq3(ctx, a, b, c):
 
 @check("deformation-law", _DEFORM, pairs)
 def _deformation_law(ctx, a, b):
-    lam, mu_t_key = lambda_n_key(ctx.alg, (a, b)), ctx.defm.mu_t_key
-    for t0, s0 in product(GRID, repeat=2):
-        yield (comul(ctx.alg, mu_t_key((a, b)).substitute(t0 + s0)),
+    """Delta . mu_{t+s} = (mu_t (x) mu_s) . Lambda_2; the comultiplication
+    has t-free coefficients, so it commutes with the shift."""
+    lam, mu = lambda_n_key(ctx.alg, (a, b)), ctx.defm.mu_t_key
+    left = comul(ctx.alg, mu((a, b)))
+    for j in range(_t_degree(left, *(mu(k[2:]) for k in lam.terms)) + 1):
+        yield (left.map_coeffs(lambda p: p.shift(j)),
                slot_map(lam, 0, 4, lambda *k: tensor_product(
-                   mu_t_key(k[:2]).substitute(t0),
-                   mu_t_key(k[2:]).substitute(s0)), 2),
-               {"t": t0, "s": s0})
+                   mu(k[:2]), mu(k[2:]).map_coeffs(_s_part(j))), 2),
+               {"power of s": j})
 
 
 @check("star-deformation", _DEFORM, pairs)
@@ -377,25 +392,21 @@ def _star_deformation(ctx, a, b):
 
 @check("expL-semigroup", _DEFORM, pairs)
 def _expL_semigroup(ctx, a, b):
-    exp = ctx.defm.expL_key
-    splits = lambda_n_key(ctx.alg, (a, b)).terms.items()
-    for t0, s0 in product(GRID, repeat=2):
-        left = S_ZERO
-        for k4, v in splits:
-            e1 = exp(k4[:2]).eval(t0)
-            e2 = exp(k4[2:]).eval(s0) if e1 else S_ZERO
-            if e2:
-                left = left + v.eval(t0) * e1 * e2
-        yield left, exp((a, b)).eval(t0 + s0), {"t": t0, "s": s0}
+    """e*^{(t+s)L} = (e*^{tL} (x) e*^{sL}) . Lambda_2."""
+    exp, splits = ctx.defm.expL_key, lambda_n_key(ctx.alg, (a, b)).terms
+    for j in range(_t_degree(exp((a, b)), *(exp(k[2:]) for k in splits)) + 1):
+        yield (exp((a, b)).shift(j),
+               sum((v * exp(k[:2]) * _s_part(j)(exp(k[2:]))
+                    for k, v in splits.items()), T_ZERO),
+               {"power of s": j})
 
 
 @check("expL-hermitian", _DEFORM, pairs)
 def _expL_hermitian(ctx, a, b):
+    """Exact in Q(i)[t] because t is real, so conj acts on coefficients."""
     star = ctx.alg.involution_word
-    left = conv_exp(ctx.L, tensor_product(star(a), star(b)))
-    for t0 in HERMITIAN_SAMPLES:
-        yield (left.eval(t0), ctx.defm.expL_key((b, a)).eval(t0).conj(),
-               {"t": t0})
+    yield (conv_exp(ctx.L, tensor_product(star(a), star(b))),
+           ctx.defm.expL_key((b, a)).conj())
 
 
 @check("primitive-formula", _DEFORM, generator_pairs)
@@ -422,9 +433,9 @@ def _ft_agreement(ctx, w):
 
 @check("ft-commute", _DEFORM, words)
 def _ft_commute(ctx, w):
-    ft = MapNode(ctx.alg, ctx.defm.ft_key, scalar_valued=True, name="F_t")
-    ident = identity_map(ctx.alg)
-    yield conv_map(ft, ident).on_word(w), conv_map(ident, ft).on_word(w)
+    ft = _scalar(lambda k: ctx.defm.ft_key(k[0]))
+    yield (slot_map(ctx.comul(w), 0, 1, ft, 0),
+           slot_map(ctx.comul(w), 1, 1, ft, 0))
 
 
 @check("antipode-deformed", _DEFORM, words)
@@ -450,13 +461,16 @@ def _st_mu(ctx, a, b):
 
 @check("st-comul", _DEFORM, words)
 def _st_comul(ctx, w):
+    """Delta . S_{t+s} = (S_t (x) S_s) . b . Delta."""
     st_word = ctx.defm.st_word
-    for t0, r0 in product(GRID, repeat=2):
-        yield (comul(ctx.alg, st_word(w).substitute(t0 + r0)),
+    left = comul(ctx.alg, st_word(w))
+    for j in range(_t_degree(left, *(st_word(k[0]) for k in ctx.comul(w)
+                                     .terms)) + 1):
+        yield (left.map_coeffs(lambda p: p.shift(j)),
                slot_map(ctx.comul(w), 0, 2, lambda k0, k1: tensor_product(
-                   st_word(k1).substitute(t0), st_word(k0).substitute(r0))
+                   st_word(k1), st_word(k0).map_coeffs(_s_part(j)))
                    .scale(ctx.alg.braid_coeff(k0, k1)), 2),
-               {"t": t0, "r": r0})
+               {"power of s": j})
 
 
 @check("st-inverse", _DEFORM + ("cocommutative",), words)
@@ -505,6 +519,8 @@ def run_catalog(pres: AlgebraPresentation, ids=None,
         selected = set(CHECK_IDS)
     else:
         selected = set(ids)
+        if not selected:
+            raise ValueError("no check ids given")
         unknown = selected - set(CHECK_IDS)
         if unknown:
             raise ValueError(
@@ -542,11 +558,9 @@ class HermitianMatrix:
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i, n):
-                if entries[j][i] != entries[i][j].conj():
-                    raise ValueError(
-                        f"matrix is not hermitian at ({i}, {j})")
+        bad = _non_hermitian_at(entries)
+        if bad is not None:
+            raise ValueError(f"matrix is not hermitian at {bad}")
         self.entries = entries
 
     @property
@@ -563,6 +577,13 @@ class HermitianMatrix:
             for j, vj in enumerate(v):
                 tot = tot + vi.conj() * self.entries[i][j] * vj
         return tot
+
+
+def _non_hermitian_at(rows):
+    """The first (i, j), i <= j, with rows[j][i] != conj(rows[i][j])."""
+    n = len(rows)
+    return next(((i, j) for i in range(n) for j in range(i, n)
+                 if rows[j][i] != rows[i][j].conj()), None)
 
 
 def psd_exact(G: HermitianMatrix):
@@ -734,6 +755,15 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
     try:
         gram = HermitianMatrix(rows)
     except ValueError as exc:
+        # psi passed its hermitian gate, so blame L where its own form is
+        # not hermitian at the offending pair
+        i, j = _non_hermitian_at(rows)
+        a, b = kerdelta[i], kerdelta[j]
+        L_form = sesquilinearize(defm.L)
+        if L_form.on_words(a, b) != L_form.on_words(b, a).conj():
+            raise SchoenbergError(
+                f"the generator L is not hermitian at ({pres.word_str(a)}, "
+                f"{pres.word_str(b)})", "generator-hermitian") from None
         raise SchoenbergError(
             f"conditional Gram matrix is not hermitian ({exc})",
             "hermitian") from None

@@ -89,6 +89,14 @@ def test_verify_rejects_negative_degree(capsys):
     assert err == "error: max degree must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("checks", ("", ","))
+def test_verify_rejects_an_empty_check_selection(capsys, checks):
+    rc, out, err = run(capsys, "verify", alg("car.alg"), "--checks", checks)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no check ids given\n"
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/nonexistent/file.alg")
     assert rc == 2
@@ -185,6 +193,15 @@ def test_schoenberg_hypothesis_violation(capsys):
                        "--max-degree", "2")
     assert rc == 2
     assert err == "error: psi is not hermitian at x\n"
+
+
+def test_schoenberg_blames_a_non_hermitian_generator(capsys, tmp_path):
+    path = tmp_path / "car-imagL.alg"
+    path.write_text(fixture_path("car.alg").read_text().replace(
+        "xs | x = 1", "xs | x = i"))
+    rc, out, err = run(capsys, "schoenberg", str(path), "--max-degree", "2")
+    _one_error_line(rc, out, err)
+    assert err == "error: the generator L is not hermitian at (x, x)\n"
 
 
 @pytest.mark.parametrize("argv,message", (

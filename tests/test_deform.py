@@ -6,12 +6,9 @@ from braidhopf import (Algebra, Deformation, Functional, Scalar, Tensor,
                        cocycle_functional, conv_exp, counit_functional,
                        parse_presentation, psi_functional, table_functional,
                        tensor_product, zero_functional)
-from braidhopf.deform import (MapNode, SesquiForm, antipode_map,
-                              cocycle_defect, conv_exp_key, conv_map,
-                              conv_power, conv_sesqui, convolve_fn,
-                              deformed_antipode, eval_functional,
-                              functional_map, identity_map, sesquilinearize,
-                              sigma, unit_counit_map)
+from braidhopf.deform import (cocycle_defect, conv_exp_key, conv_power,
+                              conv_sesqui, convolve_fn, eval_functional,
+                              sesquilinearize, sigma)
 from braidhopf.scalars import TPoly, T_ONE, T_T, T_ZERO
 from braidhopf.verify import fixture_path
 
@@ -174,8 +171,6 @@ def test_deformed_antipode_spot_values():
     want.add_term(((),), T_T.flip_sign())
     assert got == want
     assert DEF.st_word(X) == Tensor.basis((X,)).scale(TPoly.const(-1))
-    assert deformed_antipode(DEF, CAR.generator("x")) == DEF.st(
-        CAR.generator("x"))
 
 
 def test_deformed_antipode_inverts_at_negative_time():
@@ -191,34 +186,6 @@ def test_ft_is_the_exponential_of_sigma():
     assert DEF.ft_key((0, 1)) == T_T
     assert DEF.ft_key((0, 1), time_sign=-1) == T_T.flip_sign()
     assert DEF.ft_key(()) == T_ONE
-
-
-# -- map convolution -------------------------------------------------------
-
-
-def test_antipode_is_convolution_inverse_of_identity():
-    conv = conv_map(antipode_map(CAR), identity_map(CAR))
-    unit = unit_counit_map(CAR)
-    for w in CAR.basis(3):
-        assert conv.on_word(w) == unit.on_word(w)
-
-
-def test_scalar_valued_map_convolution():
-    sig = functional_map(DEF.sigma_functional())
-    # (sigma * id)(x xs) = sigma(1) x xs + sigma(x) xs + sigma(x xs) 1
-    #                      - sigma(xs) x = 1
-    conv = conv_map(sig, identity_map(CAR))
-    assert conv.on_word((0, 1)) == CAR.one()
-    both = conv_map(sig, sig)
-    assert both.scalar_valued
-    assert both.on_word((0, 1)) == T_ZERO
-
-
-def test_functional_map_requires_arity_one():
-    with pytest.raises(ValueError):
-        functional_map(L)
-    with pytest.raises(ValueError):
-        conv_map(identity_map(CAR), identity_map(make("car.alg")))
 
 
 # -- sesquilinear forms ----------------------------------------------------

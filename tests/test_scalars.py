@@ -117,6 +117,15 @@ def test_tpoly_conj_oracle(p, r):
     assert p.conj().eval(r) == p.eval(r).conj()
 
 
+@given(polys, rationals, rationals)
+def test_tpoly_shift_expands_p_at_t_plus_s(p, t0, s0):
+    # p(t + s) = sum_j shift_j(p)(t) s^j
+    total = sum((p.shift(j).eval(t0) * Scalar(s0 ** j)
+                 for j in range(len(p.coeffs))), S_ZERO)
+    assert total == p.eval(t0 + s0)
+    assert not p.shift(len(p.coeffs))
+
+
 def test_tpoly_spot_values():
     p = T_T * T_T + 3 * T_T + 1          # t^2 + 3t + 1
     assert p.eval(Fraction(2)) == Scalar(11)

@@ -89,6 +89,16 @@ def test_non_hermitian_psi_is_refused():
     assert "x" in str(exc.value)
 
 
+def test_non_hermitian_generator_is_blamed_not_psi():
+    # L(xs (x) x) = i fails gen-hermitian; psi is zero and not at fault
+    pres = parse_presentation(fixture_path("car.alg").read_text().replace(
+        "xs | x = 1", "xs | x = i"))
+    with pytest.raises(SchoenbergError) as exc:
+        schoenberg_check(pres, max_degree=2)
+    assert exc.value.hypothesis == "generator-hermitian"
+    assert str(exc.value) == "the generator L is not hermitian at (x, x)"
+
+
 def test_psi_hitting_the_unit_is_refused():
     with pytest.raises(SchoenbergError) as exc:
         schoenberg_check(CAR, psi=psi_functional(Algebra(CAR),

@@ -5,7 +5,8 @@ import pytest
 
 from braidhopf import (CHECK_IDS, HermitianMatrix, Scalar, parse_presentation,
                        psd_exact, run_catalog)
-from braidhopf.verify import fixture_path
+from braidhopf.scalars import TPoly, T_ONE
+from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
 from oracles import psd_by_minors
 
@@ -130,6 +131,11 @@ def test_catalog_rejects_unknown_ids():
         run_catalog(load("car.alg"), ids=["confluence", "nosuch"])
 
 
+def test_catalog_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="no check"):
+        run_catalog(load("car.alg"), ids=[])
+
+
 def test_catalog_selection_keeps_order():
     reps = run_catalog(load("car.alg"), ids=["coassoc", "confluence"],
                        max_degree=2)
@@ -211,3 +217,48 @@ def test_q_deformed_plane_fails_only_cocommutativity():
         "input": "x x",
         "lhs": "1 (x) x x + 6 (x (x) x) + x x (x) 1",
         "rhs": "1 (x) x x + 3 (x (x) x) + x x (x) 1"}
+
+
+# -- the t-identities are decided exactly ----------------------------------
+
+# P vanishes on G = {0, 1, -1, 1/2, -3/2} and on G + G, so comparing values
+# at t, s in G (and t + s) cannot see a perturbation by P; CUBIC is
+# i (t - 1/2)(t - 1)(t - 2), which vanishes at 1/2, 1 and 2.
+G = [Fraction(r) for r in ("0", "1", "-1", "1/2", "-3/2")]
+P = T_ONE
+for r in sorted(set(G) | {a + b for a in G for b in G}):
+    P = P * TPoly((Scalar(-r), S1))
+CUBIC = TPoly((Scalar(0, 1),))
+for r in (Fraction(1, 2), 1, 2):
+    CUBIC = CUBIC * TPoly((Scalar(-r), S1))
+XS_X = ((1,), (0,))
+
+
+def perturb_mu_t(ctx):
+    ctx.defm.memo["mu_t_key"][XS_X] = (
+        ctx.defm.mu_t_key(XS_X) + ctx.alg.one().scale(P))
+
+
+def perturb_exp_by(p):
+    def perturb(ctx):
+        ctx.L.memo["conv_exp_key"][XS_X] = ctx.defm.expL_key(XS_X) + p
+    return perturb
+
+
+def perturb_st(ctx):
+    w = (0, 1)
+    ctx.defm.memo["st_word"][w] = ctx.defm.st_word(w) + ctx.alg.one().scale(P)
+
+
+@pytest.mark.parametrize("cid,perturb", [pytest.param(*p, id=p[0]) for p in (
+    ("deformation-law", perturb_mu_t),
+    ("expL-semigroup", perturb_exp_by(P)),
+    ("st-comul", perturb_st),
+    ("expL-hermitian", perturb_exp_by(CUBIC)),
+)])
+def test_t_identities_reject_perturbations_invisible_at_sample_points(
+        cid, perturb):
+    ctx = VerifyContext(load("car.alg"), 2)
+    perturb(ctx)
+    run = next(fn for i, _, fn in CATALOG if i == cid)
+    assert run(ctx).status == "fail"
