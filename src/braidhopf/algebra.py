@@ -22,7 +22,8 @@ from collections import defaultdict
 from functools import wraps
 
 from .presentation import AlgebraPresentation, parse_element_terms
-from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
+from .scalars import (S_MINUS_ONE, S_ONE, Scalar, TPoly, T_MINUS_ONE,
+                      T_ONE, T_ZERO, as_tpoly)
 
 
 class Tensor:
@@ -48,7 +49,8 @@ class Tensor:
         return t
 
     def add_term(self, key, coeff):
-        coeff = as_tpoly(coeff)
+        if type(coeff) is not TPoly:
+            coeff = as_tpoly(coeff)
         if not coeff:
             return
         cur = self.terms.get(key)
@@ -211,10 +213,10 @@ class Algebra:
             return self.braid_coeff(w2, w1).inv()
         if self.pres.braiding_kind == "graded-sign":
             if (self.grade(w1) * self.grade(w2)) & 1:
-                return Scalar(-1)
-            return Scalar(1)
+                return S_MINUS_ONE
+            return S_ONE
         table = self.pres.braiding_table
-        c = Scalar(1)
+        c = S_ONE
         for a in w1:
             row = table[a]
             for b in w2:
@@ -365,7 +367,7 @@ class Algebra:
             if t.rank > 0:
                 if c == T_ONE:
                     body = word
-                elif c == TPoly((Scalar(-1),)):
+                elif c == T_MINUS_ONE:
                     body = f"- {word}"
                 else:
                     cs = self.format_poly_coeff(c)

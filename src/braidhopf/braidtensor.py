@@ -20,7 +20,7 @@ coefficient, so everything here stays basis-to-basis.
 from __future__ import annotations
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
-from .scalars import Scalar, TPoly, T_ONE, T_ZERO
+from .scalars import S_ONE, TPoly, T_ONE, T_ZERO
 
 
 def braid_pair(alg: Algebra, m, n, inverse: bool = False) -> Tensor:
@@ -35,7 +35,7 @@ def _braid_key(alg, key, m, n, inverse):
     """Braid the first m slots of a slot-tuple past the next n; returns
     (coefficient, rearranged tuple of the first m+n slots)."""
     if m == 0 or n == 0:
-        return Scalar(1), key[:m + n]
+        return S_ONE, key[:m + n]
     if m == 1:
         c = alg.braid_coeff(key[0], key[1], inverse)
         c2, tail = _braid_key(alg, (key[0],) + key[2:], 1, n - 1, inverse)
@@ -75,7 +75,7 @@ def _product_keys(alg, akey, bkey) -> Tensor:
     if n == 1:
         return alg.mul_words(akey[0], bkey[0])
     # braid b's first slot leftward past a's tail, then multiply slotwise
-    coeff = Scalar(1)
+    coeff = S_ONE
     b0 = bkey[0]
     for w in akey[1:]:
         coeff = coeff * alg.braid_coeff(w, b0)

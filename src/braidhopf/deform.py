@@ -50,7 +50,8 @@ class Functional:
 
     @memoized
     def on_key(self, key) -> TPoly:
-        return as_tpoly(self._fn(key))
+        v = self._fn(key)
+        return v if type(v) is TPoly else as_tpoly(v)
 
     def __call__(self, u: Tensor) -> TPoly:
         return eval_functional(self, u)

@@ -1,18 +1,24 @@
 """Exact coefficient arithmetic.
 
-Two types live here: Scalar, a Gaussian rational a + b*i with both parts kept
-as reduced Fractions, and TPoly, a polynomial in the formal deformation
-parameter t with Scalar coefficients.  Everything downstream (elements,
-tensors, functionals, Gram matrices) carries these; no floats anywhere.
+Two types live here: Scalar, a Gaussian rational a + b*i, and TPoly, a
+polynomial in the formal deformation parameter t with Scalar coefficients.
+Everything downstream (elements, tensors, functionals, Gram matrices)
+carries these; no floats anywhere.
+
+Both rest on one kernel of Python ints: a Gaussian rational is the
+canonical triple (a, b, d), meaning (a + b*i)/d with gcd(a, b, d) == 1 and
+d > 0.  The form is unique, so equal values have equal triples, and the
+functions _add, _mul and _inv keep every result canonical.  A TPoly holds
+the triples of its coefficients; Scalar objects are built only where a
+caller asks for one.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-_ZERO_F = Fraction(0)
 _ONE_F = Fraction(1)
 
 
@@ -24,80 +30,194 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
-class Scalar:
-    """Element of Q(i).  Immutable; Fraction keeps components reduced with
-    positive denominators, so equal scalars compare and hash equal."""
+# -- the int-triple kernel ---------------------------------------------------
 
-    __slots__ = ("re", "im")
+_Z = (0, 0, 1)          # the triple of zero
+_UNIT = ((1, 0, 1),)    # the triples of the constant polynomial 1
+
+
+def _add(x, y):
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        a += c
+        b += e
+        if d == 1:
+            return (a, b, 1)
+        g = gcd(a, b, d)
+    else:
+        g = gcd(d, f)
+        if g == 1:
+            return (a * f + c * d, b * f + e * d, d * f)
+        # a prime of the lcm dividing both parts must divide g
+        s, f = d // g, f // g
+        a, b, d = a * f + c * s, b * f + e * s, s * f * g
+        g = gcd(a, b, g)
+    if g == 1:
+        return (a, b, d)
+    return (a // g, b // g, d // g)
+
+
+def _mul(x, y):
+    a, b, d = x
+    c, e, f = y
+    if b or e:
+        a, b = a * c - b * e, a * e + b * c
+    else:
+        a *= c
+    d *= f
+    if d == 1:
+        return (a, b, 1)
+    g = gcd(a, b, d)
+    if g == 1:
+        return (a, b, d)
+    return (a // g, b // g, d // g)
+
+
+def _inv(x):
+    a, b, d = x
+    if not b:
+        if not a:
+            raise ZeroDivisionError("inverse of zero scalar")
+        return (d, 0, a) if a > 0 else (-d, 0, -a)
+    n = a * a + b * b
+    a, b = d * a, -d * b
+    g = gcd(a, b, n)
+    return (a // g, b // g, n // g)
+
+
+def _abd(x):
+    """The triple of a Scalar, an int or a Fraction; None for any other
+    type."""
+    if type(x) is Scalar:
+        return x.abd
+    if isinstance(x, (int, Fraction)):
+        return (x.numerator, 0, x.denominator)
+    return None
+
+
+def _hash(x):
+    """Hash of a triple, equal to the hash of the int or Fraction of the
+    same value when the value is real."""
+    a, b, d = x
+    if b:
+        return hash(x)
+    return hash(a) if d == 1 else hash(Fraction(a, d))
+
+
+_new = object.__new__
+
+_PATTERN = re.compile(
+    r"""^
+    (?P<re>[+-]?\d+(?:/\d+)?)?
+    (?:
+        (?P<sep>[+-])?
+        (?P<im>\d+(?:/\d+)?)?
+        i
+    )?
+    $""",
+    re.X,
+)
+
+
+class Scalar:
+    """Element of Q(i), immutable, held as its canonical triple abd =
+    (a, b, d) for (a + b*i)/d; equal scalars have equal triples."""
+
+    __slots__ = ("abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if not (isinstance(re, (int, Fraction))
+                and isinstance(im, (int, Fraction))):
+            raise TypeError(
+                f"Scalar parts must be int or Fraction, got "
+                f"{type(re).__name__} and {type(im).__name__}")
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q != s:
+            # over the lcm of two reduced denominators the triple is
+            # already canonical
+            g = gcd(q, s)
+            p, r, q = p * (s // g), r * (q // g), q // g * s
+        _set_abd(self, (p, r, q))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self.abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self.abd
+        return Fraction(b, d)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        y = other.abd if type(other) is Scalar else _abd(other)
+        if y is None:
+            return NotImplemented
+        return _scalar(_add(self.abd, y))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        y = other.abd if type(other) is Scalar else _abd(other)
+        if y is None:
+            return NotImplemented
+        c, e, f = y
+        return _scalar(_add(self.abd, (-c, -e, f)))
 
     def __rsub__(self, other):
-        return as_scalar(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        y = other.abd if type(other) is Scalar else _abd(other)
+        if y is None:
+            return NotImplemented
+        return _scalar(_mul(self.abd, y))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        a, b, d = self.abd
+        return _scalar((-a, -b, d))
 
     def conj(self) -> Scalar:
-        return Scalar(self.re, -self.im)
+        a, b, d = self.abd
+        return _scalar((a, -b, d))
 
     def inv(self) -> Scalar:
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _scalar(_inv(self.abd))
 
     def __truediv__(self, other):
-        return self * as_scalar(other).inv()
+        y = other.abd if type(other) is Scalar else _abd(other)
+        if y is None:
+            return NotImplemented
+        return _scalar(_mul(self.abd, _inv(y)))
 
     def __rtruediv__(self, other):
-        return as_scalar(other) * self.inv()
+        return self.inv() * other
 
     # -- predicates -------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.abd != _Z
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.abd[1]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        y = other.abd if type(other) is Scalar else _abd(other)
+        if y is None:
+            return NotImplemented
+        return self.abd == y
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return _hash(self.abd)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -107,18 +227,19 @@ class Scalar:
     def __str__(self):
         if not self:
             return "0"
+        re_part, im_part = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            if self.im == 1:
+        if re_part:
+            parts.append(str(re_part))
+        if im_part:
+            if im_part == 1:
                 im = "i"
-            elif self.im == -1:
+            elif im_part == -1:
                 im = "-i"
             else:
-                im = f"{self.im} i"
+                im = f"{im_part} i"
             if parts:
-                if self.im > 0:
+                if im_part > 0:
                     parts.append(f"+ {im}")
                 else:
                     parts.append(f"- {im.lstrip('-')}")
@@ -126,24 +247,12 @@ class Scalar:
                 parts.append(im)
         return " ".join(parts)
 
-    _PATTERN = re.compile(
-        r"""^
-        (?P<re>[+-]?\d+(?:/\d+)?)?
-        (?:
-            (?P<sep>[+-])?
-            (?P<im>\d+(?:/\d+)?)?
-            i
-        )?
-        $""",
-        re.X,
-    )
-
     @classmethod
     def parse(cls, text: str) -> Scalar:
         """Parse 'a/b', 'a/b + c/d i', 'c/d i', 'i', '-i' (whitespace-insensitive).
         Malformed text, a zero denominator included, raises ValueError."""
         squeezed = re.sub(r"\s+", "", text)
-        m = cls._PATTERN.match(squeezed)
+        m = _PATTERN.match(squeezed)
         if not m or not squeezed or squeezed in "+-":
             raise ValueError(f"malformed scalar {text!r}")
         re_part, sep, im_part = m.group("re"), m.group("sep"), m.group("im")
@@ -163,8 +272,18 @@ class Scalar:
         return cls(parse_rational(re_part) if re_part is not None else 0, im)
 
 
+_set_abd = Scalar.__dict__["abd"].__set__
+
+
+def _scalar(x) -> Scalar:
+    """The Scalar of a canonical triple."""
+    s = _new(Scalar)
+    _set_abd(s, x)
+    return s
+
+
 def as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
+    if type(x) is Scalar:
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
@@ -173,79 +292,108 @@ def as_scalar(x) -> Scalar:
 
 S_ZERO = Scalar(0)
 S_ONE = Scalar(1)
+S_MINUS_ONE = Scalar(-1)
 S_I = Scalar(0, 1)
 
 
 class TPoly:
     """Polynomial in t over Scalar: coeffs[k] is the coefficient of t^k.
 
-    Canonical form has no trailing zero coefficients; the zero polynomial is
-    the empty tuple.  t is a formal *real* parameter, so conj acts on
-    coefficients only.
+    Canonical form has no trailing zero coefficients; the zero polynomial
+    has no coefficients.  The polynomial holds the triples of its
+    coefficients; coeffs builds their Scalars.  t is a formal *real*
+    parameter, so conj acts on coefficients only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("abds",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(as_scalar(c) for c in coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        abds = tuple(as_scalar(c).abd for c in coeffs)
+        while abds and abds[-1] == _Z:
+            abds = abds[:-1]
+        _set_abds(self, abds)
 
     def __setattr__(self, name, value):
         raise AttributeError("TPoly is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(_scalar, self.abds))
+
     @classmethod
     def const(cls, c) -> TPoly:
-        return cls((as_scalar(c),))
+        return cls((c,))
 
     @classmethod
     def term(cls, c, power: int) -> TPoly:
         c = as_scalar(c)
         if not c:
             return T_ZERO
-        return cls((S_ZERO,) * power + (c,))
+        return _poly((_Z,) * power + (c.abd,))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tpoly(other)
-        a, b = self.coeffs, other.coeffs
+        b = other.abds if type(other) is TPoly else _abds_of(other)
+        if b is None:
+            return NotImplemented
+        a = self.abds
+        if not a:
+            return other if type(other) is TPoly else _poly(b)
+        if not b:
+            return self
         if len(a) < len(b):
             a, b = b, a
+        if len(a) == 1:
+            return _poly((_add(a[0], b[0]),))
         out = list(a)
         for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return TPoly(out)
+            out[k] = _add(out[k], c)
+        return _poly(tuple(out))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-as_tpoly(other))
+        b = other.abds if type(other) is TPoly else _abds_of(other)
+        if b is None:
+            return NotImplemented
+        return self + _poly(tuple((-c, -e, f) for c, e, f in b))
 
     def __rsub__(self, other):
-        return as_tpoly(other) + (-self)
+        b = _abds_of(other)
+        if b is None:
+            return NotImplemented
+        return _poly(b) - self
 
     def __neg__(self):
-        return TPoly(tuple(-c for c in self.coeffs))
+        return _poly(tuple((-a, -b, d) for a, b, d in self.abds))
 
     def __mul__(self, other):
-        other = as_tpoly(other)
-        a, b = self.coeffs, other.coeffs
+        b = other.abds if type(other) is TPoly else _abds_of(other)
+        if b is None:
+            return NotImplemented
+        a = self.abds
+        if b == _UNIT:                # most factors are exactly 1
+            return self
+        if a == _UNIT:
+            return other if type(other) is TPoly else _poly(b)
         if not a or not b:
             return T_ZERO
-        if len(a) == 1:
-            return TPoly(tuple(a[0] * c for c in b))
         if len(b) == 1:
-            return TPoly(tuple(c * b[0] for c in a))
-        out = [S_ZERO] * (len(a) + len(b) - 1)
-        for j, cj in enumerate(a):
-            if not cj:
+            a, b = b, a
+        if len(a) == 1:
+            x = a[0]
+            if len(b) == 1:
+                return _poly((_mul(x, b[0]),))
+            return _poly(tuple([_mul(x, y) for y in b]))
+        out = [_Z] * (len(a) + len(b) - 1)
+        for j, x in enumerate(a):
+            if x == _Z:
                 continue
-            for k, ck in enumerate(b):
-                if ck:
-                    out[j + k] = out[j + k] + cj * ck
-        return TPoly(out)
+            for k, y in enumerate(b, j):
+                if y != _Z:
+                    out[k] = _add(out[k], _mul(x, y))
+        return _poly(tuple(out))
 
     __rmul__ = __mul__
 
@@ -253,53 +401,58 @@ class TPoly:
 
     def degree(self) -> int:
         """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.abds) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.abds)
 
     def constant_term(self) -> Scalar:
-        return self.coeffs[0] if self.coeffs else S_ZERO
+        return _scalar(self.abds[0]) if self.abds else S_ZERO
 
     def __call__(self, r) -> Scalar:
         return self.eval(r)
 
     def eval(self, r) -> Scalar:
         """Exact value at a rational (or Gaussian-rational) point."""
-        r = as_scalar(r)
-        acc = S_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-        return acc
+        r = as_scalar(r).abd
+        acc = _Z
+        for c in reversed(self.abds):
+            acc = _add(_mul(acc, r), c)
+        return _scalar(acc)
 
     def conj(self) -> TPoly:
-        return TPoly(tuple(c.conj() for c in self.coeffs))
+        return _poly(tuple((a, -b, d) for a, b, d in self.abds))
 
     def shift(self, j: int) -> TPoly:
         """The coefficient of s^j in p(t + s), a polynomial in t:
         sum_i C(i + j, j) p_{i+j} t^i."""
-        return TPoly(tuple(c * comb(i + j, j)
-                           for i, c in enumerate(self.coeffs[j:])))
+        return _poly(tuple(_mul(c, (comb(i + j, j), 0, 1))
+                           for i, c in enumerate(self.abds[j:])))
 
     def flip_sign(self) -> TPoly:
         """Substitute t -> -t."""
-        return TPoly(tuple(-c if k & 1 else c for k, c in enumerate(self.coeffs)))
+        return _poly(tuple((-c[0], -c[1], c[2]) if k & 1 else c
+                           for k, c in enumerate(self.abds)))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = as_tpoly(other)
-        if isinstance(other, TPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        b = other.abds if type(other) is TPoly else _abds_of(other)
+        if b is None:
+            return NotImplemented
+        return self.abds == b
 
     def __hash__(self):
-        return hash(self.coeffs)
+        """A polynomial of degree <= 0 hashes like its constant term, as it
+        compares equal to it."""
+        a = self.abds
+        if len(a) > 1:
+            return hash(a)
+        return _hash(a[0]) if a else 0
 
     def __repr__(self):
         return f"TPoly({self.coeffs!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.abds:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -312,6 +465,27 @@ class TPoly:
                 sign, mag = _split_sign(body)
                 parts.append(("- " if sign < 0 else "+ ") + mag)
         return " ".join(parts)
+
+
+_set_abds = TPoly.__dict__["abds"].__set__
+
+
+def _poly(abds) -> TPoly:
+    """The TPoly of a tuple of canonical triples, trailing zeros trimmed."""
+    while abds and abds[-1] == _Z:
+        abds = abds[:-1]
+    p = _new(TPoly)
+    _set_abds(p, abds)
+    return p
+
+
+def _abds_of(x):
+    """The coefficient triples of a Scalar, int or Fraction as a constant
+    polynomial; None for any other type."""
+    x = _abd(x)
+    if x is None:
+        return None
+    return () if x == _Z else (x,)
 
 
 def _split_sign(body: str):
@@ -329,7 +503,7 @@ def _format_coeff_power(c: Scalar, k: int) -> str:
         return cs
     if c == 1:
         return tpart
-    if c == Scalar(-1):
+    if c == -1:
         return f"- {tpart}"
     if c.re and c.im:
         cs = f"({cs})"
@@ -337,14 +511,15 @@ def _format_coeff_power(c: Scalar, k: int) -> str:
 
 
 def as_tpoly(x) -> TPoly:
-    if isinstance(x, TPoly):
+    if type(x) is TPoly:
         return x
-    if isinstance(x, (int, Fraction, Scalar)):
-        return TPoly((as_scalar(x),))
-    raise TypeError(f"cannot coerce {type(x).__name__} to TPoly")
+    abds = _abds_of(x)
+    if abds is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to TPoly")
+    return _poly(abds)
 
 
 T_ZERO = TPoly(())
 T_ONE = TPoly((S_ONE,))
+T_MINUS_ONE = TPoly((S_MINUS_ONE,))
 T_T = TPoly((S_ZERO, S_ONE))
-

@@ -28,8 +28,8 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      psi_functional, sesquilinearize)
 from .presentation import (AlgebraPresentation, PresentationError, Report,
                            check_confluence, check_quotient_compatibility)
-from .scalars import (Scalar, TPoly, T_ONE, T_T, T_ZERO, as_scalar, S_ONE,
-                      S_ZERO)
+from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
+                      T_ZERO, as_scalar)
 
 
 def fixture_path(name: str):
@@ -597,7 +597,7 @@ def _psd(m):
     if n == 0:
         return ("psd", None)
     a = m[0][0]
-    if a.re < 0:
+    if a.abd[0] < 0:                  # the sign of the real part
         return ("not-psd", (S_ONE,) + (S_ZERO,) * (n - 1))
     if not a:
         j = next((k for k in range(1, n) if m[0][k]), None)
@@ -606,15 +606,14 @@ def _psd(m):
             if wit is None:
                 return (verdict, None)
             return ("not-psd", (S_ZERO,) + wit)
-        b = m[0][j]
-        d = m[j][j].re
-        s = Fraction(-1) if d <= 0 else -1 / d
+        p, _, e = m[j][j].abd           # re(m[j][j]) = p/e
         wit = [S_ZERO] * n
         wit[0] = S_ONE
-        wit[j] = b.conj() * Scalar(s)
+        wit[j] = m[0][j].conj() * (S_MINUS_ONE if p <= 0 else Scalar(-e) / p)
         return ("not-psd", tuple(wit))
-    sub = [[m[i][k] - m[i][0] * m[0][k] / a for k in range(1, n)]
-           for i in range(1, n)]
+    pivot_row = [x / a for x in m[0][1:]]
+    sub = [[x - row[0] * y for x, y in zip(row[1:], pivot_row)]
+           for row in m[1:]]
     verdict, wit = _psd(sub)
     if wit is None:
         return ("psd", None)

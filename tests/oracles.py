@@ -3,10 +3,111 @@ against.  Everything here is deliberately written the slow, obvious way,
 composing primitives differently from the library paths under test."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from braidhopf.braidtensor import comul_word
 from braidhopf.scalars import Scalar, TPoly, T_ZERO
+
+
+# -- Gaussian rationals as Fraction pairs -----------------------------------
+#
+# The coefficient arithmetic as it was before the int-triple kernel: a pair
+# of reduced Fractions per scalar and a tuple of such scalars per polynomial.
+
+
+class RefScalar:
+    """a + b*i with a and b Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return RefScalar(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefScalar(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return RefScalar(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __neg__(self):
+        return RefScalar(-self.re, -self.im)
+
+    def conj(self):
+        return RefScalar(self.re, -self.im)
+
+    def inv(self):
+        n = self.re * self.re + self.im * self.im
+        if not n:
+            raise ZeroDivisionError("inverse of zero scalar")
+        return RefScalar(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __str__(self):
+        if not self:
+            return "0"
+        parts = []
+        if self.re:
+            parts.append(str(self.re))
+        if self.im:
+            if self.im == 1:
+                im = "i"
+            elif self.im == -1:
+                im = "-i"
+            else:
+                im = f"{self.im} i"
+            if parts:
+                if self.im > 0:
+                    parts.append(f"+ {im}")
+                else:
+                    parts.append(f"- {im.lstrip('-')}")
+            else:
+                parts.append(im)
+        return " ".join(parts)
+
+
+class RefTPoly:
+    """Polynomial in t over RefScalar, trailing zeros trimmed."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = tuple(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        self.coeffs = coeffs
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return RefTPoly()
+        out = [RefScalar()] * (len(a) + len(b) - 1)
+        for j, cj in enumerate(a):
+            for k, ck in enumerate(b):
+                out[j + k] = out[j + k] + cj * ck
+        return RefTPoly(out)
+
+    def eval(self, r):
+        acc = RefScalar()
+        for c in reversed(self.coeffs):
+            acc = acc * r + c
+        return acc
+
+    def shift(self, j):
+        return RefTPoly(c * RefScalar(comb(i + j, j))
+                        for i, c in enumerate(self.coeffs[j:]))
 
 
 # -- exhaustive rewriting ---------------------------------------------------

@@ -1,4 +1,6 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from braidhopf.scalars import (Scalar, TPoly, S_I, S_ONE, S_ZERO, T_ONE,
                                T_T, T_ZERO, as_scalar, as_tpoly,
                                parse_rational)
+from oracles import RefScalar, RefTPoly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -69,6 +72,22 @@ def test_floats_are_rejected_at_coercion():
         as_scalar(0.5)
     with pytest.raises(TypeError):
         as_tpoly(0.5)
+
+
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (Decimal("0.1"),),
+                                   ("1",), (S_ONE,), (0, complex(0, 1))])
+def test_scalar_accepts_only_int_and_fraction_parts(parts):
+    with pytest.raises(TypeError):
+        Scalar(*parts)
+
+
+def test_scalar_arithmetic_rejects_floats():
+    with pytest.raises(TypeError):
+        S_ONE * 0.5
+    with pytest.raises(TypeError):
+        0.5 + S_ONE
+    with pytest.raises(TypeError):
+        T_ONE * 0.5
 
 
 def test_scalar_zero_inverse():
@@ -137,3 +156,98 @@ def test_tpoly_spot_values():
 def test_tpoly_str_uses_t():
     assert str(T_T) == "t"
     assert "t" in str(T_T * T_T - 1)
+
+
+# -- the == / hash contract ------------------------------------------------
+
+_small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def numbers(draw):
+    """An int, Fraction, Scalar or TPoly drawn from a small pool of values,
+    so that equal values of different types come up often."""
+    re, im = draw(_small), draw(st.sampled_from([0, 0, 1, Fraction(1, 2)]))
+    kind = draw(st.sampled_from(["int", "fraction", "scalar", "const",
+                                 "linear"]))
+    if kind == "int" and not im and Fraction(re).denominator == 1:
+        return int(re)
+    if kind == "fraction" and not im:
+        return Fraction(re)
+    if kind == "const":
+        return TPoly((Scalar(re, im),))
+    if kind == "linear":
+        return TPoly((Scalar(re, im), Scalar(draw(_small))))
+    return Scalar(re, im)
+
+
+@given(numbers(), numbers())
+def test_equal_values_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x == y) == (y == x)
+
+
+def test_real_scalars_and_constants_find_their_numbers_in_dicts():
+    assert {Scalar(1): "v"}.get(1) == "v"
+    assert {Fraction(1, 2): "v"}.get(Scalar(Fraction(1, 2))) == "v"
+    assert {T_ONE: "v"}.get(S_ONE) == "v"
+    assert {1: "v"}.get(TPoly.const(1)) == "v"
+    assert hash(T_ZERO) == hash(S_ZERO) == hash(0)
+
+
+# -- the int-triple kernel against the Fraction-pair oracle -----------------
+
+_parts = st.one_of(
+    st.integers(-10 ** 12, 10 ** 12),
+    st.fractions(min_value=-10 ** 12, max_value=10 ** 12,
+                 max_denominator=10 ** 12),
+    rationals)
+_pairs = st.tuples(_parts, st.one_of(st.just(0), _parts))
+
+
+def _agrees(x, ref):
+    """x is a canonical Scalar whose value is the oracle's."""
+    a, b, d = x.abd
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    return x.re == ref.re and x.im == ref.im
+
+
+def _poly_agrees(p, ref):
+    return (len(p.coeffs) == len(ref.coeffs)
+            and all(map(_agrees, p.coeffs, ref.coeffs)))
+
+
+@given(_pairs, _pairs)
+def test_scalar_kernel_matches_fraction_pair_oracle(p, q):
+    x, y = Scalar(*p), Scalar(*q)
+    rx, ry = RefScalar(*p), RefScalar(*q)
+    assert _agrees(x, rx)
+    assert _agrees(x + y, rx + ry)
+    assert _agrees(x - y, rx - ry)
+    assert _agrees(x * y, rx * ry)
+    assert _agrees(-x, -rx)
+    assert _agrees(x.conj(), rx.conj())
+    if ry:
+        assert _agrees(x / y, rx / ry)
+        assert _agrees(y.inv(), ry.inv())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+    assert (x == y) == (rx == ry)
+    assert (x == x * S_ONE) and (x + y == y + x)
+    assert str(x) == str(rx)
+    assert Scalar.parse(str(x)) == x
+
+
+@given(st.lists(_pairs, max_size=4), st.lists(_pairs, max_size=4), _pairs,
+       st.integers(0, 4))
+def test_tpoly_kernel_matches_fraction_pair_oracle(ps, qs, r, j):
+    p, q = TPoly(Scalar(*c) for c in ps), TPoly(Scalar(*c) for c in qs)
+    rp, rq = RefTPoly(RefScalar(*c) for c in ps), \
+        RefTPoly(RefScalar(*c) for c in qs)
+    assert _poly_agrees(p, rp)
+    assert _poly_agrees(p * q, rp * rq)
+    assert _poly_agrees(p.shift(j), rp.shift(j))
+    assert _agrees(p.eval(Scalar(*r)), rp.eval(RefScalar(*r)))
