@@ -9,7 +9,7 @@ from .scalars import Scalar, TPoly
 from .presentation import (AlgebraPresentation, PresentationError, Report,
                            parse_presentation, pretty_print)
 from .algebra import Algebra, Tensor, tensor_product
-from .braidtensor import (braid_mn, braided_product, comul, comul_iter,
+from .braidtensor import (braid_at, braided_product, comul, comul_iter,
                           counit, lambda_n)
 from .deform import (Deformation, Functional, SesquiForm, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
@@ -35,7 +35,7 @@ __all__ = [
     "SesquiForm",
     "TPoly",
     "Tensor",
-    "braid_mn",
+    "braid_at",
     "braided_product",
     "cocycle_defect",
     "cocycle_functional",

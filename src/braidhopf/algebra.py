@@ -7,9 +7,9 @@ combination of slot-tuples of words; rank 1 plays the role of an algebra
 element, rank 0 of a bare coefficient.
 
 Algebra bundles a presentation with memoized normal forms, products,
-involutions and antipodes; Algebra.free() is the rule-free twin on the same
-alphabet and braiding, used when something must be computed upstairs before
-passing to the quotient.
+involutions, antipodes and braiding coefficients; Algebra.free() is the
+rule-free twin on the same alphabet and braiding, used when something must
+be computed upstairs before passing to the quotient.
 
 Two helpers serve every layer above: slot_map applies a word map to a run
 of slots, linearly, and memoized keeps the per-basis-input caches of an
@@ -200,26 +200,25 @@ class Algebra:
         terms = parse_element_terms(text, names)
         return slot_map(self.element(terms), 0, 1, self.normal_form_word, 1)
 
-    # -- grading and braiding --------------------------------------------
+    # -- braiding ---------------------------------------------------------
 
-    def grade(self, w) -> int:
-        g = self.pres.grades
-        return sum(g[k] for k in w)
-
-    def braid_coeff(self, w1, w2, inverse: bool = False) -> Scalar:
-        """Coefficient picked up when the word w1 crosses over w2 (or the
-        inverse crossing when inverse is set)."""
-        if inverse:
-            return self.braid_coeff(w2, w1).inv()
+    @memoized
+    def braid_coeff(self, pair) -> Scalar:
+        """Coefficient picked up when the word u crosses over the word v,
+        pair = (u, v).  It is a bicharacter on letter counts, so it is also
+        the coefficient of a block of slots crossing another, taken on the
+        concatenated words."""
+        u, v = pair
         if self.pres.braiding_kind == "graded-sign":
-            if (self.grade(w1) * self.grade(w2)) & 1:
+            g = self.pres.grades
+            if (sum(g[k] for k in u) * sum(g[k] for k in v)) & 1:
                 return S_MINUS_ONE
             return S_ONE
         table = self.pres.braiding_table
         c = S_ONE
-        for a in w1:
+        for a in u:
             row = table[a]
-            for b in w2:
+            for b in v:
                 c = c * row[b]
         return c
 
@@ -308,7 +307,7 @@ class Algebra:
         result = Tensor(1)
         for (u,), cu in sg.terms.items():
             for (v,), cv in sv.terms.items():
-                k = self.braid_coeff(u, v)
+                k = self.braid_coeff((u, v))
                 prod = self.mul_words(v, u)
                 c = cu * cv * k
                 for key, val in prod.terms.items():

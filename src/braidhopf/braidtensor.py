@@ -1,71 +1,42 @@
 """Braidings on tensor powers and the braided (co)multiplications.
 
-The braid family is built inductively from the two-slot braiding exactly as
-the maps compose:
+Both braiding kinds are diagonal, with a coefficient c(u, v) for the word u
+crossing over the word v (Algebra.braid_coeff) that is a bicharacter on
+letter counts:
 
-    b_{0,n} = b_{n,0} = id
-    b_{1,n+1} = (id (x) b_{1,n}) . (b (x) id)
-    b_{m+1,n} = (b_{m,n} (x) id) . (id^m (x) b_{1,n})
+    graded-sign: c(u, v) = (-1)^(grade(u) grade(v))
+    diagonal:    c(u, v) = prod of q_ab over the letters a of u, b of v
 
-and the inverse family inverts the pair map slotwise.  Products of tensor
-powers and the comultiplications on them follow the same inductive shape:
+So the block braiding b_{m,n} swaps m slots with the next n and multiplies
+by c of the two blocks' concatenated words:
+
+    b_{m,n}(u_1 (x) .. (x) u_m (x) v_1 (x) .. (x) v_n)
+        = c(u_1 .. u_m, v_1 .. v_n) v_1 (x) .. (x) v_n (x) u_1 (x) .. (x) u_m
+
+Products of tensor powers and the comultiplications on them are built
+inductively, and everything here stays basis-to-basis:
 
     M_1 = mul,   M_n = (mul (x) M_{n-1}) . (id (x) b_{n-1,1} (x) id^{n-1})
     L_1 = comul, L_n = (id (x) b_{1,n-1} (x) id^{n-1}) . (comul (x) L_{n-1})
-
-Both braiding kinds send a slot-tuple of words to a slot-tuple with a scalar
-coefficient, so everything here stays basis-to-basis.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
-from .scalars import S_ONE, TPoly, T_ONE, T_ZERO
+from .scalars import TPoly, T_ONE, T_ZERO
 
 
-def braid_pair(alg: Algebra, m, n, inverse: bool = False) -> Tensor:
-    """Braiding of two monomial slots; returns a rank-2 tensor."""
-    m, n = tuple(m), tuple(n)
-    out = Tensor(2)
-    out.add_term((n, m), alg.braid_coeff(m, n, inverse))
-    return out
-
-
-def _braid_key(alg, key, m, n, inverse):
-    """Braid the first m slots of a slot-tuple past the next n; returns
-    (coefficient, rearranged tuple of the first m+n slots)."""
-    if m == 0 or n == 0:
-        return S_ONE, key[:m + n]
-    if m == 1:
-        c = alg.braid_coeff(key[0], key[1], inverse)
-        c2, tail = _braid_key(alg, (key[0],) + key[2:], 1, n - 1, inverse)
-        return c * c2, (key[1],) + tail
-    head, rest = key[:m - 1], key[m - 1:]
-    c1, rest = _braid_key(alg, rest, 1, n, inverse)
-    c2, moved = _braid_key(alg, head + rest[:n], m - 1, n, inverse)
-    return c1 * c2, moved + rest[n:]
-
-
-def braid_mn(alg: Algebra, u: Tensor, m: int, n: int,
-             inverse: bool = False) -> Tensor:
-    """b_{m,n} on the first m+n slots of u.  With inverse set, the map that
-    undoes b_{m,n}, so the input is expected to carry the n-block first."""
-    if m < 0 or n < 0 or m + n > u.rank:
-        raise ValueError("block sizes exceed tensor rank")
-    return braid_at(alg, u, 0, m, n, inverse)
-
-
-def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int,
-             inverse: bool = False) -> Tensor:
-    """b_{m,n} (or its inverse) acting on slots [start, start + m + n)."""
+def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int) -> Tensor:
+    """b_{m,n} acting on slots [start, start + m + n)."""
+    mid, end = start + m, start + m + n
+    if start < 0 or m < 0 or n < 0 or end > u.rank:
+        raise ValueError("braid blocks exceed tensor rank")
+    coeff = alg.braid_coeff
     out = Tensor(u.rank)
     for key, c in u.terms.items():
-        mid = key[start:start + m + n]
-        if inverse:
-            k, mid = _braid_key(alg, mid, n, m, True)
-        else:
-            k, mid = _braid_key(alg, mid, m, n, False)
-        out.add_term(key[:start] + mid + key[start + m + n:], c * k)
+        left, right = key[start:mid], key[mid:end]
+        out.add_term(key[:start] + right + left + key[end:],
+                     c * coeff((sum(left, ()), sum(right, ()))))
     return out
 
 
@@ -75,10 +46,8 @@ def _product_keys(alg, akey, bkey) -> Tensor:
     if n == 1:
         return alg.mul_words(akey[0], bkey[0])
     # braid b's first slot leftward past a's tail, then multiply slotwise
-    coeff = S_ONE
     b0 = bkey[0]
-    for w in akey[1:]:
-        coeff = coeff * alg.braid_coeff(w, b0)
+    coeff = alg.braid_coeff((sum(akey[1:], ()), b0))
     head = alg.mul_words(akey[0], b0)
     tail = _product_keys(alg, akey[1:], bkey[1:])
     out = Tensor(n)
@@ -150,7 +119,7 @@ def star_tensor(alg: Algebra, u: Tensor) -> Tensor:
         right = alg.involution_word(m)
         for (a,), ca in left.terms.items():
             for (b,), cb in right.terms.items():
-                k = alg.braid_coeff(a, b)
+                k = alg.braid_coeff((a, b))
                 out.add_term((b, a), cc * ca * cb * k)
     return out
 

@@ -594,7 +594,7 @@ def check_quotient_compatibility(source, max_degree: int = 4) -> Report:
     already passed.
     """
     from .algebra import Algebra, Tensor, slot_map, tensor_product
-    from .braidtensor import braid_mn, comul
+    from .braidtensor import braid_at, comul
 
     alg = source if isinstance(source, Algebra) else Algebra(source)
     pres = alg.pres
@@ -627,7 +627,7 @@ def check_quotient_compatibility(source, max_degree: int = 4) -> Report:
         for m in alg.basis(max_degree):
             m1 = Tensor.basis((m,))
             for u in (tensor_product(m1, rel), tensor_product(rel, m1)):
-                out = nf_slots(braid_mn(alg, u, 1, 1))
+                out = nf_slots(braid_at(alg, u, 0, 1, 1))
                 if out.terms:
                     return defect("c", alg.format(out),
                                   f"{pres.word_str(m)} across {where}")

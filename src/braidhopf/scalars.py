@@ -144,6 +144,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return _scalar, (self.abd,)
+
     @property
     def re(self) -> Fraction:
         a, _, d = self.abd
@@ -206,9 +209,6 @@ class Scalar:
 
     def __bool__(self):
         return self.abd != _Z
-
-    def is_real(self) -> bool:
-        return not self.abd[1]
 
     def __eq__(self, other):
         y = other.abd if type(other) is Scalar else _abd(other)
@@ -316,13 +316,12 @@ class TPoly:
     def __setattr__(self, name, value):
         raise AttributeError("TPoly is immutable")
 
+    def __reduce__(self):
+        return _poly, (self.abds,)
+
     @property
     def coeffs(self) -> tuple:
         return tuple(map(_scalar, self.abds))
-
-    @classmethod
-    def const(cls, c) -> TPoly:
-        return cls((c,))
 
     @classmethod
     def term(cls, c, power: int) -> TPoly:

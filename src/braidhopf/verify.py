@@ -20,9 +20,9 @@ from importlib import resources
 from itertools import product
 
 from .algebra import Algebra, Tensor, slot_map, tensor_product
-from .braidtensor import (braid_at, braid_mn, braid_pair, braided_product,
-                          comul, comul_iter, comul_word, counit, counit_word,
-                          lambda_n_key, star_tensor)
+from .braidtensor import (braid_at, braided_product, comul, comul_iter,
+                          comul_word, counit, counit_word, lambda_n_key,
+                          star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      conv_exp_key, conv_power, conv_sesqui, convolve_fn,
                      psi_functional, sesquilinearize)
@@ -180,36 +180,37 @@ def _braid_equation(ctx, a, b, c):
 @check("beta-compat-mul", _BASE, triples)
 def _beta_mul(ctx, a, b, c):
     mul, u = ctx.alg.mul_words, Tensor.basis((a, b, c))
-    yield (braid_mn(ctx.alg, slot_map(u, 0, 2, mul, 1), 1, 1),
-           slot_map(braid_mn(ctx.alg, u, 2, 1), 1, 2, mul, 1),
+    yield (braid_at(ctx.alg, slot_map(u, 0, 2, mul, 1), 0, 1, 1),
+           slot_map(braid_at(ctx.alg, u, 0, 2, 1), 1, 2, mul, 1),
            {"side": "mul in the first factor"})
-    yield (braid_mn(ctx.alg, slot_map(u, 1, 2, mul, 1), 1, 1),
-           slot_map(braid_mn(ctx.alg, u, 1, 2), 0, 2, mul, 1),
+    yield (braid_at(ctx.alg, slot_map(u, 1, 2, mul, 1), 0, 1, 1),
+           slot_map(braid_at(ctx.alg, u, 0, 1, 2), 0, 2, mul, 1),
            {"side": "mul in the second factor"})
 
 
 @check("beta-compat-unit", _BASE,
        lambda ctx: (k for m in ctx.basis for k in (((), m), (m, ()))))
 def _beta_unit(ctx, m, n):
-    yield braid_pair(ctx.alg, m, n), Tensor.basis((n, m))
+    yield (braid_at(ctx.alg, Tensor.basis((m, n)), 0, 1, 1),
+           Tensor.basis((n, m)))
 
 
 @check("beta-compat-comul", _BASE, pairs)
 def _beta_comul(ctx, a, b):
     u = Tensor.basis((a, b))
-    bu = braid_mn(ctx.alg, u, 1, 1)
+    bu = braid_at(ctx.alg, u, 0, 1, 1)
     yield (slot_map(bu, 0, 1, ctx.comul, 2),
-           braid_mn(ctx.alg, slot_map(u, 1, 1, ctx.comul, 2), 1, 2),
+           braid_at(ctx.alg, slot_map(u, 1, 1, ctx.comul, 2), 0, 1, 2),
            {"side": "comul in the first factor"})
     yield (slot_map(bu, 1, 1, ctx.comul, 2),
-           braid_mn(ctx.alg, slot_map(u, 0, 1, ctx.comul, 2), 2, 1),
+           braid_at(ctx.alg, slot_map(u, 0, 1, ctx.comul, 2), 0, 2, 1),
            {"side": "comul in the second factor"})
 
 
 @check("beta-compat-counit", _BASE, pairs)
 def _beta_counit(ctx, a, b):
     u = Tensor.basis((a, b))
-    bu = braid_mn(ctx.alg, u, 1, 1)
+    bu = braid_at(ctx.alg, u, 0, 1, 1)
     yield slot_map(bu, 0, 1, counit_word, 0), slot_map(u, 1, 1, counit_word, 0)
     yield slot_map(bu, 1, 1, counit_word, 0), slot_map(u, 0, 1, counit_word, 0)
 
@@ -217,12 +218,12 @@ def _beta_counit(ctx, a, b):
 @check("beta-compat-antipode", _BASE, pairs)
 def _beta_antipode(ctx, a, b):
     S, u = ctx.alg.antipode_word, Tensor.basis((a, b))
-    bu = braid_mn(ctx.alg, u, 1, 1)
+    bu = braid_at(ctx.alg, u, 0, 1, 1)
     yield (slot_map(bu, 0, 1, S, 1),
-           braid_mn(ctx.alg, slot_map(u, 1, 1, S, 1), 1, 1),
+           braid_at(ctx.alg, slot_map(u, 1, 1, S, 1), 0, 1, 1),
            {"side": "S in the first factor"})
     yield (slot_map(bu, 1, 1, S, 1),
-           braid_mn(ctx.alg, slot_map(u, 0, 1, S, 1), 1, 1),
+           braid_at(ctx.alg, slot_map(u, 0, 1, S, 1), 0, 1, 1),
            {"side": "S in the second factor"})
 
 
@@ -253,7 +254,7 @@ def _counit_mul(ctx, a, b):
 
 @check("cocommutative", _BASE, words)
 def _cocommutative(ctx, w):
-    yield braid_mn(ctx.alg, ctx.comul(w), 1, 1), ctx.comul(w)
+    yield braid_at(ctx.alg, ctx.comul(w), 0, 1, 1), ctx.comul(w)
 
 
 @check("involution-squared", _BASE, words)
@@ -297,7 +298,7 @@ def _braiding_reconstruction(ctx, a, b):
                  3, 1, S, 1)
     u = slot_map(u, 1, 2, lambda x, y: comul(ctx.alg, mul(x, y)), 2)
     u = slot_map(slot_map(u, 0, 2, mul, 1), 1, 2, mul, 1)
-    yield u, braid_pair(ctx.alg, a, b)
+    yield u, braid_at(ctx.alg, Tensor.basis((a, b)), 0, 1, 1)
 
 
 # -- generator checks -------------------------------------------------------
@@ -313,8 +314,8 @@ def _gen_unit(ctx, a, b):
                     for w in ctx.basis))
 def _beta_cocycle(ctx, w, a, b):
     k = ctx.alg.braid_coeff
-    yield k(w, a) * k(w, b), S_ONE
-    yield k(a, w) * k(b, w), S_ONE
+    yield k((w, a)) * k((w, b)), S_ONE
+    yield k((a, w)) * k((b, w)), S_ONE
 
 
 @check("gen-commute", _BASE, pairs)
@@ -456,7 +457,7 @@ def _st_mu(ctx, a, b):
     pair = Tensor.basis((a, b))
     swapped = tensor_product(defm.st_word(b), defm.st_word(a))
     yield (defm.st(defm.mu_t(pair, time_sign=-1)),
-           defm.mu_t(swapped.scale(ctx.alg.braid_coeff(a, b))))
+           defm.mu_t(swapped.scale(ctx.alg.braid_coeff((a, b)))))
 
 
 @check("st-comul", _DEFORM, words)
@@ -469,7 +470,7 @@ def _st_comul(ctx, w):
         yield (left.map_coeffs(lambda p: p.shift(j)),
                slot_map(ctx.comul(w), 0, 2, lambda k0, k1: tensor_product(
                    st_word(k1), st_word(k0).map_coeffs(_s_part(j)))
-                   .scale(ctx.alg.braid_coeff(k0, k1)), 2),
+                   .scale(ctx.alg.braid_coeff((k0, k1))), 2),
                {"power of s": j})
 
 
@@ -735,8 +736,8 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
         if not psi.on_key((v,)):
             continue
         for w in basis:
-            if (alg.braid_coeff(w, v) != S_ONE
-                    or alg.braid_coeff(v, w) != S_ONE):
+            if (alg.braid_coeff((w, v)) != S_ONE
+                    or alg.braid_coeff((v, w)) != S_ONE):
                 raise SchoenbergError(
                     f"psi is not braiding-invariant at {pres.word_str(v)}",
                     "braiding-invariant")
@@ -882,5 +883,5 @@ def qnogo_eval(q, t_val=Fraction(1)):
 
     lhs = slot_map(braid_at(alg, braid_at(alg, expr, 0, 1, 1), 1, 1, 1),
                    0, 2, mu_t, 1)
-    rhs = braid_mn(alg, slot_map(expr, 1, 2, mu_t, 1), 1, 1)
+    rhs = braid_at(alg, slot_map(expr, 1, 2, mu_t, 1), 0, 1, 1)
     return lhs.substitute(t_val), rhs.substitute(t_val)

@@ -192,10 +192,40 @@ def diagonal_braid_coeff(table, u, v):
     return c
 
 
+def closed_form_braid_coeff(pres, u, v):
+    """The crossing coefficient of u over v by the closed form of the
+    presentation's braiding kind."""
+    if pres.braiding_kind == "graded-sign":
+        return sign_braid_coeff(pres.grades, u, v)
+    return diagonal_braid_coeff(pres.braiding_table, u, v)
+
+
+def braid_key(pres, key, m, n):
+    """b_{m,n} on the first m+n slots of a slot-tuple, composed crossing by
+    crossing from the two-slot braiding:
+
+        b_{0,n} = b_{n,0} = id
+        b_{1,n+1} = (id (x) b_{1,n}) . (b (x) id)
+        b_{m+1,n} = (b_{m,n} (x) id) . (id^m (x) b_{1,n})
+
+    Returns (coefficient, rearranged tuple of the first m+n slots)."""
+    if m == 0 or n == 0:
+        return Scalar(1), key[:m + n]
+    if m == 1:
+        c = closed_form_braid_coeff(pres, key[0], key[1])
+        c2, tail = braid_key(pres, (key[0],) + key[2:], 1, n - 1)
+        return c * c2, (key[1],) + tail
+    head, rest = key[:m - 1], key[m - 1:]
+    c1, rest = braid_key(pres, rest, 1, n)
+    c2, moved = braid_key(pres, head + rest[:n], m - 1, n)
+    return c1 * c2, moved + rest[n:]
+
+
 # -- naive convolution ------------------------------------------------------
 #
 # Convolution powers of an arity-2 functional assembled directly from the
-# split Lambda_2 = (id (x) braid (x) id).(comul (x) comul), with the power
+# split Lambda_2 = (id (x) braid (x) id).(comul (x) comul), braided by the
+# closed-form coefficient rather than the engine's, with the power
 # recursion and the exponential series summed term by term.  No caching,
 # no truncation cleverness beyond the series cutoff handed in.
 
@@ -205,7 +235,7 @@ def lambda2_splits(alg, a, b):
     for (a1, a2), ca in comul_word(alg, a).terms.items():
         for (b1, b2), cb in comul_word(alg, b).terms.items():
             out.append(((a1, b1, a2, b2),
-                        ca * cb * alg.braid_coeff(a2, b1)))
+                        ca * cb * closed_form_braid_coeff(alg.pres, a2, b1)))
     return out
 
 

@@ -11,7 +11,7 @@ from braidhopf import (CHECK_IDS, Algebra, Deformation, HermitianMatrix,
 from braidhopf.braidtensor import comul_word
 from braidhopf.cli import main
 from braidhopf.deform import conv_exp_key
-from braidhopf.scalars import TPoly, T_ONE, T_T
+from braidhopf.scalars import T_ONE, T_T, as_tpoly
 from braidhopf.verify import fixture_path
 
 from oracles import naive_exp2, psd_by_minors
@@ -45,7 +45,7 @@ def test_deformed_product_and_antipode_spot_values():
     x, xs, xxs = (0,), (1,), (0, 1)
 
     # the deformed anti-commutation relation, term by term
-    assert defm.mu_t_key((xs, x)) == rank1({xxs: TPoly.const(-1), (): T_T})
+    assert defm.mu_t_key((xs, x)) == rank1({xxs: as_tpoly(-1), (): T_T})
     assert defm.mu_t_key((x, xs)) == rank1({xxs: T_ONE})
     closure = defm.mu_t_key((x, xs)) + defm.mu_t_key((xs, x))
     assert closure == rank1({(): T_T})
@@ -66,7 +66,7 @@ def _comul_xxs(alg):
     want = Tensor(2)
     want.add_term(((0, 1), ()), T_ONE)
     want.add_term(((0,), (1,)), T_ONE)
-    want.add_term(((1,), (0,)), TPoly.const(-1))
+    want.add_term(((1,), (0,)), as_tpoly(-1))
     want.add_term(((), (0, 1)), T_ONE)
     return want
 

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf import Algebra, Scalar, Tensor, parse_presentation
-from braidhopf.braidtensor import (braid_mn, braid_pair, braided_product,
-                                   comul, comul_iter, comul_word, counit,
-                                   lambda_n, lambda_n_key, star_tensor)
-from braidhopf.scalars import TPoly, T_ONE, T_ZERO
+from braidhopf.braidtensor import (braid_at, braided_product, comul,
+                                   comul_iter, comul_word, counit, lambda_n,
+                                   lambda_n_key, star_tensor)
+from braidhopf.scalars import T_ONE, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
-from oracles import (diagonal_braid_coeff, lambda2_splits, sign_braid_coeff,
-                     words_up_to)
+from oracles import (braid_key, diagonal_braid_coeff, lambda2_splits,
+                     sign_braid_coeff, words_up_to)
 
 
 def make(name):
@@ -20,6 +20,7 @@ def make(name):
 
 CAR = make("car.alg")
 Q2 = make("q2.alg")
+FREE2 = make("free2.alg")
 
 
 def tensor(rank, d):
@@ -36,25 +37,43 @@ coeffs = st.builds(
 )
 basis2 = st.sampled_from(CAR.basis(2))
 keys2 = st.dictionaries(st.tuples(basis2, basis2), coeffs, max_size=3)
-keys3 = st.dictionaries(st.tuples(basis2, basis2, basis2), coeffs, max_size=3)
 
 
 # -- braid family ----------------------------------------------------------
 
 
 def test_braid_pair_spot_value():
-    b = braid_pair(CAR, (0,), (1,))
-    assert b == tensor(2, {((1,), (0,)): Scalar(-1)})
-    assert braid_pair(CAR, (), (0,)) == tensor(2, {((0,), ()): Scalar(1)})
+    def b(m, n):
+        return braid_at(CAR, Tensor.basis((m, n)), 0, 1, 1)
+
+    assert b((0,), (1,)) == tensor(2, {((1,), (0,)): Scalar(-1)})
+    assert b((), (0,)) == tensor(2, {((0,), ()): Scalar(1)})
 
 
-@given(keys3)
-def test_braid_inverse_undoes_braid(d):
-    u = tensor(3, d)
-    for alg in (CAR, Q2):
-        for m, n in ((1, 1), (1, 2), (2, 1)):
-            v = braid_mn(alg, braid_mn(alg, u, m, n), m, n, inverse=True)
-            assert v == u
+@st.composite
+def braid_cases(draw):
+    """An algebra, a tensor of rank 2-4 with up to three random slot-tuples
+    (words of up to three letters, not necessarily normal) and blocks
+    (start, m, n) inside its rank."""
+    alg = draw(st.sampled_from((CAR, Q2, FREE2)))
+    rank = draw(st.integers(2, 4))
+    word = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+    key = st.tuples(*[word] * rank)
+    terms = draw(st.dictionaries(key, coeffs, min_size=1, max_size=3))
+    start = draw(st.integers(0, rank))
+    m = draw(st.integers(0, rank - start))
+    n = draw(st.integers(0, rank - start - m))
+    return alg, tensor(rank, terms), start, m, n
+
+
+@given(braid_cases())
+def test_braid_at_matches_crossing_by_crossing_oracle(case):
+    alg, u, start, m, n = case
+    want = Tensor(u.rank)
+    for key, c in u.terms.items():
+        k, mid = braid_key(alg.pres, key[start:], m, n)
+        want.add_term(key[:start] + mid + key[start + m + n:], c * k)
+    assert braid_at(alg, u, start, m, n) == want
 
 
 def test_braid_blocks_match_letterwise_coefficients():
@@ -67,17 +86,24 @@ def test_braid_blocks_match_letterwise_coefficients():
             a = sum(key[:m], ())
             b = sum(key[m:m + n], ())
             want_key = key[m:m + n] + key[:m] + key[m + n:]
-            got = braid_mn(CAR, u, m, n)
+            got = braid_at(CAR, u, 0, m, n)
             c = sign_braid_coeff(CAR.pres.grades, a, b)
             assert got == tensor(3, {want_key: c})
-            got = braid_mn(Q2, u, m, n)
+            got = braid_at(Q2, u, 0, m, n)
             c = diagonal_braid_coeff(Q2.pres.braiding_table, a, b)
             assert got == tensor(3, {want_key: c})
 
 
-def test_braid_rejects_oversized_blocks():
+@pytest.mark.parametrize("start,m,n", (
+    pytest.param(0, 2, 1, id="blocks-past-rank"),
+    pytest.param(0, -1, 1, id="negative-block"),
+    pytest.param(-1, 1, 1, id="negative-start"),
+    pytest.param(1, 1, 1, id="start-plus-blocks-past-rank"),
+    pytest.param(3, 0, 0, id="start-past-rank"),
+))
+def test_braid_rejects_oversized_blocks(start, m, n):
     with pytest.raises(ValueError):
-        braid_mn(CAR, Tensor.basis(((), ())), 2, 1)
+        braid_at(CAR, Tensor.basis(((), ())), start, m, n)
 
 
 # -- comultiplication ------------------------------------------------------
@@ -96,10 +122,10 @@ def test_comul_spot_values():
         ((0,), (0, 0)): T_ONE, ((0, 0), (0,)): T_ONE})
     assert comul_word(CAR, (0, 1)) == tensor(2, {
         ((), (0, 1)): T_ONE, ((0,), (1,)): T_ONE,
-        ((0, 1), ()): T_ONE, ((1,), (0,)): TPoly.const(-1)})
+        ((0, 1), ()): T_ONE, ((1,), (0,)): as_tpoly(-1)})
     assert comul_word(Q2, (0, 0)) == tensor(2, {
         ((0, 0), ()): T_ONE, ((), (0, 0)): T_ONE,
-        ((0,), (0,)): TPoly.const(3)})
+        ((0,), (0,)): as_tpoly(3)})
 
 
 def test_comul_is_coassociative():
@@ -118,12 +144,12 @@ def test_comul_iter_spot_value():
         ((), (), (0, 1)): T_ONE,
         ((), (0,), (1,)): T_ONE,
         ((), (0, 1), ()): T_ONE,
-        ((), (1,), (0,)): TPoly.const(-1),
+        ((), (1,), (0,)): as_tpoly(-1),
         ((0,), (), (1,)): T_ONE,
         ((0,), (1,), ()): T_ONE,
         ((0, 1), (), ()): T_ONE,
-        ((1,), (), (0,)): TPoly.const(-1),
-        ((1,), (0,), ()): TPoly.const(-1),
+        ((1,), (), (0,)): as_tpoly(-1),
+        ((1,), (0,), ()): as_tpoly(-1),
     })
     assert got == want
 
@@ -161,7 +187,7 @@ def test_braided_product_crossing_picks_up_sign():
     x = Tensor.basis(((0,), (0,)))
     y = Tensor.basis(((0,), ()))
     assert braided_product(CAR, x, y) == tensor(
-        2, {((0, 0), (0,)): TPoly.const(-1)})
+        2, {((0, 0), (0,)): as_tpoly(-1)})
 
 
 def test_braided_product_is_associative():

@@ -9,7 +9,7 @@ from braidhopf import (Algebra, Deformation, Functional, Scalar, Tensor,
 from braidhopf.deform import (cocycle_defect, conv_exp_key, conv_power,
                               conv_sesqui, convolve_fn, eval_functional,
                               sesquilinearize, sigma)
-from braidhopf.scalars import TPoly, T_ONE, T_T, T_ZERO
+from braidhopf.scalars import T_ONE, T_T, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
 from oracles import naive_exp2
@@ -117,7 +117,7 @@ def test_trivial_generator_leaves_product_undeformed():
 def test_mu_t_spot_values():
     got = DEF.mu_t_key((XS, X))
     want = Tensor(1)
-    want.add_term(((0, 1),), TPoly.const(-1))
+    want.add_term(((0, 1),), as_tpoly(-1))
     want.add_term(((),), T_T)
     assert got == want
     assert DEF.mu_t_key((X, XS)) == Tensor.basis(((0, 1),))
@@ -137,7 +137,7 @@ def test_mu_t_pair_form_and_negative_time():
     assert DEF.mu_t(xs, x) == DEF.mu_t(u)
     neg = DEF.mu_t(u, time_sign=-1)
     want = Tensor(1)
-    want.add_term(((0, 1),), TPoly.const(-1))
+    want.add_term(((0, 1),), as_tpoly(-1))
     want.add_term(((),), T_T.flip_sign())
     assert neg == want
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_deformed_antipode_spot_values():
     want.add_term(((0, 1),), T_ONE)
     want.add_term(((),), T_T.flip_sign())
     assert got == want
-    assert DEF.st_word(X) == Tensor.basis((X,)).scale(TPoly.const(-1))
+    assert DEF.st_word(X) == Tensor.basis((X,)).scale(as_tpoly(-1))
 
 
 def test_deformed_antipode_inverts_at_negative_time():
@@ -238,5 +238,5 @@ def test_cocycle_defect_detects_a_non_cocycle():
 
 def test_psi_functional_table():
     psi = psi_functional(CAR, {(0, 1): Scalar(2)})
-    assert psi.on_key(((0, 1),)) == TPoly.const(2)
+    assert psi.on_key(((0, 1),)) == as_tpoly(2)
     assert psi.on_key((X,)) == T_ZERO

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -192,8 +194,16 @@ def test_real_scalars_and_constants_find_their_numbers_in_dicts():
     assert {Scalar(1): "v"}.get(1) == "v"
     assert {Fraction(1, 2): "v"}.get(Scalar(Fraction(1, 2))) == "v"
     assert {T_ONE: "v"}.get(S_ONE) == "v"
-    assert {1: "v"}.get(TPoly.const(1)) == "v"
+    assert {1: "v"}.get(as_tpoly(1)) == "v"
     assert hash(T_ZERO) == hash(S_ZERO) == hash(0)
+
+
+@given(st.one_of(scalars, polys))
+def test_copy_deepcopy_and_pickle_round_trip(x):
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
+              copy.deepcopy([x, {x: x}])[1][x]):
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
 
 
 # -- the int-triple kernel against the Fraction-pair oracle -----------------
