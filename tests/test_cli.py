@@ -228,6 +228,23 @@ def test_schoenberg_json(capsys):
     assert doc["equivalence_observed"] is True
 
 
+@pytest.mark.parametrize("golden,argv", (
+    ("schoenberg_car_xxs_d3", ("car.alg", "--psi", alg("xxs.psi"),
+                               "--max-degree", "3")),
+    ("schoenberg_car-badL_d3", ("car-badL.alg", "--max-degree", "3",
+                                "--t=-1,0,1/2,1,2")),
+    ("schoenberg_car-negL_d2", ("car-negL.alg", "--max-degree", "2")),
+    ("schoenberg_freec_d3", ("freec.alg", "--max-degree", "3",
+                             "--t=-1,0,1/2,1,2")),
+))
+def test_schoenberg_json_matches_golden(capsys, golden, argv):
+    rc, out, err = run(capsys, "schoenberg", alg(argv[0]), *argv[1:],
+                       "--format", "json")
+    assert err == ""
+    assert rc == (0 if '"fail"' not in out else 1)
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
 # -- qnogo -----------------------------------------------------------------
 
 
