@@ -11,10 +11,10 @@ from .presentation import (AlgebraPresentation, PresentationError, Report,
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import (braid_at, braided_product, comul, comul_iter,
                           counit, lambda_n)
-from .deform import (Deformation, Functional, SesquiForm, cocycle_defect,
+from .deform import (Deformation, Functional, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
                      counit_functional, psi_functional, sesquilinearize,
-                     sigma, table_functional, zero_functional)
+                     table_functional, zero_functional)
 from .verify import (CHECK_IDS, HermitianMatrix, SchoenbergError,
                      fixture_path, parse_psi, psd_exact, q_presentation,
                      qnogo_eval, run_catalog, schoenberg_check)
@@ -32,7 +32,6 @@ __all__ = [
     "Report",
     "Scalar",
     "SchoenbergError",
-    "SesquiForm",
     "TPoly",
     "Tensor",
     "braid_at",
@@ -57,7 +56,6 @@ __all__ = [
     "run_catalog",
     "schoenberg_check",
     "sesquilinearize",
-    "sigma",
     "table_functional",
     "tensor_product",
     "zero_functional",

@@ -9,7 +9,7 @@ import sys
 
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import comul
-from .deform import Deformation, conv_exp, eval_functional
+from .deform import Deformation, conv_exp
 from .presentation import PresentationError, parse_presentation
 from .scalars import Scalar, parse_rational
 from .verify import (SchoenbergError, parse_psi, q_presentation, qnogo_eval,
@@ -76,7 +76,7 @@ def cmd_eval(args) -> int:
     elif args.op == "s_t":
         out = defm.st(lhs)
     else:
-        out = eval_functional(defm.sigma_functional(), lhs)
+        out = defm.sigma(lhs)
 
     if args.t is not None:
         t0 = parse_rational(args.t)

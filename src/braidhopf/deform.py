@@ -7,11 +7,12 @@ algebra through
 
 with t kept as a formal polynomial variable throughout.  The module also
 builds sigma = L . (S (x) id) . comul, the deformed antipode
-S_t = S * e*^{-t sigma}, and the sesquilinear counterparts used by the
-positivity checks.  Everything evaluates to exact TPoly values; the
-convolution exponential truncates by the total-degree bound (the k-th
-convolution power kills tuples of total degree < k once the functional
-vanishes on the unit tuple, which is enforced).
+S_t = S * e*^{-t sigma}, and the sesquilinear forms used by the
+positivity checks (arity-2 functionals keyed on word pairs).  Everything
+evaluates to exact TPoly values; the convolution exponential truncates by
+the total-degree bound (the k-th convolution power kills tuples of total
+degree < k once the functional vanishes on the unit tuple, which is
+enforced).
 """
 
 from __future__ import annotations
@@ -61,12 +62,17 @@ class Functional:
 
 
 def eval_functional(F: Functional, u: Tensor) -> TPoly:
-    if u.rank != F.arity:
+    return _extend(F.arity, F.on_key, u)
+
+
+def _extend(arity: int, fn, u: Tensor) -> TPoly:
+    """The linear extension of a basis-key map fn to a rank-arity tensor."""
+    if u.rank != arity:
         raise ValueError(
-            f"arity mismatch: functional takes rank {F.arity}, got {u.rank}")
+            f"arity mismatch: functional takes rank {arity}, got {u.rank}")
     tot = T_ZERO
     for key, c in u.terms.items():
-        v = F.on_key(key)
+        v = fn(key)
         if v:
             tot = tot + v * c
     return tot
@@ -164,20 +170,9 @@ def conv_exp_key(F: Functional, key) -> TPoly:
     return tot
 
 
-def conv_exp(F: Functional, u: Tensor, time_sign: int = 1) -> TPoly:
-    """e*^{tF}(u) (or e*^{-tF}(u) for time_sign = -1), exact in t."""
-    if u.rank != F.arity:
-        raise ValueError(
-            f"arity mismatch: functional takes rank {F.arity}, got {u.rank}")
-    tot = T_ZERO
-    for key, c in u.terms.items():
-        e = conv_exp_key(F, key)
-        if not e:
-            continue
-        if time_sign < 0:
-            e = e.flip_sign()
-        tot = tot + e * c
-    return tot
+def conv_exp(F: Functional, u: Tensor) -> TPoly:
+    """e*^{tF}(u), exact in t."""
+    return _extend(F.arity, lambda key: conv_exp_key(F, key), u)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,11 @@ class Deformation:
         if self.L.arity != 2:
             raise ValueError("the generator must have arity 2")
         self.memo = defaultdict(dict)
-        self._sigma_fn = None
+        # sigma = L . (S (x) id) . comul as an arity-1 functional
+        self.sigma = (zero_functional(alg, 1, name="sigma") if self.L.trivial
+                      else Functional(alg, 1,
+                                      lambda key: self.sigma_word(key[0]),
+                                      name="sigma"))
 
     # -- the deformed product ---------------------------------------------
 
@@ -244,19 +243,9 @@ class Deformation:
                     tot = tot + v * sc * lv
         return tot
 
-    def sigma_functional(self) -> Functional:
-        if self._sigma_fn is None:
-            if self.L.trivial:
-                self._sigma_fn = zero_functional(self.alg, 1, name="sigma")
-            else:
-                self._sigma_fn = Functional(
-                    self.alg, 1, lambda key: self.sigma_word(key[0]),
-                    name="sigma")
-        return self._sigma_fn
-
     def ft_key(self, w, time_sign: int = 1) -> TPoly:
         """F_t = e*^{t sigma} on a basis word."""
-        e = conv_exp_key(self.sigma_functional(), (w,))
+        e = conv_exp_key(self.sigma, (w,))
         return e.flip_sign() if time_sign < 0 else e
 
     @memoized
@@ -285,89 +274,50 @@ def _at_time(fn, time_sign: int):
     return lambda *words: fn(*words).map_coeffs(TPoly.flip_sign)
 
 
-def sigma(source, L: Functional | None = None) -> Functional:
-    """sigma = L . (S (x) id) . comul for an algebra or a presentation."""
-    alg = source if isinstance(source, Algebra) else Algebra(source)
-    return Deformation(alg, L).sigma_functional()
-
-
 # ---------------------------------------------------------------------------
 # sesquilinear forms
 
 
-class SesquiForm:
-    """Form on pairs (conjugated first argument, plain second argument);
-    antilinear in the first slot and linear in the second."""
-
-    __slots__ = ("alg", "name", "_fn", "memo")
-
-    def __init__(self, alg: Algebra, fn, name: str = "form"):
-        self.alg = alg
-        self.name = name
-        self._fn = fn
-        self.memo = defaultdict(dict)
-
-    def on_words(self, wa, wb) -> TPoly:
-        return self._pair((wa, wb))
-
-    @memoized
-    def _pair(self, pair) -> TPoly:
-        return as_tpoly(self._fn(*pair))
-
-    def __call__(self, a: Tensor, b: Tensor) -> TPoly:
-        if a.rank != 1 or b.rank != 1:
-            raise ValueError("sesquilinear forms take two rank-1 tensors")
-        tot = T_ZERO
-        for (wa,), ca in a.terms.items():
-            cac = ca.conj()
-            for (wb,), cb in b.terms.items():
-                v = self.on_words(wa, wb)
-                if v:
-                    tot = tot + cac * cb * v
-        return tot
-
-    def __repr__(self):
-        return f"SesquiForm({self.name})"
-
-
-def sesquilinearize(K: Functional) -> SesquiForm:
-    """K-tilde with K-tilde(a-bar, b) = K(a* (x) b)."""
+def sesquilinearize(K: Functional) -> Functional:
+    """K-tilde with K-tilde(a-bar, b) = K(a* (x) b), keyed on word pairs
+    (a, b); it is antilinear in a and linear in b."""
     if K.arity != 2:
         raise ValueError("sesquilinearize takes an arity-2 functional")
     alg = K.alg
 
-    def fn(wa, wb):
+    def fn(key):
         tot = T_ZERO
-        for (iw,), ic in alg.involution_word(wa).terms.items():
-            lv = K.on_key((iw, wb))
+        for (iw,), ic in alg.involution_word(key[0]).terms.items():
+            lv = K.on_key((iw, key[1]))
             if lv:
                 tot = tot + ic * lv
         return tot
 
-    return SesquiForm(alg, fn, name=f"{K.name}~")
+    return Functional(alg, 2, fn, name=f"{K.name}~")
 
 
-def conv_sesqui(P: SesquiForm, Q: SesquiForm) -> SesquiForm:
-    """Convolution w.r.t. (id (x) flip (x) id) . (conjugated comul (x) comul);
-    the conjugated comultiplication conjugates the splitting coefficients."""
+def conv_sesqui(P: Functional, Q: Functional) -> Functional:
+    """Convolution of two sesquilinear forms w.r.t. (id (x) flip (x) id) .
+    (conjugated comul (x) comul); the conjugated comultiplication conjugates
+    the splitting coefficients."""
     if P.alg is not Q.alg:
         raise ValueError("forms live over different algebras")
     alg = P.alg
 
-    def fn(wa, wb):
+    def fn(key):
         tot = T_ZERO
-        for (a0, a1), va in comul_word(alg, wa).terms.items():
+        for (a0, a1), va in comul_word(alg, key[0]).terms.items():
             vac = va.conj()
-            for (b0, b1), vb in comul_word(alg, wb).terms.items():
-                p = P.on_words(a0, b0)
+            for (b0, b1), vb in comul_word(alg, key[1]).terms.items():
+                p = P.on_key((a0, b0))
                 if not p:
                     continue
-                q = Q.on_words(a1, b1)
+                q = Q.on_key((a1, b1))
                 if q:
                     tot = tot + vac * vb * p * q
         return tot
 
-    return SesquiForm(alg, fn, name=f"({P.name} (*) {Q.name})")
+    return Functional(alg, 2, fn, name=f"({P.name} (*) {Q.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ from .braidtensor import (braid_at, braided_product, comul, comul_iter,
                           comul_word, counit, counit_word, lambda_n_key,
                           star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
-                     conv_exp_key, conv_power, conv_sesqui, convolve_fn,
-                     psi_functional, sesquilinearize)
+                     conv_power, conv_sesqui, convolve_fn, psi_functional,
+                     sesquilinearize)
 from .presentation import (AlgebraPresentation, PresentationError, Report,
-                           check_confluence, check_quotient_compatibility)
+                           _parse_word, _word_is_normal, check_confluence,
+                           check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
                       T_ZERO, as_scalar)
 
@@ -71,6 +72,21 @@ class VerifyContext:
             self.alg, 2,
             lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)),
             name="delta.mul")
+
+    @cached_property
+    def L_form(self) -> Functional:
+        """The sesquilinear form L~."""
+        return sesquilinearize(self.L)
+
+    @cached_property
+    def sesqui_conv_sides(self) -> tuple:
+        """The form pairs ((F * K)~, F~ (*) K~) for (F, K) = (delta.mul, L)
+        and (L, delta.mul)."""
+        dm, dm_form = self.delta_mul, sesquilinearize(self.delta_mul)
+        return ((sesquilinearize(convolve_fn(dm, self.L)),
+                 conv_sesqui(dm_form, self.L_form)),
+                (sesquilinearize(convolve_fn(self.L, dm)),
+                 conv_sesqui(self.L_form, dm_form)))
 
 
 def _scalar(f):
@@ -491,15 +507,13 @@ def _st_star(ctx, w):
 
 @check("sesqui-conv", _DEFORM, pairs)
 def _sesqui_conv(ctx, a, b):
-    for F, K in ((ctx.delta_mul, ctx.L), (ctx.L, ctx.delta_mul)):
-        yield (sesquilinearize(convolve_fn(F, K)).on_words(a, b),
-               conv_sesqui(sesquilinearize(F), sesquilinearize(K))
-               .on_words(a, b))
+    for lhs, rhs in ctx.sesqui_conv_sides:
+        yield lhs.on_key((a, b)), rhs.on_key((a, b))
 
 
 @check("sesqui-hermitian", _DEFORM, words)
 def _sesqui_hermitian(ctx, w):
-    v = sesquilinearize(ctx.L).on_words(w, w)
+    v = ctx.L_form.on_key((w, w))
     yield v, v.conj()
 
 
@@ -674,16 +688,10 @@ def parse_psi(text: str, pres: AlgebraPresentation) -> dict:
         if "=" not in line:
             raise PresentationError("expected 'word = scalar'", lineno)
         key_text, val_text = (s.strip() for s in line.split("=", 1))
-        word = []
-        for tok in key_text.split():
-            if tok not in names:
-                raise PresentationError(f"unknown generator {tok!r}", lineno)
-            word.append(names[tok])
-        word = tuple(word)
+        word = _parse_word(key_text, names, lineno)
         if not word:
             raise PresentationError("psi keys must not be the unit", lineno)
-        if any((word[k], word[k + 1]) in lhs_set
-               for k in range(len(word) - 1)):
+        if not _word_is_normal(word, lhs_set):
             raise PresentationError(
                 "psi keys must be normal-form monomials", lineno)
         if word in table:
@@ -697,6 +705,18 @@ def parse_psi(text: str, pres: AlgebraPresentation) -> dict:
     return table
 
 
+def _gram(form: Functional, labels) -> list:
+    """The Gram matrix of a sesquilinear form on the given words."""
+    return [[form.on_key((a, b)) for b in labels] for a in labels]
+
+
+def state_gram(defm: Deformation, psi: Functional, labels) -> list:
+    """G(t), the Gram matrix of phi_t = e*^{t psi} on the words, with
+    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t]."""
+    return _gram(sesquilinearize(Functional(
+        defm.alg, 2, lambda k: conv_exp(psi, defm.mu_t_key(k)))), labels)
+
+
 def _constant(p: TPoly) -> Scalar:
     if p.degree() > 0:
         raise ValueError("expected a t-free value")
@@ -707,7 +727,8 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
                      t_samples=(Fraction(0), Fraction(1, 2), Fraction(1),
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
-    property of the exponential family at each sample point.
+    property of the exponential family at each sample point: the state Gram
+    matrix G(t) is built once in Q(i)[t] and evaluated at every sample.
 
     psi may be a support table (dict), an arity-1 Functional, or None for
     the zero functional.  The three hypotheses on psi are verified first
@@ -750,8 +771,7 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
     form = sesquilinearize(Functional(
         alg, 2, lambda k: defm.L.on_key(k) + psi(alg.mul_words(*k))))
     kerdelta = [w for w in basis if w]
-    rows = [[_constant(form.on_words(bi, bj)) for bj in kerdelta]
-            for bi in kerdelta]
+    rows = [[_constant(p) for p in row] for row in _gram(form, kerdelta)]
     try:
         gram = HermitianMatrix(rows)
     except ValueError as exc:
@@ -760,7 +780,7 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
         i, j = _non_hermitian_at(rows)
         a, b = kerdelta[i], kerdelta[j]
         L_form = sesquilinearize(defm.L)
-        if L_form.on_words(a, b) != L_form.on_words(b, a).conj():
+        if L_form.on_key((a, b)) != L_form.on_key((b, a)).conj():
             raise SchoenbergError(
                 f"the generator L is not hermitian at ({pres.word_str(a)}, "
                 f"{pres.word_str(b)})", "generator-hermitian") from None
@@ -776,40 +796,12 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
             {"witness": _witness_element(alg, kerdelta, wit),
              "form-value": str(gram.quadratic_form(wit))})
 
-    # (b) the state property at each sample
+    # (b) the state property at each sample of G(t), built once in Q(i)[t]
+    G = state_gram(defm, psi, basis)
     states = []
     for t0 in t_samples:
-        phi_vals = {}
-
-        def phi(word):
-            v = phi_vals.get(word)
-            if v is None:
-                v = conv_exp_key(psi, (word,)).eval(t0)
-                phi_vals[word] = v
-            return v
-
-        if phi(()) != S_ONE:
-            states.append(Report(
-                "schoenberg-state", "fail", max_degree,
-                {"t": str(t0), "witness": "1",
-                 "reason": "phi_t(1) != 1"}))
-            continue
-        rows = []
-        for bi in basis:
-            istar = alg.involution_word(bi)
-            row = []
-            for bj in basis:
-                tot = S_ZERO
-                for (iw,), ic in istar.terms.items():
-                    prod = defm.mu_t_key((iw, bj)).substitute(t0)
-                    for (pw,), pc in prod.terms.items():
-                        f = phi(pw)
-                        if f:
-                            tot = tot + _constant(ic) * _constant(pc) * f
-                row.append(tot)
-            rows.append(row)
         try:
-            gram = HermitianMatrix(rows)
+            gram = HermitianMatrix([[p.eval(t0) for p in row] for row in G])
         except ValueError as exc:
             raise SchoenbergError(
                 f"state Gram matrix is not hermitian ({exc})",

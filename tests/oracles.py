@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from braidhopf.braidtensor import comul_word
+from braidhopf.deform import conv_exp_key
 from braidhopf.scalars import Scalar, TPoly, T_ZERO
 
 
@@ -264,6 +265,39 @@ def naive_exp2(alg, F, a, b, cutoff):
         if v:
             tot = tot + TPoly.term(Scalar(Fraction(1, factorial(n))), n) * v
     return tot
+
+
+# -- the state Gram matrix, one sample point at a time ----------------------
+#
+# mu_t is evaluated at t0 first and phi_t0 = e*^{t0 psi} is then applied word
+# by word, in scalars, instead of building the Gram matrix in Q(i)[t] and
+# evaluating it afterwards.
+
+
+def state_gram_at(defm, psi, labels, t0):
+    """phi_t0(mu_t0(a* (x) b)) for the words a, b of labels."""
+    alg = defm.alg
+    phi_vals = {}
+
+    def phi(word):
+        if word not in phi_vals:
+            phi_vals[word] = conv_exp_key(psi, (word,)).eval(t0)
+        return phi_vals[word]
+
+    rows = []
+    for a in labels:
+        istar = alg.involution_word(a)
+        row = []
+        for b in labels:
+            tot = Scalar(0)
+            for (iw,), ic in istar.terms.items():
+                prod = defm.mu_t_key((iw, b)).substitute(t0)
+                for (pw,), pc in prod.terms.items():
+                    tot = tot + (ic.constant_term() * pc.constant_term()
+                                 * phi(pw))
+            row.append(tot)
+        rows.append(row)
+    return rows
 
 
 # -- positive semidefiniteness by principal minors --------------------------

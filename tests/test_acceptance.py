@@ -3,7 +3,6 @@ package, with exact arithmetic and zero tolerance everywhere."""
 
 import random
 import time
-from fractions import Fraction
 
 from braidhopf import (CHECK_IDS, Algebra, Deformation, HermitianMatrix,
                        Scalar, Tensor, cocycle_functional, parse_presentation,

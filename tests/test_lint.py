@@ -1,0 +1,52 @@
+"""Every imported name is used somewhere in its module.
+
+No linter is a dependency of the project, so this walks the syntax tree of
+every module under src/ and tests/ with the standard library's ast.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) for each name an import binds that the module never
+    reads.  from __future__ imports and names listed in __all__ count as
+    used."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    src = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "from a import b, c as d\n"
+           "__all__ = ['b']\n"
+           "os.path.join()\n")
+    assert unused_imports(src) == [(3, "d")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for top in ("src", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for line, name in unused_imports(path.read_text("utf-8"))]
+    assert found == []

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidhopf import (Algebra, AlgebraPresentation, PresentationError,
-                       parse_presentation, parse_psi, pretty_print)
+from braidhopf import (Algebra, PresentationError, parse_presentation,
+                       parse_psi, pretty_print)
 from braidhopf.presentation import (check_confluence,
                                     check_quotient_compatibility,
                                     format_element_terms, parse_element_terms,

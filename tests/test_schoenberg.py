@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from braidhopf import (Algebra, PresentationError, Scalar, SchoenbergError,
-                       cocycle_functional, parse_presentation, parse_psi,
-                       psi_functional, schoenberg_check)
-from braidhopf.verify import fixture_path
+from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
+                       SchoenbergError, cocycle_functional,
+                       parse_presentation, parse_psi, psi_functional,
+                       schoenberg_check)
+from braidhopf.verify import fixture_path, state_gram
+
+from oracles import state_gram_at
 
 
 def load(name):
@@ -77,6 +81,37 @@ def test_functional_psi_is_accepted():
     res = schoenberg_check(alg, psi=psi_functional(alg, {(0, 1): Scalar(1)}),
                            max_degree=2)
     assert res.ok()
+
+
+# -- the state Gram matrix G(t) -------------------------------------------
+
+
+DEFORMATIONS = {name: Deformation(Algebra(load(name)))
+                for name in ("car.alg", "q2.alg", "freec.alg", "car-negL.alg")}
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def gram_cases(draw):
+    """A deformation, a psi support table on nonempty normal words (no
+    hypothesis gate applies: only the matrices are compared), a basis and
+    a rational sample point, negative ones included."""
+    defm = DEFORMATIONS[draw(st.sampled_from(sorted(DEFORMATIONS)))]
+    keys = [w for w in defm.alg.basis(2) if w]
+    table = draw(st.dictionaries(st.sampled_from(keys),
+                                 st.builds(Scalar, rationals, rationals),
+                                 max_size=3))
+    basis = defm.alg.basis(draw(st.integers(0, 3)))
+    return defm, psi_functional(defm.alg, table), basis, draw(rationals)
+
+
+@settings(deadline=None)
+@given(gram_cases())
+def test_state_gram_evaluates_to_the_per_sample_matrix(case):
+    defm, psi, basis, t0 = case
+    G = state_gram(defm, psi, basis)
+    assert ([[p.eval(t0) for p in row] for row in G]
+            == state_gram_at(defm, psi, basis, t0))
 
 
 # -- hypothesis gates ------------------------------------------------------
