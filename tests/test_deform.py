@@ -164,7 +164,7 @@ def test_sigma_spot_values():
     assert DEF.sigma_word(XS) == T_ZERO
     assert DEF.sigma_word((0, 1)) == T_ONE
     assert DEF.sigma.on_key(((0, 1),)) == T_ONE
-    assert Deformation(Algebra(CAR.pres)).sigma.on_key((X,)) == T_ZERO
+    assert DEF.sigma.on_key((X,)) == T_ZERO
 
 
 def test_deformed_antipode_spot_values():
