@@ -167,6 +167,12 @@ class Algebra:
         if self.apply_rules:
             for rule in pres.rules:
                 self._rules[rule.lhs] = rule.rhs  # inconsistent dups fail confluence
+        # rewriting, the comultiplication and the antipode preserve word
+        # length: every rule rewrites to two-letter words (a unit term fails
+        # quotient-compat) and every generator's antipode is letters
+        self.homogeneous = (
+            all(len(w) == 2 for rhs in self._rules.values() for w, _ in rhs)
+            and all(len(w) == 1 for img in pres.antipode for w, _ in img))
         self.memo = defaultdict(dict)
         self._free = None
 

@@ -22,6 +22,8 @@ inductively, and everything here stays basis-to-basis:
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
 from .scalars import TPoly, T_ONE, T_ZERO
 
@@ -78,6 +80,16 @@ def comul_word(alg: Algebra, w) -> Tensor:
     if len(w) == 1:
         return Tensor(2, {(w, ()): T_ONE, ((), w): T_ONE})
     return braided_product(alg, comul_word(alg, w[:1]), comul_word(alg, w[1:]))
+
+
+@memoized
+def comul_buckets(alg: Algebra, w) -> dict:
+    """The terms (w', w'', c) of comul(w), grouped by the length of the
+    right factor w''."""
+    out = {}
+    for (left, right), c in comul_word(alg, w).terms.items():
+        out.setdefault(len(right), []).append((left, right, c))
+    return out
 
 
 def comul(alg: Algebra, a: Tensor) -> Tensor:
@@ -145,6 +157,26 @@ def _lambda_split(alg: Algebra, key) -> Tensor:
     combined = tensor_product(comul_word(alg, key[0]),
                               lambda_n_key(alg, key[1:]))
     return braid_at(alg, combined, 1, 1, len(key) - 1)
+
+
+def lambda2_walk(alg: Algebra, key, lengths, right):
+    """Walk the splits of Lambda_2(a (x) b), key = (a, b), whose right pair
+    (a'', b'') has its lengths in lengths (every split when lengths is
+    None), and yield (a', b', v * right((a'', b''))) where that value is
+    nonzero.  v is the split's coefficient: the comultiplication
+    coefficients of a and b times the braid coefficient c(a'', b')."""
+    a, b = key
+    ba, bb = comul_buckets(alg, a), comul_buckets(alg, b)
+    coeff = alg.braid_coeff
+    for j, k in product(ba, bb) if lengths is None else lengths:
+        tb = bb.get(k)
+        if not tb:
+            continue
+        for a1, a2, ca in ba.get(j, ()):
+            for b1, b2, cb in tb:
+                r = right((a2, b2))
+                if r:
+                    yield a1, b1, ca * cb * coeff((a2, b1)) * r
 
 
 def lambda_n(alg: Algebra, u: Tensor) -> Tensor:

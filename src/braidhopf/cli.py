@@ -164,8 +164,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options whose value may start with "-": a negative sample list or q, or an
+# element such as "-x", which argparse would otherwise take for an option
+_VALUE_OPTIONS = ("--t", "--q", "--lhs", "--rhs")
+
+
+def _attach_values(argv):
+    """Rewrite '--t -1,0' to '--t=-1,0' for the value options."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_OPTIONS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_values(argv))
     try:
         return args.func(args)
     except SchoenbergError as exc:

@@ -13,6 +13,14 @@ evaluates to exact TPoly values; the convolution exponential truncates by
 the total-degree bound (the k-th convolution power kills tuples of total
 degree < k once the functional vanishes on the unit tuple, which is
 enforced).
+
+Both sums walk only the splits of Lambda_2 the functionals can see.  A
+Functional records its support, the length tuples where it may be nonzero.
+On a length-homogeneous algebra (Algebra.homogeneous) the k-th convolution
+power of L vanishes outside the k-fold sums of L's support, so e*^{tL}
+vanishes outside the monoid M(S) those sums make up, and mu_t visits only
+the splits whose right pair has its lengths in M(S).  Elsewhere, or when a
+support is unknown, the same walk visits every split.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
-from .braidtensor import comul_word, lambda_n_key
+from .braidtensor import comul_word, lambda2_walk, lambda_n_key
 from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
 
 
@@ -33,19 +42,18 @@ from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
 class Functional:
     """Linear functional on rank-n tensors, memoized on basis slot-tuples.
 
-    trivial marks a functional known to vanish identically, which lets the
-    convolution machinery collapse exponentials to counits instead of
-    walking comultiplication splits to add up zeros.
+    support is a frozenset of length tuples (|w_1|, ..., |w_n|) off which
+    the functional vanishes on basis slot-tuples, or None when unknown.
     """
 
-    __slots__ = ("alg", "arity", "name", "trivial", "_fn", "memo")
+    __slots__ = ("alg", "arity", "name", "support", "_fn", "memo")
 
     def __init__(self, alg: Algebra, arity: int, fn, name: str = "F",
-                 trivial: bool = False):
+                 support: frozenset | None = None):
         self.alg = alg
         self.arity = arity
         self.name = name
-        self.trivial = trivial
+        self.support = support
         self._fn = fn
         self.memo = defaultdict(dict)
 
@@ -82,11 +90,13 @@ def counit_functional(alg: Algebra, arity: int = 1) -> Functional:
     unit = ((),) * arity
     return Functional(alg, arity,
                       lambda key: T_ONE if key == unit else T_ZERO,
-                      name="delta" if arity == 1 else f"delta^{arity}")
+                      name="delta" if arity == 1 else f"delta^{arity}",
+                      support=frozenset({(0,) * arity}))
 
 
 def zero_functional(alg: Algebra, arity: int, name: str = "0") -> Functional:
-    return Functional(alg, arity, lambda k: T_ZERO, name=name, trivial=True)
+    return Functional(alg, arity, lambda k: T_ZERO, name=name,
+                      support=frozenset())
 
 
 def table_functional(alg: Algebra, table: dict, arity: int,
@@ -100,9 +110,8 @@ def table_functional(alg: Algebra, table: dict, arity: int,
         val = as_tpoly(val)
         if val:
             tab[key] = val
-    if not tab:
-        return zero_functional(alg, arity, name=name)
-    return Functional(alg, arity, lambda k: tab.get(k, T_ZERO), name=name)
+    return Functional(alg, arity, lambda k: tab.get(k, T_ZERO), name=name,
+                      support=frozenset(tuple(map(len, k)) for k in tab))
 
 
 def cocycle_functional(alg: Algebra) -> Functional:
@@ -125,8 +134,24 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
         raise ValueError("convolution needs equal arities")
     n = F.arity
     alg = F.alg
-    if F.trivial or G.trivial:
-        return zero_functional(alg, n, name=f"({F.name} * {G.name})")
+    SF, SG = _pruning_support(F), _pruning_support(G)
+    known = SF is not None and SG is not None
+    support = (frozenset(tuple(map(add, s, t)) for s in SF for t in SG)
+               if known else None)
+
+    def conv2(key):
+        # the right pair is G's and the left pair F's, whose lengths are
+        # the rest of the key's on a length-homogeneous algebra
+        pairs = None
+        if known:
+            la, lb = len(key[0]), len(key[1])
+            pairs = [(j, k) for j, k in SG if (la - j, lb - k) in SF]
+        tot = T_ZERO
+        for a1, b1, v in lambda2_walk(alg, key, pairs, G.on_key):
+            f = F.on_key((a1, b1))
+            if f:
+                tot = tot + v * f
+        return tot
 
     def conv(key):
         tot = T_ZERO
@@ -139,7 +164,35 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
                 tot = tot + v * a * b
         return tot
 
-    return Functional(alg, n, conv, name=f"({F.name} * {G.name})")
+    return Functional(alg, n, conv2 if n == 2 else conv,
+                      name=f"({F.name} * {G.name})", support=support)
+
+
+def _pruning_support(F: Functional) -> frozenset | None:
+    """F.support where it also bounds convolutions with F: on a
+    length-homogeneous algebra the support of a convolution lies in the
+    sumset of the factors' supports, and an empty support (F = 0) bounds
+    them on any algebra.  None where every split must be walked."""
+    S = F.support
+    return S if S is not None and (F.alg.homogeneous or not S) else None
+
+
+@memoized
+def support_monoid(F: Functional, box) -> frozenset:
+    """The elements of the monoid M(S) generated by S = F.support (sums of
+    any number of its elements, the zero tuple included) that fit in box,
+    slot by slot: where a convolution power of F can be nonzero.  Only
+    meaningful where _pruning_support(F) is not None."""
+    reach = {(0,) * len(box)}
+    todo = list(reach)
+    while todo:
+        p = todo.pop()
+        for s in F.support:
+            q = tuple(map(add, p, s))
+            if q not in reach and all(x <= y for x, y in zip(q, box)):
+                reach.add(q)
+                todo.append(q)
+    return frozenset(reach)
 
 
 @memoized
@@ -154,14 +207,16 @@ def conv_power(F: Functional, k: int) -> Functional:
 
 @memoized
 def conv_exp_key(F: Functional, key) -> TPoly:
-    """e*^{tF} on a basis slot-tuple, formal in t."""
-    if F.trivial:
-        return T_ONE if all(w == () for w in key) else T_ZERO
+    """e*^{tF} on a basis slot-tuple, formal in t; zero off M(F.support)."""
     if F.on_key(((),) * F.arity):
         raise ValueError(
             "convolution exponential requires the functional to vanish on "
             "the unit tuple")
-    d = sum(len(w) for w in key)
+    lengths = tuple(map(len, key))
+    if (_pruning_support(F) is not None
+            and lengths not in support_monoid(F, lengths)):
+        return T_ZERO
+    d = sum(lengths)
     tot = T_ZERO
     for k in range(d + 1):
         pk = conv_power(F, k).on_key(key)
@@ -193,11 +248,12 @@ class Deformation:
         if self.L.arity != 2:
             raise ValueError("the generator must have arity 2")
         self.memo = defaultdict(dict)
-        # sigma = L . (S (x) id) . comul as an arity-1 functional
-        self.sigma = (zero_functional(alg, 1, name="sigma") if self.L.trivial
-                      else Functional(alg, 1,
-                                      lambda key: self.sigma_word(key[0]),
-                                      name="sigma"))
+        # sigma = L . (S (x) id) . comul as an arity-1 functional; S keeps
+        # lengths on a length-homogeneous algebra
+        S = _pruning_support(self.L)
+        self.sigma = Functional(
+            alg, 1, lambda key: self.sigma_word(key[0]), name="sigma",
+            support=None if S is None else frozenset((p + q,) for p, q in S))
 
     # -- the deformed product ---------------------------------------------
 
@@ -206,18 +262,15 @@ class Deformation:
 
     @memoized
     def mu_t_key(self, key) -> Tensor:
-        """mu_t on a basis pair, formal in t."""
-        if self.L.trivial:
-            # the exponential degenerates to the counit pair, which picks
-            # the identity split out of Lambda_2
-            return self.alg.mul_words(key[0], key[1])
+        """mu_t on a basis pair, formal in t: the splits of Lambda_2 whose
+        right pair has its lengths in M(L.support)."""
+        lengths = None
+        if _pruning_support(self.L) is not None:
+            lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
-        for k2, v in lambda_n_key(self.alg, key).terms.items():
-            e = self.expL_key(k2[2:])
-            if not e:
-                continue
-            for (pw,), pc in self.alg.mul_words(k2[0], k2[1]).terms.items():
-                out.add_term((pw,), pc * v * e)
+        for a1, b1, v in lambda2_walk(self.alg, key, lengths, self.expL_key):
+            for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
+                out.add_term((pw,), pc * v)
         return out
 
     def mu_t(self, u: Tensor, v: Tensor | None = None,

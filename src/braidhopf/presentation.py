@@ -74,7 +74,7 @@ class AlgebraPresentation:
     braiding_table: tuple | None               # row g, column h -> Scalar c(g, h)
     rules: tuple                               # of Rule
     cocycle: tuple                             # ((Word, Word, Scalar), ...)
-    antipode: tuple                            # per generator: ((Scalar, Word), ...)
+    antipode: tuple                            # per generator: ((Word, Scalar), ...)
 
     def gen_index(self, symbol: str) -> int:
         try:

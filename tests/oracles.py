@@ -5,9 +5,10 @@ composing primitives differently from the library paths under test."""
 from fractions import Fraction
 from math import comb, factorial
 
-from braidhopf.braidtensor import comul_word
+from braidhopf.algebra import Tensor
+from braidhopf.braidtensor import comul_word, lambda_n_key
 from braidhopf.deform import conv_exp_key
-from braidhopf.scalars import Scalar, TPoly, T_ZERO
+from braidhopf.scalars import Scalar, TPoly, T_ONE, T_ZERO
 
 
 # -- Gaussian rationals as Fraction pairs -----------------------------------
@@ -265,6 +266,52 @@ def naive_exp2(alg, F, a, b, cutoff):
         if v:
             tot = tot + TPoly.term(Scalar(Fraction(1, factorial(n))), n) * v
     return tot
+
+
+# -- the deformed product over every split -----------------------------------
+#
+# mu_t and e*^{tF} as they were before support pruning: every term of the
+# full Lambda_n (lambda_n_key) is walked, whatever the lengths of its
+# factors, and the convolution powers are summed split by split.  powers is
+# a plain dict the caller may share between calls on one functional.
+
+
+def unpruned_conv_power(F, k, key, powers):
+    """F^{*k} on a basis slot-tuple, F^{*0} being the counit."""
+    n = len(key)
+    if k == 0:
+        return T_ONE if key == ((),) * n else T_ZERO
+    if (k, key) not in powers:
+        tot = T_ZERO
+        for k2, v in lambda_n_key(F.alg, key).terms.items():
+            f = F.on_key(k2[:n])
+            if f:
+                p = unpruned_conv_power(F, k - 1, k2[n:], powers)
+                if p:
+                    tot = tot + v * f * p
+        powers[(k, key)] = tot
+    return powers[(k, key)]
+
+
+def unpruned_conv_exp_key(F, key, powers):
+    tot = T_ZERO
+    for k in range(sum(len(w) for w in key) + 1):
+        v = unpruned_conv_power(F, k, key, powers)
+        if v:
+            tot = tot + TPoly.term(Scalar(Fraction(1, factorial(k))), k) * v
+    return tot
+
+
+def unpruned_mu_t_key(L, key, powers):
+    """mu_t = (mul (x) e*^{tL}) . Lambda_2 on a basis pair."""
+    alg = L.alg
+    out = Tensor(1)
+    for k2, v in lambda_n_key(alg, key).terms.items():
+        e = unpruned_conv_exp_key(L, k2[2:], powers)
+        if e:
+            for (pw,), pc in alg.mul_words(k2[0], k2[1]).terms.items():
+                out.add_term((pw,), pc * v * e)
+    return out
 
 
 # -- the state Gram matrix, one sample point at a time ----------------------

@@ -301,3 +301,22 @@ def test_zero_denominator_in_a_psi_table(capsys, tmp_path):
 
 def test_zero_denominator_in_q(capsys):
     _one_error_line(*run(capsys, "qnogo", "--q", "1/0"))
+
+
+# -- option values that start with a dash ----------------------------------
+
+
+@pytest.mark.parametrize("argv, option, value", (
+    (("schoenberg", alg("car.alg"), "--max-degree", "1"), "--t", "-1,0"),
+    (("eval", alg("car.alg"), "--op", "mu_t", "--lhs", "xs", "--rhs", "x"),
+     "--t", "-1/2"),
+    (("eval", alg("car.alg"), "--op", "mul", "--rhs", "xs"), "--lhs", "-x"),
+    (("eval", alg("car.alg"), "--op", "mul", "--lhs", "x"), "--rhs", "-xs"),
+    (("qnogo",), "--q", "-1/2"),
+), ids=["schoenberg-t", "eval-t", "eval-lhs", "eval-rhs", "qnogo-q"])
+def test_negative_option_values_match_the_equals_form(capsys, argv, option,
+                                                      value):
+    spaced = run(capsys, *argv, option, value)
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and spaced[1] and not spaced[2]

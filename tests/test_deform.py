@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidhopf import (Algebra, Deformation, Scalar, Tensor,
                        cocycle_functional, conv_exp, counit_functional,
                        parse_presentation, psi_functional, table_functional,
                        tensor_product, zero_functional)
-from braidhopf.deform import (cocycle_defect, conv_exp_key, conv_power,
-                              conv_sesqui, convolve_fn, eval_functional,
-                              sesquilinearize)
+from braidhopf.cli import main
+from braidhopf.deform import (Functional, cocycle_defect, conv_exp_key,
+                              conv_power, conv_sesqui, convolve_fn,
+                              eval_functional, sesquilinearize)
 from braidhopf.scalars import T_ONE, T_T, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
-from oracles import naive_exp2
+from oracles import (naive_exp2, unpruned_conv_exp_key, unpruned_conv_power,
+                     unpruned_mu_t_key)
 
 
 def make(name):
@@ -91,27 +94,171 @@ def test_convolution_rejects_mismatches():
         eval_functional(L, Tensor.basis((X,)))
 
 
-# -- trivial functionals ---------------------------------------------------
+# -- supports ----------------------------------------------------------------
 
 
 def test_trivial_flag_propagates():
+    # the zero functional and an all-zero table have empty support, and a
+    # convolution's support is the sumset of its factors' supports
     z = zero_functional(CAR, 2)
-    assert z.trivial
-    assert table_functional(CAR, {(X, XS): Scalar(0)}, 2).trivial
-    assert not table_functional(CAR, {(X, XS): Scalar(1)}, 2).trivial
-    assert convolve_fn(z, L).trivial
-    assert convolve_fn(L, z).trivial
+    assert z.support == frozenset()
+    assert table_functional(CAR, {(X, XS): Scalar(0)}, 2).support == frozenset()
+    assert L.support == {(1, 1)}
+    M = table_functional(CAR, {(X, XS): Scalar(1), ((0, 1), X): Scalar(2),
+                               ((), X): Scalar(3)}, 2)
+    assert M.support == {(1, 1), (2, 1), (0, 1)}
+    assert convolve_fn(L, M).support == {(2, 2), (3, 2), (1, 2)}
+    assert convolve_fn(M, M).support == {
+        (p + r, q + s) for p, q in M.support for r, s in M.support}
+    assert convolve_fn(z, L).support == frozenset()
+    assert convolve_fn(L, z).support == frozenset()
+    assert counit_functional(CAR, 2).support == {(0, 0)}
+    assert DEF.sigma.support == {(2,)}
     assert conv_exp_key(z, (X, XS)) == T_ZERO
     assert conv_exp_key(z, ((), ())) == T_ONE
 
 
 def test_trivial_generator_leaves_product_undeformed():
+    # a zero-support generator leaves mu_t = mul and S_t = S
     d = Deformation(CAR, zero_functional(CAR, 2))
-    assert d.sigma.trivial
+    assert d.L.support == d.sigma.support == frozenset()
     for a in CAR.basis(2):
         for b in CAR.basis(2):
             assert d.mu_t_key((a, b)) == CAR.mul_words(a, b)
             assert d.st_word(a) == CAR.antipode_word(a)
+
+
+# -- support pruning against the walk over every split ---------------------
+
+
+def modes(n):
+    return [("x", "xs")] if n == 1 else [(g, g + "s") for g in "ab"[:n]]
+
+
+def generated(kind, n):
+    """n-mode CAR (grade 1, every descending pair anticommutes) or the free
+    *-algebra on n grade-0 modes; the generator comes from a table."""
+    gens = [g for pair in modes(n) for g in pair]
+    lines = ["[algebra]", f"name = {kind}{n}",
+             "generators = " + " ".join(gens),
+             "involution = " + " ".join(f"{g}:{gs}" for g, gs in modes(n)),
+             "grade = " + " ".join(
+                 f"{g}:{1 if kind == 'car' else 0}" for g in gens),
+             "[braiding]", "kind = graded-sign"]
+    if kind == "car":
+        lines.append("[relations]")
+        lines += [f"{g} {h} = - {h} {g}"
+                  for j, g in enumerate(gens) for h in gens[:j]]
+    return Algebra(parse_presentation("\n".join(lines) + "\n"))
+
+
+PRUNED_ALGEBRAS = [make(f) for f in ("car.alg", "q2.alg", "freec.alg",
+                                     "free2.alg", "car-badL.alg")]
+PRUNED_ALGEBRAS += [generated(kind, n) for kind in ("car", "free")
+                    for n in (1, 2)]
+
+
+@st.composite
+def pruning_cases(draw):
+    """An algebra, a generator table (a random part of the algebra's own
+    cocycle plus random entries on normal words of one to three letters)
+    and a few basis pairs of total length at most 4."""
+    alg = draw(st.sampled_from(PRUNED_ALGEBRAS))
+    own = [((l, r), c) for l, r, c in alg.pres.cocycle]
+    table = dict(draw(st.lists(st.sampled_from(own), unique=True))
+                 if own else [])
+    nonempty = [w for w in alg.basis(3) if w]
+    table.update(draw(st.dictionaries(
+        st.tuples(st.sampled_from(nonempty), st.sampled_from(nonempty)),
+        st.integers(-2, 2).filter(bool).map(Scalar), max_size=4)))
+    words = alg.basis(3)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
+            lambda p: len(p[0]) + len(p[1]) <= 4), min_size=1, max_size=6))
+    return alg, table, pairs
+
+
+@settings(deadline=None, max_examples=60)
+@given(pruning_cases())
+def test_pruned_mu_t_and_exponential_match_the_full_walk(case):
+    alg, table, pairs = case
+    L = table_functional(alg, table, 2, name="L")
+    defm = Deformation(alg, L)
+    powers = {}
+    for key in pairs:
+        for k in (2, 3):
+            assert conv_power(L, k).on_key(key) == unpruned_conv_power(
+                L, k, key, powers)
+        assert defm.expL_key(key) == unpruned_conv_exp_key(L, key, powers)
+        assert defm.mu_t_key(key) == unpruned_mu_t_key(L, key, powers)
+    # the deformed antipode's exponential e*^{t sigma}, against the same
+    # walk over a sigma that carries no support
+    sigma = Functional(alg, 1, lambda k: defm.sigma_word(k[0]))
+    sigma_powers = {}
+    for key in pairs:
+        assert defm.ft_key(key[0]) == unpruned_conv_exp_key(
+            sigma, (key[0],), sigma_powers)
+
+
+CAR_UNIT = """\
+[algebra]
+name = car-unit
+generators = x xs
+involution = x:xs
+grade = x:1 xs:1
+
+[braiding]
+kind = graded-sign
+
+[relations]
+xs x = - x xs + 1
+
+[cocycle]
+xs | x = 1
+"""
+
+
+def _unit_term_case():
+    alg = Algebra(parse_presentation(CAR_UNIT))
+    assert not alg.homogeneous
+    return alg, cocycle_functional(alg)
+
+
+def _bare_function_case():
+    # the cocycle of car.alg behind a bare function: its support is unknown
+    L = Functional(CAR, 2, lambda key: cocycle_functional(CAR).on_key(key))
+    assert CAR.homogeneous and L.support is None
+    return CAR, L
+
+
+@pytest.mark.parametrize("case", [_unit_term_case, _bare_function_case],
+                         ids=["unit-term-rule", "bare-function-L"])
+def test_full_walk_fallback_matches_the_oracle(case):
+    alg, L = case()
+    defm = Deformation(alg, L)
+    assert defm.sigma.support is None
+    powers = {}
+    for a in alg.basis(2):
+        for b in alg.basis(2):
+            assert defm.expL_key((a, b)) == unpruned_conv_exp_key(
+                L, (a, b), powers)
+            assert defm.mu_t_key((a, b)) == unpruned_mu_t_key(
+                L, (a, b), powers)
+
+
+@pytest.mark.parametrize("lhs, rhs, key", [
+    ("xs", "x", ((1,), (0,))),
+    ("x xs", "x xs", ((0, 1), (0, 1))),
+])
+def test_unit_term_rule_reaches_mu_t_through_eval(capsys, tmp_path, lhs,
+                                                   rhs, key):
+    path = tmp_path / "car-unit.alg"
+    path.write_text(CAR_UNIT)
+    assert main(["eval", str(path), "--op", "mu_t", "--lhs", lhs,
+                 "--rhs", rhs]) == 0
+    alg, L = _unit_term_case()
+    want = alg.format(unpruned_mu_t_key(L, key, {}))
+    assert capsys.readouterr().out == want + "\n"
 
 
 # -- the deformed product --------------------------------------------------
