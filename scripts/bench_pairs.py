@@ -1,8 +1,8 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
 Runs ``perfbench/run.py`` for each workload in two checkouts, alternating
-which side goes first, and optionally times whole-catalog ``verify`` runs
-the same way.  For every metric it records both sides' runs, medians and
+which side goes first, for the ``run_seconds`` that ``BENCHMARK.json``
+declares, and optionally times whole-catalog ``verify`` runs the same way.  For every metric it records both sides' runs, medians and
 quartiles, and how many pairs the change won (ties count for neither
 side), together with each side's git sha, Python version and ``src`` line
 count.  Only the standard library is used; each checkout builds what it
@@ -120,18 +120,21 @@ def time_catalog(root: Path, fixture: str, degree: int) -> tuple:
 def bench_catalog(dirs: dict, spec: str, pairs: int) -> dict:
     fixture, _, degree = spec.partition("@")
     walls = {side: [] for side in SIDES}
-    outputs = {}
+    statuses = {}
+    outputs = set()
     for i in range(pairs):
         for side in pair_order(i):
-            wall, statuses, stdout = time_catalog(dirs[side], fixture,
-                                                  int(degree))
+            wall, counts, stdout = time_catalog(dirs[side], fixture,
+                                                int(degree))
             walls[side].append(wall)
-            outputs[side] = (statuses, stdout)
-            print(f"{spec} pair {i + 1} {side}: {wall:.2f} s {statuses}",
+            statuses.setdefault(side, counts)
+            outputs.add(stdout)
+            print(f"{spec} pair {i + 1} {side}: {wall:.2f} s {counts}",
                   file=sys.stderr)
     row = compare(walls["parent"], walls["change"], "lower")
-    row.update(unit="s", statuses={side: outputs[side][0] for side in SIDES},
-               identical_output=outputs["parent"][1] == outputs["change"][1])
+    # statuses are each side's first run; identical_output says whether
+    # every run on both sides printed the same report
+    row.update(unit="s", statuses=statuses, identical_output=len(outputs) == 1)
     return row
 
 
@@ -141,8 +144,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable; default all; "
@@ -158,8 +159,7 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     args.end_to_end = declared["end_to_end"]
-    if args.seconds is None:
-        args.seconds = declared["run_seconds"]
+    args.seconds = declared["run_seconds"]
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     workloads = [w for w in workloads if w != "none"]
 

@@ -14,13 +14,13 @@ the total-degree bound (the k-th convolution power kills tuples of total
 degree < k once the functional vanishes on the unit tuple, which is
 enforced).
 
-Both sums walk only the splits of Lambda_2 the functionals can see.  A
-Functional records its support, the length tuples where it may be nonzero.
-On a length-homogeneous algebra (Algebra.homogeneous) the k-th convolution
-power of L vanishes outside the k-fold sums of L's support, so e*^{tL}
-vanishes outside the monoid M(S) those sums make up, and mu_t visits only
-the splits whose right pair has its lengths in M(S).  Elsewhere, or when a
-support is unknown, the same walk visits every split.
+A Functional records its support, the length tuples where it may be
+nonzero.  On a length-homogeneous algebra (Algebra.homogeneous) the k-th
+convolution power of L vanishes outside the k-fold sums of L's support, so
+e*^{tL} vanishes outside the monoid M(S) those sums make up: conv_exp_key
+returns zero there without building a power, and mu_t visits only the
+splits of Lambda_2 whose right pair has its lengths in M(S).  Elsewhere, or
+when a support is unknown, mu_t visits every split through the same walk.
 """
 
 from __future__ import annotations
@@ -135,23 +135,8 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
     n = F.arity
     alg = F.alg
     SF, SG = _pruning_support(F), _pruning_support(G)
-    known = SF is not None and SG is not None
-    support = (frozenset(tuple(map(add, s, t)) for s in SF for t in SG)
-               if known else None)
-
-    def conv2(key):
-        # the right pair is G's and the left pair F's, whose lengths are
-        # the rest of the key's on a length-homogeneous algebra
-        pairs = None
-        if known:
-            la, lb = len(key[0]), len(key[1])
-            pairs = [(j, k) for j, k in SG if (la - j, lb - k) in SF]
-        tot = T_ZERO
-        for a1, b1, v in lambda2_walk(alg, key, pairs, G.on_key):
-            f = F.on_key((a1, b1))
-            if f:
-                tot = tot + v * f
-        return tot
+    support = (None if SF is None or SG is None else
+               frozenset(tuple(map(add, s, t)) for s in SF for t in SG))
 
     def conv(key):
         tot = T_ZERO
@@ -164,8 +149,8 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
                 tot = tot + v * a * b
         return tot
 
-    return Functional(alg, n, conv2 if n == 2 else conv,
-                      name=f"({F.name} * {G.name})", support=support)
+    return Functional(alg, n, conv, name=f"({F.name} * {G.name})",
+                      support=support)
 
 
 def _pruning_support(F: Functional) -> frozenset | None:

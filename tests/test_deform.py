@@ -1,4 +1,7 @@
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,11 @@ from braidhopf.verify import fixture_path
 
 from oracles import (naive_exp2, unpruned_conv_exp_key, unpruned_conv_power,
                      unpruned_mu_t_key)
+
+# the benchmark's presentation generators
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import (WEIGHTS, car_presentation,
+                    free_cocycle_presentation, mode_names)
 
 
 def make(name):
@@ -131,47 +139,46 @@ def test_trivial_generator_leaves_product_undeformed():
 # -- support pruning against the walk over every split ---------------------
 
 
-def modes(n):
-    return [("x", "xs")] if n == 1 else [(g, g + "s") for g in "ab"[:n]]
-
-
-def generated(kind, n):
-    """n-mode CAR (grade 1, every descending pair anticommutes) or the free
-    *-algebra on n grade-0 modes; the generator comes from a table."""
-    gens = [g for pair in modes(n) for g in pair]
-    lines = ["[algebra]", f"name = {kind}{n}",
-             "generators = " + " ".join(gens),
-             "involution = " + " ".join(f"{g}:{gs}" for g, gs in modes(n)),
-             "grade = " + " ".join(
-                 f"{g}:{1 if kind == 'car' else 0}" for g in gens),
-             "[braiding]", "kind = graded-sign"]
-    if kind == "car":
-        lines.append("[relations]")
-        lines += [f"{g} {h} = - {h} {g}"
-                  for j, g in enumerate(gens) for h in gens[:j]]
-    return Algebra(parse_presentation("\n".join(lines) + "\n"))
-
-
-PRUNED_ALGEBRAS = [make(f) for f in ("car.alg", "q2.alg", "freec.alg",
+PRUNED_FIXTURES = [make(f) for f in ("car.alg", "q2.alg", "freec.alg",
                                      "free2.alg", "car-badL.alg")]
-PRUNED_ALGEBRAS += [generated(kind, n) for kind in ("car", "free")
-                    for n in (1, 2)]
+
+
+@lru_cache(maxsize=None)
+def parsed(text):
+    return Algebra(parse_presentation(text))
+
+
+@st.composite
+def pruned_algebras(draw):
+    """A fixture, or n-mode CAR or free-with-cocycle from the benchmark's
+    input generators with a drawn declaration order (which picks the
+    rewrite rules and so the normal words) and cocycle weight."""
+    kind = draw(st.sampled_from(("fixture", "car", "free")))
+    if kind == "fixture":
+        return draw(st.sampled_from(PRUNED_FIXTURES))
+    n = draw(st.sampled_from((1, 2)))
+    order = draw(st.permutations([g for pair in mode_names(n) for g in pair]))
+    w = draw(st.sampled_from(WEIGHTS))
+    text = (car_presentation if kind == "car"
+            else free_cocycle_presentation)(n, order, w)
+    return parsed(text)
 
 
 @st.composite
 def pruning_cases(draw):
     """An algebra, a generator table (a random part of the algebra's own
-    cocycle plus random entries on normal words of one to three letters)
-    and a few basis pairs of total length at most 4."""
-    alg = draw(st.sampled_from(PRUNED_ALGEBRAS))
+    cocycle plus random entries on pairs of normal words of up to three
+    letters, never both empty, so that sums of two and three support
+    elements fit in the pairs) and a few basis pairs of total length at
+    most 4."""
+    alg = draw(pruned_algebras())
     own = [((l, r), c) for l, r, c in alg.pres.cocycle]
     table = dict(draw(st.lists(st.sampled_from(own), unique=True))
                  if own else [])
-    nonempty = [w for w in alg.basis(3) if w]
-    table.update(draw(st.dictionaries(
-        st.tuples(st.sampled_from(nonempty), st.sampled_from(nonempty)),
-        st.integers(-2, 2).filter(bool).map(Scalar), max_size=4)))
     words = alg.basis(3)
+    table.update(draw(st.dictionaries(
+        st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
+            any), st.integers(-2, 2).filter(bool).map(Scalar), max_size=4)))
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
             lambda p: len(p[0]) + len(p[1]) <= 4), min_size=1, max_size=6))
