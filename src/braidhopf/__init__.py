@@ -9,8 +9,7 @@ from .scalars import Scalar, TPoly
 from .presentation import (AlgebraPresentation, PresentationError, Report,
                            parse_presentation, pretty_print)
 from .algebra import Algebra, Tensor, tensor_product
-from .braidtensor import (braid_at, braided_product, comul, comul_iter,
-                          counit, lambda_n)
+from .braidtensor import braid_at, braided_product, comul, counit, lambda_n
 from .deform import (Deformation, Functional, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
                      counit_functional, psi_functional, sesquilinearize,
@@ -39,7 +38,6 @@ __all__ = [
     "cocycle_defect",
     "cocycle_functional",
     "comul",
-    "comul_iter",
     "conv_exp",
     "convolve_fn",
     "counit",

@@ -18,6 +18,12 @@ inductively, and everything here stays basis-to-basis:
 
     M_1 = mul,   M_n = (mul (x) M_{n-1}) . (id (x) b_{n-1,1} (x) id^{n-1})
     L_1 = comul, L_n = (id (x) b_{1,n-1} (x) id^{n-1}) . (comul (x) L_{n-1})
+
+except that L_2 = Lambda_2 has one closed form, the bicharacter walk
+lambda2_walk: the split a' (x) a'' of a and b' (x) b'' of b gives the term
+a' (x) b' (x) a'' (x) b'' with coefficient c(a'', b').  The walk serves both
+the memoized rank-2 lambda_n_key and the deformed product mu_t; L_n is
+inductive for n >= 3 only.
 """
 
 from __future__ import annotations
@@ -99,17 +105,6 @@ def comul(alg: Algebra, a: Tensor) -> Tensor:
     return slot_map(a, 0, 1, lambda w: comul_word(alg, w), 2)
 
 
-def comul_iter(alg: Algebra, a: Tensor, n: int) -> Tensor:
-    """Iterated comultiplication of a rank-1 tensor into n slots (n >= 1)."""
-    if n < 1:
-        raise ValueError("comul_iter needs n >= 1")
-    if a.rank != 1:
-        raise ValueError("comul_iter acts on rank-1 tensors")
-    for _ in range(n - 1):
-        a = slot_map(a, 0, 1, lambda w: comul_word(alg, w), 2)
-    return a
-
-
 def counit(a: Tensor) -> TPoly:
     """Coefficient of the all-units slot-tuple."""
     return a.terms.get(((),) * a.rank, T_ZERO)
@@ -140,30 +135,29 @@ def lambda_n_key(alg: Algebra, key) -> Tensor:
     """Comultiplication of the rank-n tensor power on a basis slot-tuple;
     the 2n result slots interleave as (a', a'', b', b'', ...) regrouped to
     (a', b', ..., a'', b'', ...) by the inductive braids.  Rank 2 is
-    memoized on the algebra."""
+    lambda2_walk's full walk, memoized on the algebra."""
     if len(key) == 1:
         return comul_word(alg, key[0])
     if len(key) == 2:
         return _lambda_pair(alg, tuple(key))
-    return _lambda_split(alg, key)
-
-
-@memoized
-def _lambda_pair(alg: Algebra, key) -> Tensor:
-    return _lambda_split(alg, key)
-
-
-def _lambda_split(alg: Algebra, key) -> Tensor:
     combined = tensor_product(comul_word(alg, key[0]),
                               lambda_n_key(alg, key[1:]))
     return braid_at(alg, combined, 1, 1, len(key) - 1)
 
 
+@memoized
+def _lambda_pair(alg: Algebra, key) -> Tensor:
+    out = Tensor(4)
+    for a1, b1, a2, b2, v in lambda2_walk(alg, key, None, lambda k: T_ONE):
+        out.terms[(a1, b1, a2, b2)] = v
+    return out
+
+
 def lambda2_walk(alg: Algebra, key, lengths, right):
     """Walk the splits of Lambda_2(a (x) b), key = (a, b), whose right pair
     (a'', b'') has its lengths in lengths (every split when lengths is
-    None), and yield (a', b', v * right((a'', b''))) where that value is
-    nonzero.  v is the split's coefficient: the comultiplication
+    None), and yield (a', b', a'', b'', v * right((a'', b''))) where that
+    value is nonzero.  v is the split's coefficient: the comultiplication
     coefficients of a and b times the braid coefficient c(a'', b')."""
     a, b = key
     ba, bb = comul_buckets(alg, a), comul_buckets(alg, b)
@@ -176,7 +170,7 @@ def lambda2_walk(alg: Algebra, key, lengths, right):
             for b1, b2, cb in tb:
                 r = right((a2, b2))
                 if r:
-                    yield a1, b1, ca * cb * coeff((a2, b1)) * r
+                    yield a1, b1, a2, b2, ca * cb * coeff((a2, b1)) * r
 
 
 def lambda_n(alg: Algebra, u: Tensor) -> Tensor:

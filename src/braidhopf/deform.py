@@ -14,8 +14,12 @@ the total-degree bound (the k-th convolution power kills tuples of total
 degree < k once the functional vanishes on the unit tuple, which is
 enforced).
 
-A Functional records its support, the length tuples where it may be
-nonzero.  On a length-homogeneous algebra (Algebra.homogeneous) the k-th
+A Functional may record its support, the length tuples where it may be
+nonzero.  Tables (L and psi among them), the counit and the zero functional
+carry one, and so does sigma on a length-homogeneous algebra
+(Algebra.homogeneous); a convolution, or a functional built from a bare
+function, carries None.  Only the supports of exponentiated functionals (L,
+sigma, psi) are read.  On a length-homogeneous algebra the k-th
 convolution power of L vanishes outside the k-fold sums of L's support, so
 e*^{tL} vanishes outside the monoid M(S) those sums make up: conv_exp_key
 returns zero there without building a power, and mu_t visits only the
@@ -63,14 +67,10 @@ class Functional:
         return v if type(v) is TPoly else as_tpoly(v)
 
     def __call__(self, u: Tensor) -> TPoly:
-        return eval_functional(self, u)
+        return _extend(self.arity, self.on_key, u)
 
     def __repr__(self):
         return f"Functional({self.name}, arity={self.arity})"
-
-
-def eval_functional(F: Functional, u: Tensor) -> TPoly:
-    return _extend(F.arity, F.on_key, u)
 
 
 def _extend(arity: int, fn, u: Tensor) -> TPoly:
@@ -134,9 +134,6 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
         raise ValueError("convolution needs equal arities")
     n = F.arity
     alg = F.alg
-    SF, SG = _pruning_support(F), _pruning_support(G)
-    support = (None if SF is None or SG is None else
-               frozenset(tuple(map(add, s, t)) for s in SF for t in SG))
 
     def conv(key):
         tot = T_ZERO
@@ -149,12 +146,11 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
                 tot = tot + v * a * b
         return tot
 
-    return Functional(alg, n, conv, name=f"({F.name} * {G.name})",
-                      support=support)
+    return Functional(alg, n, conv, name=f"({F.name} * {G.name})")
 
 
 def _pruning_support(F: Functional) -> frozenset | None:
-    """F.support where it also bounds convolutions with F: on a
+    """F.support where it also bounds the convolution powers of F: on a
     length-homogeneous algebra the support of a convolution lies in the
     sumset of the factors' supports, and an empty support (F = 0) bounds
     them on any algebra.  None where every split must be walked."""
@@ -253,7 +249,8 @@ class Deformation:
         if _pruning_support(self.L) is not None:
             lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
-        for a1, b1, v in lambda2_walk(self.alg, key, lengths, self.expL_key):
+        for a1, b1, _, _, v in lambda2_walk(self.alg, key, lengths,
+                                            self.expL_key):
             for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
                 out.add_term((pw,), pc * v)
         return out
@@ -362,37 +359,21 @@ def conv_sesqui(P: Functional, Q: Functional) -> Functional:
 # the coboundary
 
 
-def _as_element(alg: Algebra, x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return alg.normal_form_word(tuple(x))
-
-
 def cocycle_defect(L: Functional, a, b, c) -> TPoly:
     """The coboundary (delta (x) L) - L.(mul (x) id) + L.(id (x) mul)
-    - (L (x) delta) evaluated at a (x) b (x) c."""
+    - (L (x) delta) evaluated at the basis words a (x) b (x) c."""
     alg = L.alg
-    a = _as_element(alg, a)
-    b = _as_element(alg, b)
-    c = _as_element(alg, c)
     tot = T_ZERO
-    for (wa,), ca in a.terms.items():
-        for (wb,), cb in b.terms.items():
-            for (wc,), cc in c.terms.items():
-                coeff = ca * cb * cc
-                term = T_ZERO
-                if wa == ():
-                    term = term + L.on_key((wb, wc))
-                for (mw,), mc in alg.mul_words(wa, wb).terms.items():
-                    v = L.on_key((mw, wc))
-                    if v:
-                        term = term - mc * v
-                for (mw,), mc in alg.mul_words(wb, wc).terms.items():
-                    v = L.on_key((wa, mw))
-                    if v:
-                        term = term + mc * v
-                if wc == ():
-                    term = term - L.on_key((wa, wb))
-                if term:
-                    tot = tot + coeff * term
+    if a == ():
+        tot = tot + L.on_key((b, c))
+    for (mw,), mc in alg.mul_words(a, b).terms.items():
+        v = L.on_key((mw, c))
+        if v:
+            tot = tot - mc * v
+    for (mw,), mc in alg.mul_words(b, c).terms.items():
+        v = L.on_key((a, mw))
+        if v:
+            tot = tot + mc * v
+    if c == ():
+        tot = tot - L.on_key((a, b))
     return tot

@@ -441,33 +441,24 @@ def _parse_antipode(lines, names, gens, star):
 # pretty-printing (canonical form; parse . pretty_print is the identity)
 
 
-def format_scalar_coeff(c: Scalar) -> str:
-    """Coefficient in element-expression syntax (sign folded, 'i' juxtaposed)."""
-    if c.re and c.im:
-        raise ValueError("coefficients with both parts cannot be juxtaposed")
-    if c.im:
-        v = c.im
-        body = "i" if abs(v) == 1 else f"{abs(v)} i"
-        return ("- " if v < 0 else "") + body
-    v = c.re
-    return ("- " if v < 0 else "") + str(abs(v))
-
-
 def format_element_terms(terms, pres: AlgebraPresentation) -> str:
+    """Element-expression syntax: 'i' is juxtaposed, so a coefficient with
+    both parts is written as its real term plus its imaginary term on the
+    same word, which the parser merges back."""
     if not terms:
         return "0"
     parts = []
     for w, c in sorted(terms, key=lambda kv: (-len(kv[0]), kv[0])):
-        body = format_scalar_coeff(c)
-        neg = body.startswith("- ")
-        if neg:
-            body = body[2:]
-        if w:
-            body = pres.word_str(w) if body == "1" else f"{body} {pres.word_str(w)}"
-        if not parts:
-            parts.append(("- " if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
+        for v, unit in ((c.re, ""), (c.im, "i")):
+            if not v:
+                continue
+            coeff = "" if abs(v) == 1 and (unit or w) else str(abs(v))
+            word = pres.word_str(w) if w else ""
+            body = " ".join(x for x in (coeff, unit, word) if x)
+            if parts:
+                parts.append(("- " if v < 0 else "+ ") + body)
+            else:
+                parts.append(("- " if v < 0 else "") + body)
     return " ".join(parts)
 
 

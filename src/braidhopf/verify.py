@@ -20,9 +20,8 @@ from importlib import resources
 from itertools import product
 
 from .algebra import Algebra, Tensor, slot_map, tensor_product
-from .braidtensor import (braid_at, braided_product, comul, comul_iter,
-                          comul_word, counit, counit_word, lambda_n_key,
-                          star_tensor)
+from .braidtensor import (braid_at, braided_product, comul, comul_word,
+                          counit, counit_word, lambda_n_key, star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      conv_power, conv_sesqui, convolve_fn, psi_functional,
                      sesquilinearize)
@@ -251,10 +250,8 @@ def _bialgebra(ctx, a, b):
 
 @check("coassoc", _BASE, words)
 def _coassoc(ctx, w):
-    left = slot_map(ctx.comul(w), 0, 1, ctx.comul, 2)
-    yield left, slot_map(ctx.comul(w), 1, 1, ctx.comul, 2)
-    yield (comul_iter(ctx.alg, Tensor.basis((w,)), 3), left,
-           {"side": "iterated comultiplication"})
+    yield (slot_map(ctx.comul(w), 0, 1, ctx.comul, 2),
+           slot_map(ctx.comul(w), 1, 1, ctx.comul, 2))
 
 
 @check("counit-law", _BASE, words)
@@ -772,61 +769,58 @@ def schoenberg_check(source, psi=None, max_degree: int = 4,
         alg, 2, lambda k: defm.L.on_key(k) + psi(alg.mul_words(*k))))
     kerdelta = [w for w in basis if w]
     rows = [[_constant(p) for p in row] for row in _gram(form, kerdelta)]
-    try:
-        gram = HermitianMatrix(rows)
-    except ValueError as exc:
+
+    def blame(exc):
         # psi passed its hermitian gate, so blame L where its own form is
         # not hermitian at the offending pair
         i, j = _non_hermitian_at(rows)
         a, b = kerdelta[i], kerdelta[j]
         L_form = sesquilinearize(defm.L)
         if L_form.on_key((a, b)) != L_form.on_key((b, a)).conj():
-            raise SchoenbergError(
+            return SchoenbergError(
                 f"the generator L is not hermitian at ({pres.word_str(a)}, "
-                f"{pres.word_str(b)})", "generator-hermitian") from None
-        raise SchoenbergError(
-            f"conditional Gram matrix is not hermitian ({exc})",
-            "hermitian") from None
-    verdict, wit = psd_exact(gram)
-    if verdict == "psd":
-        conditional = Report("schoenberg-conditional", "pass", max_degree)
-    else:
-        conditional = Report(
-            "schoenberg-conditional", "fail", max_degree,
-            {"witness": _witness_element(alg, kerdelta, wit),
-             "form-value": str(gram.quadratic_form(wit))})
+                f"{pres.word_str(b)})", "generator-hermitian")
+        return SchoenbergError(
+            f"conditional Gram matrix is not hermitian ({exc})", "hermitian")
+
+    conditional = _psd_report("schoenberg-conditional", rows, alg, kerdelta,
+                              max_degree, blame)
 
     # (b) the state property at each sample of G(t), built once in Q(i)[t]
     G = state_gram(defm, psi, basis)
     states = []
     for t0 in t_samples:
-        try:
-            gram = HermitianMatrix([[p.eval(t0) for p in row] for row in G])
-        except ValueError as exc:
-            raise SchoenbergError(
-                f"state Gram matrix is not hermitian ({exc})",
-                "hermitian") from None
-        verdict, wit = psd_exact(gram)
-        if verdict == "psd":
-            states.append(Report("schoenberg-state", "pass", max_degree,
-                                 {"t": str(t0)}))
-        else:
-            states.append(Report(
-                "schoenberg-state", "fail", max_degree,
-                {"t": str(t0),
-                 "witness": _witness_element(alg, basis, wit),
-                 "form-value": str(gram.quadratic_form(wit))}))
+        states.append(_psd_report(
+            "schoenberg-state", [[p.eval(t0) for p in row] for row in G],
+            alg, basis, max_degree,
+            lambda exc: SchoenbergError(
+                f"state Gram matrix is not hermitian ({exc})", "hermitian"),
+            {"t": str(t0)}))
 
     nonneg = [r for t0, r in zip(t_samples, states) if t0 >= 0]
     equivalence = conditional.ok() == all(r.ok() for r in nonneg)
     return SchoenbergResult(conditional, states, equivalence)
 
 
-def _witness_element(alg, labels, wit) -> str:
-    out = Tensor(1)
+def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
+                info=None) -> Report:
+    """psd_exact on the hermitian matrix rows as a pass or fail Report with
+    the details info; a failure adds the witness, as an element over the
+    words labels, and the form's value there.  A matrix that is not
+    hermitian raises the SchoenbergError not_hermitian(exc)."""
+    try:
+        gram = HermitianMatrix(rows)
+    except ValueError as exc:
+        raise not_hermitian(exc) from None
+    verdict, wit = psd_exact(gram)
+    if verdict == "psd":
+        return Report(cid, "pass", max_degree, info)
+    element = Tensor(1)
     for w, c in zip(labels, wit):
-        out.add_term((w,), TPoly((c,)) if c else T_ZERO)
-    return alg.format(out)
+        element.add_term((w,), TPoly((c,)) if c else T_ZERO)
+    return Report(cid, "fail", max_degree,
+                  {**(info or {}), "witness": alg.format(element),
+                   "form-value": str(gram.quadratic_form(wit))})
 
 
 # ---------------------------------------------------------------------------

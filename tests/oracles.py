@@ -270,10 +270,18 @@ def naive_exp2(alg, F, a, b, cutoff):
 
 # -- the deformed product over every split -----------------------------------
 #
-# mu_t and e*^{tF} as they were before support pruning: every term of the
-# full Lambda_n (lambda_n_key) is walked, whatever the lengths of its
-# factors, and the convolution powers are summed split by split.  powers is
-# a plain dict the caller may share between calls on one functional.
+# mu_t and e*^{tF} as they were before support pruning: every split of the
+# full Lambda_n is walked, whatever the lengths of its factors, and the
+# convolution powers are summed split by split.  Rank-2 splits come from
+# lambda2_splits above, not from the engine's Lambda_2 walk.  powers is a
+# plain dict the caller may share between calls on one functional.
+
+
+def splits(alg, key):
+    """(slot-tuple, coefficient) for every term of Lambda_n on key."""
+    if len(key) == 2:
+        return lambda2_splits(alg, *key)
+    return lambda_n_key(alg, key).terms.items()
 
 
 def unpruned_conv_power(F, k, key, powers):
@@ -283,7 +291,7 @@ def unpruned_conv_power(F, k, key, powers):
         return T_ONE if key == ((),) * n else T_ZERO
     if (k, key) not in powers:
         tot = T_ZERO
-        for k2, v in lambda_n_key(F.alg, key).terms.items():
+        for k2, v in splits(F.alg, key):
             f = F.on_key(k2[:n])
             if f:
                 p = unpruned_conv_power(F, k - 1, k2[n:], powers)
@@ -306,7 +314,7 @@ def unpruned_mu_t_key(L, key, powers):
     """mu_t = (mul (x) e*^{tL}) . Lambda_2 on a basis pair."""
     alg = L.alg
     out = Tensor(1)
-    for k2, v in lambda_n_key(alg, key).terms.items():
+    for k2, v in lambda2_splits(alg, *key):
         e = unpruned_conv_exp_key(L, k2[2:], powers)
         if e:
             for (pw,), pc in alg.mul_words(k2[0], k2[1]).terms.items():

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf import Algebra, Scalar, Tensor, parse_presentation
-from braidhopf.braidtensor import (braid_at, braided_product, comul,
-                                   comul_iter, comul_word, counit, lambda_n,
-                                   lambda_n_key, star_tensor)
+from braidhopf.algebra import slot_map
+from braidhopf.braidtensor import (braid_at, braided_product, comul_word,
+                                   counit, lambda_n, lambda_n_key,
+                                   star_tensor)
 from braidhopf.scalars import T_ONE, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
@@ -19,6 +20,7 @@ def make(name):
 CAR = make("car.alg")
 Q2 = make("q2.alg")
 FREE2 = make("free2.alg")
+FREEC = make("freec.alg")
 
 
 def tensor(rank, d):
@@ -127,18 +129,18 @@ def test_comul_spot_values():
 
 
 def test_comul_is_coassociative():
+    def comul_left(w):
+        # (comul (x) id) . comul
+        return slot_map(comul_word(CAR, w), 0, 1,
+                        lambda k: comul_word(CAR, k), 2)
+
     for w in CAR.basis(3):
-        left = comul_iter(CAR, Tensor.basis((w,)), 3)
         right = Tensor(3)
         for (k0, k1), v in comul_word(CAR, w).terms.items():
             for (m0, m1), u in comul_word(CAR, k1).terms.items():
                 right.add_term((k0, m0, m1), v * u)
-        assert left == right
-
-
-def test_comul_iter_spot_value():
-    got = comul_iter(CAR, Tensor.basis(((0, 1),)), 3)
-    want = tensor(3, {
+        assert comul_left(w) == right
+    assert comul_left((0, 1)) == tensor(3, {
         ((), (), (0, 1)): T_ONE,
         ((), (0,), (1,)): T_ONE,
         ((), (0, 1), ()): T_ONE,
@@ -149,15 +151,6 @@ def test_comul_iter_spot_value():
         ((1,), (), (0,)): as_tpoly(-1),
         ((1,), (0,), ()): as_tpoly(-1),
     })
-    assert got == want
-
-
-def test_comul_iter_degenerate_cases():
-    a = CAR.parse_element("x xs + 2 x")
-    assert comul_iter(CAR, a, 1) == a
-    assert comul_iter(CAR, a, 2) == comul(CAR, a)
-    with pytest.raises(ValueError):
-        comul_iter(CAR, a, 0)
 
 
 def test_counit_laws():
@@ -222,11 +215,11 @@ def test_star_tensor_rejects_wrong_rank():
 
 
 def test_lambda_matches_split_enumeration():
-    for a in words_up_to(2, 2):
-        for b in words_up_to(2, 2):
-            if (1, 0) in tuple(zip(a, a[1:])) or (1, 0) in tuple(zip(b, b[1:])):
-                continue
-            for alg in (CAR, Q2):
+    # normal words up to length 2 on car and q2, every word up to length 3
+    # on the free fixtures (grade 1 and grade 0)
+    for alg, n in ((CAR, 2), (Q2, 2), (FREE2, 3), (FREEC, 3)):
+        for a in alg.basis(n):
+            for b in alg.basis(n):
                 want = Tensor(4)
                 for key, c in lambda2_splits(alg, a, b):
                     want.add_term(key, c)

@@ -42,6 +42,21 @@ def test_verify_failure_and_skip_lines(capsys):
             in lines)
 
 
+def test_verify_reports_inconsistent_rules_with_a_composite_coefficient(
+        capsys, tmp_path):
+    # two rules for b a whose right sides differ by i a b, a coefficient
+    # with both a real and an imaginary part
+    path = tmp_path / "twin.alg"
+    path.write_text("[algebra]\nname = twin\ngenerators = a b\n"
+                    "involution = a:a b:b\ngrade = a:0 b:0\n\n"
+                    "[braiding]\nkind = graded-sign\n\n"
+                    "[relations]\nb a = a b + i a b\nb a = a b\n")
+    rc, out, err = run(capsys, "verify", str(path), "--checks", "confluence")
+    assert (rc, err) == (1, "")
+    assert out == ("[FAIL] confluence (degree 3) -- input: b a; "
+                   "lhs: a b + i a b; rhs: a b\n")
+
+
 def test_verify_json_matches_golden(capsys):
     rc, out, _ = run(capsys, "verify", alg("car.alg"),
                      "--checks", "confluence,assoc-mul,coassoc,cocycle",

@@ -1,4 +1,5 @@
-"""Every imported name is used somewhere in its module.
+"""Every imported name is used somewhere in its module, and every private
+module-level function of the package is named somewhere in its module.
 
 No linter is a dependency of the project, so this walks the syntax tree of
 every module under src/ and tests/ with the standard library's ast.
@@ -42,6 +43,40 @@ def test_unused_imports_are_found():
            "__all__ = ['b']\n"
            "os.path.join()\n")
     assert unused_imports(src) == [(3, "d")]
+
+
+def unnamed_private_functions(source: str) -> list:
+    """(line, name) for each undecorated module-level function whose name
+    starts with a single underscore and that the module never names again.
+    A decorated one counts as used: its decorator registers it."""
+    tree = ast.parse(source)
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and not node.decorator_list}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in named)
+
+
+def test_unnamed_private_functions_are_found():
+    src = ("def _dead():\n    pass\n"
+           "def _used():\n    return _helper()\n"
+           "def _helper():\n    pass\n"
+           "@register\ndef _check():\n    pass\n"
+           "def __getattr__(name):\n    pass\n"
+           "class C:\n    def _method(self):\n        pass\n"
+           "def public():\n    return _used\n")
+    assert unnamed_private_functions(src) == [(1, "_dead")]
+
+
+def test_no_private_package_function_is_dead():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "braidhopf").glob("*.py"))
+             for line, name in unnamed_private_functions(
+                 path.read_text("utf-8"))]
+    assert found == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -117,6 +117,16 @@ def test_pretty_print_round_trip(name):
     assert parse_presentation(pretty_print(pres)) == pres
 
 
+def test_pretty_print_round_trip_of_a_composite_coefficient():
+    pres = parse_presentation(
+        "[algebra]\nname = t\ngenerators = a b\ninvolution = a:a b:b\n"
+        "grade = a:0 b:0\n\n[braiding]\nkind = graded-sign\n\n"
+        "[relations]\nb a = 1/2 a b - 3 i a b\n")
+    text = pretty_print(pres)
+    assert "b a = 1/2 a b - 3 i a b\n" in text
+    assert parse_presentation(text) == pres
+
+
 BASE = """\
 [algebra]
 name = t
@@ -181,12 +191,13 @@ def test_element_expression_errors(bad):
 
 
 words = st.lists(st.integers(min_value=0, max_value=1), max_size=4).map(tuple)
-# the element grammar juxtaposes 'i' -- no parentheses, so a coefficient is
-# purely real or purely imaginary
+# the element grammar juxtaposes 'i' -- no parentheses, so a coefficient
+# with both parts is written as two terms on one word
 small_q = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 coeffs = st.one_of(
     st.builds(Scalar, small_q),
     st.builds(lambda q: Scalar(0, q), small_q),
+    st.builds(Scalar, small_q, small_q),
 )
 
 
