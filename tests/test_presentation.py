@@ -117,16 +117,6 @@ def test_pretty_print_round_trip(name):
     assert parse_presentation(pretty_print(pres)) == pres
 
 
-def test_pretty_print_round_trip_of_a_composite_coefficient():
-    pres = parse_presentation(
-        "[algebra]\nname = t\ngenerators = a b\ninvolution = a:a b:b\n"
-        "grade = a:0 b:0\n\n[braiding]\nkind = graded-sign\n\n"
-        "[relations]\nb a = 1/2 a b - 3 i a b\n")
-    text = pretty_print(pres)
-    assert "b a = 1/2 a b - 3 i a b\n" in text
-    assert parse_presentation(text) == pres
-
-
 BASE = """\
 [algebra]
 name = t
