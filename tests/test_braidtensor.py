@@ -128,18 +128,22 @@ def test_comul_spot_values():
         ((0,), (0,)): as_tpoly(3)})
 
 
-def test_comul_is_coassociative():
-    def comul_left(w):
-        # (comul (x) id) . comul
-        return slot_map(comul_word(CAR, w), 0, 1,
-                        lambda k: comul_word(CAR, k), 2)
+def comul_left(w):
+    # (comul (x) id) . comul, the three-slot iterated coproduct
+    return slot_map(comul_word(CAR, w), 0, 1,
+                    lambda k: comul_word(CAR, k), 2)
 
+
+def test_comul_is_coassociative():
     for w in CAR.basis(3):
         right = Tensor(3)
         for (k0, k1), v in comul_word(CAR, w).terms.items():
             for (m0, m1), u in comul_word(CAR, k1).terms.items():
                 right.add_term((k0, m0, m1), v * u)
         assert comul_left(w) == right
+
+
+def test_comul_iter_spot_value():
     assert comul_left((0, 1)) == tensor(3, {
         ((), (), (0, 1)): T_ONE,
         ((), (0,), (1,)): T_ONE,
