@@ -11,9 +11,15 @@ involutions, antipodes and braiding coefficients; Algebra.free() is the
 rule-free twin on the same alphabet and braiding, used when something must
 be computed upstairs before passing to the quotient.
 
-Two helpers serve every layer above: slot_map applies a word map to a run
-of slots, linearly, and memoized keeps the per-basis-input caches of an
-owner (an algebra, a functional, a deformation) in its one memo table.
+Three helpers serve every layer above: slot_map applies a word map to a
+run of slots, linearly; scalar_map turns a word-tuple -> TPoly map into a
+word map into rank-0 tensors; memoized keeps an owner's per-basis-input
+caches (an algebra, a functional, a deformation) in its one memo table.
+Maps run once per word or element go through slot_map.  The per-input
+loops of the checks (Algebra.mul, star_tensor, sesquilinearize,
+conv_sesqui, cocycle_defect, convolve_fn, mu_t_key) stay written out:
+through slot_map's intermediate tensors a catalog run measured about 5 %
+slower, and cocycle_defect alone four to five times slower.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import wraps
 
 from .presentation import AlgebraPresentation, parse_element_terms
 from .scalars import (S_MINUS_ONE, S_ONE, Scalar, TPoly, T_MINUS_ONE,
-                      T_ONE, T_ZERO, as_tpoly)
+                      T_ONE, T_ZERO, as_tpoly, signed_sum)
 
 
 class Tensor:
@@ -137,6 +143,12 @@ def slot_map(u: Tensor, i: int, k: int, fn, rank: int) -> Tensor:
         for mid, v in fn(*key[i:i + k]).terms.items():
             out.add_term(head + mid + tail, c * v)
     return out
+
+
+def scalar_map(f):
+    """The word-tuple -> TPoly map f as a word map into rank-0 tensors, for
+    slot_map."""
+    return lambda *words: Tensor(0, {(): f(words)})
 
 
 def memoized(fn):
@@ -288,13 +300,8 @@ class Algebra:
 
     def involution(self, a: Tensor) -> Tensor:
         """The *-operation: antilinear, word-reversing."""
-        out = Tensor(1)
-        for (w,), c in a.terms.items():
-            img = self.involution_word(w)
-            cc = c.conj()
-            for key, v in img.terms.items():
-                out.add_term(key, v * cc)
-        return out
+        return slot_map(a.map_coeffs(TPoly.conj), 0, 1, self.involution_word,
+                        1)
 
     # -- antipode ---------------------------------------------------------
 
@@ -309,16 +316,10 @@ class Algebra:
             for k in range(len(w) - 2, 0, -1):
                 self.antipode_word(w[k:])
         sg = self.element(dict(self.pres.antipode[w[0]]))
-        sv = self.antipode_word(w[1:])
-        result = Tensor(1)
-        for (u,), cu in sg.terms.items():
-            for (v,), cv in sv.terms.items():
-                k = self.braid_coeff((u, v))
-                prod = self.mul_words(v, u)
-                c = cu * cv * k
-                for key, val in prod.terms.items():
-                    result.add_term(key, val * c)
-        return result
+        return slot_map(
+            tensor_product(sg, self.antipode_word(w[1:])), 0, 2,
+            lambda u, v: self.mul_words(v, u).scale(self.braid_coeff((u, v))),
+            1)
 
     def antipode(self, a: Tensor) -> Tensor:
         return slot_map(a, 0, 1, self.antipode_word, 1)
@@ -357,38 +358,22 @@ class Algebra:
 
     def format(self, t: Tensor) -> str:
         """Human-readable rendering; slots joined with a tensor sign."""
-        if not t.terms:
-            return "0"
-        parts = []
+        bodies = []
         for key, c in sorted(
             t.terms.items(),
             key=lambda kv: (-sum(len(w) for w in kv[0]), kv[0]),
         ):
+            word = " (x) ".join(self.pres.word_str(w) for w in key)
             if t.rank == 0:
-                body = str(c)
-                word = ""
+                bodies.append(str(c))
+            elif c == T_ONE:
+                bodies.append(word)
+            elif c == T_MINUS_ONE:
+                bodies.append(f"- {word}")
+            elif key == ((),):
+                bodies.append(str(c))
+            elif t.rank > 1:
+                bodies.append(f"{self.format_poly_coeff(c)} ({word})")
             else:
-                word = " (x) ".join(self.pres.word_str(w) for w in key)
-            if t.rank > 0:
-                if c == T_ONE:
-                    body = word
-                elif c == T_MINUS_ONE:
-                    body = f"- {word}"
-                else:
-                    cs = self.format_poly_coeff(c)
-                    if all(len(w) == 0 for w in key) and t.rank == 1:
-                        body = str(c)
-                    elif t.rank > 1:
-                        body = f"{cs} ({word})"
-                    else:
-                        body = f"{cs} {word}"
-            if parts:
-                if body.startswith("-"):
-                    rest = body[2:] if body.startswith("- ") else body[1:]
-                    parts.append("- " + rest)
-                else:
-                    parts.append("+ " + body)
-            else:
-                parts.append(body)
-        return " ".join(parts)
-
+                bodies.append(f"{self.format_poly_coeff(c)} {word}")
+        return signed_sum(bodies)

@@ -80,11 +80,15 @@ def braided_product(alg: Algebra, u: Tensor, v: Tensor) -> Tensor:
 
 @memoized
 def comul_word(alg: Algebra, w) -> Tensor:
-    """Comultiplication of a basis word, memoized on the algebra."""
+    """Comultiplication of a basis word, memoized on the algebra; a new long
+    word memoizes its suffixes shortest first, as antipode_word does."""
     if not w:
         return alg.unit_tensor(2)
     if len(w) == 1:
         return Tensor(2, {(w, ()): T_ONE, ((), w): T_ONE})
+    if len(w) > 2 and w[1:] not in alg.memo["comul_word"]:
+        for k in range(len(w) - 2, 0, -1):
+            comul_word(alg, w[k:])
     return braided_product(alg, comul_word(alg, w[:1]), comul_word(alg, w[1:]))
 
 

@@ -15,16 +15,16 @@ degree < k once the functional vanishes on the unit tuple, which is
 enforced).
 
 A Functional may record its support, the length tuples where it may be
-nonzero.  Tables (L and psi among them), the counit and the zero functional
-carry one, and so does sigma on a length-homogeneous algebra
-(Algebra.homogeneous); a convolution, or a functional built from a bare
-function, carries None.  Only the supports of exponentiated functionals (L,
-sigma, psi) are read.  On a length-homogeneous algebra the k-th
-convolution power of L vanishes outside the k-fold sums of L's support, so
-e*^{tL} vanishes outside the monoid M(S) those sums make up: conv_exp_key
-returns zero there without building a power, and mu_t visits only the
-splits of Lambda_2 whose right pair has its lengths in M(S).  Elsewhere, or
-when a support is unknown, mu_t visits every split through the same walk.
+nonzero, where that support also bounds its convolution powers: the k-th
+power then vanishes off the k-fold sums of the support, and e*^{tF} off
+the monoid M(S) those sums make up.  Tables (L and psi among them) and
+sigma record one on a length-homogeneous algebra (Algebra.homogeneous); an
+empty table, the counit and the zero functional on any algebra.  A
+convolution or a functional built from a bare function carries None.  Only
+the supports of L, sigma and psi are read: conv_exp_key returns zero off
+M(S) without building a power, and mu_t visits only the splits of Lambda_2
+whose right pair has its lengths in M(S), or every split where the support
+is None.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from fractions import Fraction
 from math import factorial
 from operator import add
 
-from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
+from .algebra import (Algebra, Tensor, memoized, scalar_map, slot_map,
+                      tensor_product)
 from .braidtensor import comul_word, lambda2_walk, lambda_n_key
 from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
 
@@ -47,16 +48,16 @@ class Functional:
     """Linear functional on rank-n tensors, memoized on basis slot-tuples.
 
     support is a frozenset of length tuples (|w_1|, ..., |w_n|) off which
-    the functional vanishes on basis slot-tuples, or None when unknown.
+    the functional vanishes on basis slot-tuples, where it also bounds the
+    convolution powers (see above); None otherwise.
     """
 
-    __slots__ = ("alg", "arity", "name", "support", "_fn", "memo")
+    __slots__ = ("alg", "arity", "support", "_fn", "memo")
 
-    def __init__(self, alg: Algebra, arity: int, fn, name: str = "F",
+    def __init__(self, alg: Algebra, arity: int, fn,
                  support: frozenset | None = None):
         self.alg = alg
         self.arity = arity
-        self.name = name
         self.support = support
         self._fn = fn
         self.memo = defaultdict(dict)
@@ -68,9 +69,6 @@ class Functional:
 
     def __call__(self, u: Tensor) -> TPoly:
         return _extend(self.arity, self.on_key, u)
-
-    def __repr__(self):
-        return f"Functional({self.name}, arity={self.arity})"
 
 
 def _extend(arity: int, fn, u: Tensor) -> TPoly:
@@ -90,18 +88,17 @@ def counit_functional(alg: Algebra, arity: int = 1) -> Functional:
     unit = ((),) * arity
     return Functional(alg, arity,
                       lambda key: T_ONE if key == unit else T_ZERO,
-                      name="delta" if arity == 1 else f"delta^{arity}",
                       support=frozenset({(0,) * arity}))
 
 
-def zero_functional(alg: Algebra, arity: int, name: str = "0") -> Functional:
-    return Functional(alg, arity, lambda k: T_ZERO, name=name,
-                      support=frozenset())
+def zero_functional(alg: Algebra, arity: int) -> Functional:
+    return Functional(alg, arity, lambda k: T_ZERO, support=frozenset())
 
 
-def table_functional(alg: Algebra, table: dict, arity: int,
-                     name: str = "table") -> Functional:
-    """Finite-support functional; keys are tuples of normal words."""
+def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
+    """Finite-support functional; keys are tuples of normal words.  It
+    records its support where that bounds the convolution powers: on a
+    length-homogeneous algebra, or for an all-zero table."""
     tab = {}
     for key, val in table.items():
         key = tuple(tuple(w) for w in key)
@@ -110,20 +107,20 @@ def table_functional(alg: Algebra, table: dict, arity: int,
         val = as_tpoly(val)
         if val:
             tab[key] = val
-    return Functional(alg, arity, lambda k: tab.get(k, T_ZERO), name=name,
-                      support=frozenset(tuple(map(len, k)) for k in tab))
+    support = frozenset(tuple(map(len, k)) for k in tab)
+    return Functional(alg, arity, lambda k: tab.get(k, T_ZERO),
+                      support=support if alg.homogeneous or not tab else None)
 
 
 def cocycle_functional(alg: Algebra) -> Functional:
     """The generator L read off the presentation's cocycle table."""
     table = {(l, r): c for l, r, c in alg.pres.cocycle}
-    return table_functional(alg, table, 2, name="L")
+    return table_functional(alg, table, 2)
 
 
 def psi_functional(alg: Algebra, table: dict) -> Functional:
     """Arity-1 support-table functional (for Schoenberg-style inputs)."""
-    return table_functional(alg, {(w,): c for w, c in table.items()}, 1,
-                            name="psi")
+    return table_functional(alg, {(w,): c for w, c in table.items()}, 1)
 
 
 def convolve_fn(F: Functional, G: Functional) -> Functional:
@@ -146,16 +143,7 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
                 tot = tot + v * a * b
         return tot
 
-    return Functional(alg, n, conv, name=f"({F.name} * {G.name})")
-
-
-def _pruning_support(F: Functional) -> frozenset | None:
-    """F.support where it also bounds the convolution powers of F: on a
-    length-homogeneous algebra the support of a convolution lies in the
-    sumset of the factors' supports, and an empty support (F = 0) bounds
-    them on any algebra.  None where every split must be walked."""
-    S = F.support
-    return S if S is not None and (F.alg.homogeneous or not S) else None
+    return Functional(alg, n, conv)
 
 
 @memoized
@@ -163,7 +151,7 @@ def support_monoid(F: Functional, box) -> frozenset:
     """The elements of the monoid M(S) generated by S = F.support (sums of
     any number of its elements, the zero tuple included) that fit in box,
     slot by slot: where a convolution power of F can be nonzero.  Only
-    meaningful where _pruning_support(F) is not None."""
+    meaningful where F.support is not None."""
     reach = {(0,) * len(box)}
     todo = list(reach)
     while todo:
@@ -194,8 +182,7 @@ def conv_exp_key(F: Functional, key) -> TPoly:
             "convolution exponential requires the functional to vanish on "
             "the unit tuple")
     lengths = tuple(map(len, key))
-    if (_pruning_support(F) is not None
-            and lengths not in support_monoid(F, lengths)):
+    if F.support is not None and lengths not in support_monoid(F, lengths):
         return T_ZERO
     d = sum(lengths)
     tot = T_ZERO
@@ -230,10 +217,10 @@ class Deformation:
             raise ValueError("the generator must have arity 2")
         self.memo = defaultdict(dict)
         # sigma = L . (S (x) id) . comul as an arity-1 functional; S keeps
-        # lengths on a length-homogeneous algebra
-        S = _pruning_support(self.L)
+        # lengths where L's support bounds its powers
+        S = self.L.support
         self.sigma = Functional(
-            alg, 1, lambda key: self.sigma_word(key[0]), name="sigma",
+            alg, 1, lambda key: self.sigma_word(key[0]),
             support=None if S is None else frozenset((p + q,) for p, q in S))
 
     # -- the deformed product ---------------------------------------------
@@ -246,7 +233,7 @@ class Deformation:
         """mu_t on a basis pair, formal in t: the splits of Lambda_2 whose
         right pair has its lengths in M(L.support)."""
         lengths = None
-        if _pruning_support(self.L) is not None:
+        if self.L.support is not None:
             lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
         for a1, b1, _, _, v in lambda2_walk(self.alg, key, lengths,
@@ -270,13 +257,8 @@ class Deformation:
     @memoized
     def sigma_word(self, w) -> TPoly:
         """sigma = L . (S (x) id) . comul on a basis word."""
-        tot = T_ZERO
-        for (k0, k1), v in comul_word(self.alg, w).terms.items():
-            for (sk,), sc in self.alg.antipode_word(k0).terms.items():
-                lv = self.L.on_key((sk, k1))
-                if lv:
-                    tot = tot + v * sc * lv
-        return tot
+        return self.L(slot_map(comul_word(self.alg, w), 0, 1,
+                               self.alg.antipode_word, 1))
 
     def ft_key(self, w, time_sign: int = 1) -> TPoly:
         """F_t = e*^{t sigma} on a basis word."""
@@ -286,14 +268,9 @@ class Deformation:
     @memoized
     def st_word(self, w) -> Tensor:
         """S_t = S * e*^{-t sigma} on a basis word, formal in t."""
-        out = Tensor(1)
-        for (k0, k1), v in comul_word(self.alg, w).terms.items():
-            e = self.ft_key(k1, time_sign=-1)
-            if not e:
-                continue
-            for key, sc in self.alg.antipode_word(k0).terms.items():
-                out.add_term(key, sc * v * e)
-        return out
+        f_minus_t = scalar_map(lambda k: self.ft_key(k[0], time_sign=-1))
+        return slot_map(slot_map(comul_word(self.alg, w), 1, 1, f_minus_t, 0),
+                        0, 1, self.alg.antipode_word, 1)
 
     def st(self, u: Tensor, time_sign: int = 1) -> Tensor:
         """S_t (or S_{-t}) extended linearly."""
@@ -328,7 +305,7 @@ def sesquilinearize(K: Functional) -> Functional:
                 tot = tot + ic * lv
         return tot
 
-    return Functional(alg, 2, fn, name=f"{K.name}~")
+    return Functional(alg, 2, fn)
 
 
 def conv_sesqui(P: Functional, Q: Functional) -> Functional:
@@ -352,7 +329,7 @@ def conv_sesqui(P: Functional, Q: Functional) -> Functional:
                     tot = tot + vac * vb * p * q
         return tot
 
-    return Functional(alg, 2, fn, name=f"({P.name} (*) {Q.name})")
+    return Functional(alg, 2, fn)
 
 
 # ---------------------------------------------------------------------------

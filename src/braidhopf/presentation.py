@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar
+from .scalars import Scalar, signed_sum
 
 Word = tuple  # tuple[int, ...): generator indices; () is the unit monomial
 
@@ -192,7 +192,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             raise PresentationError(f"content before any section: {line!r}", lineno)
         sections[current].append((lineno, line))
 
-    meta = _parse_keyvals(sections["algebra"], "algebra")
+    meta, linenos = _parse_keyvals(sections["algebra"], "algebra")
     name = meta.get("name")
     if not name:
         raise PresentationError("missing 'name' in [algebra]")
@@ -206,8 +206,8 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             raise PresentationError(f"generator name {g!r} is reserved")
     names = {g: k for k, g in enumerate(gens)}
 
-    star = _parse_involution(meta, names, gens)
-    grades = _parse_grades(meta, names, gens, star)
+    star = _parse_involution(meta, linenos, names, gens)
+    grades = _parse_grades(meta, linenos, names, gens, star)
     kind, table = _parse_braiding(sections["braiding"], names, gens)
     rules = _parse_rules(sections["relations"], names, gens)
     cocycle = _parse_cocycle(sections["cocycle"], names, rules)
@@ -221,7 +221,9 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 
 
 def _parse_keyvals(lines, section):
-    out = {}
+    """The key = value lines of a section as two dicts from each key: to its
+    value, and to its line number."""
+    out, linenos = {}, {}
     for lineno, line in lines:
         if "=" not in line:
             raise PresentationError(f"expected 'key = value' in [{section}]", lineno)
@@ -229,15 +231,15 @@ def _parse_keyvals(lines, section):
         if key in out:
             raise PresentationError(f"duplicate key {key!r} in [{section}]", lineno)
         out[key] = val
-        out.setdefault("_lines", {})[key] = lineno
-    return out
+        linenos[key] = lineno
+    return out, linenos
 
 
-def _parse_involution(meta, names, gens):
+def _parse_involution(meta, linenos, names, gens):
     spec = meta.get("involution")
     if spec is None:
         raise PresentationError("missing 'involution' in [algebra]")
-    lineno = meta.get("_lines", {}).get("involution")
+    lineno = linenos.get("involution")
     star = [None] * len(gens)
     for pair in spec.split():
         if ":" not in pair:
@@ -258,11 +260,11 @@ def _parse_involution(meta, names, gens):
     return tuple(star)
 
 
-def _parse_grades(meta, names, gens, star):
+def _parse_grades(meta, linenos, names, gens, star):
     spec = meta.get("grade")
     if spec is None:
         raise PresentationError("missing 'grade' in [algebra]")
-    lineno = meta.get("_lines", {}).get("grade")
+    lineno = linenos.get("grade")
     grades = [None] * len(gens)
     for pair in spec.split():
         if ":" not in pair:
@@ -445,9 +447,7 @@ def format_element_terms(terms, pres: AlgebraPresentation) -> str:
     """Element-expression syntax: 'i' is juxtaposed, so a coefficient with
     both parts is written as its real term plus its imaginary term on the
     same word, which the parser merges back."""
-    if not terms:
-        return "0"
-    parts = []
+    bodies = []
     for w, c in sorted(terms, key=lambda kv: (-len(kv[0]), kv[0])):
         for v, unit in ((c.re, ""), (c.im, "i")):
             if not v:
@@ -455,11 +455,8 @@ def format_element_terms(terms, pres: AlgebraPresentation) -> str:
             coeff = "" if abs(v) == 1 and (unit or w) else str(abs(v))
             word = pres.word_str(w) if w else ""
             body = " ".join(x for x in (coeff, unit, word) if x)
-            if parts:
-                parts.append(("- " if v < 0 else "+ ") + body)
-            else:
-                parts.append(("- " if v < 0 else "") + body)
-    return " ".join(parts)
+            bodies.append(f"- {body}" if v < 0 else body)
+    return signed_sum(bodies)
 
 
 def pretty_print(pres: AlgebraPresentation) -> str:

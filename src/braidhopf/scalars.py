@@ -22,6 +22,21 @@ from math import comb, gcd
 _ONE_F = Fraction(1)
 
 
+def signed_sum(bodies) -> str:
+    """The terms bodies written as one sum: after the first, a body with a
+    leading '-' or '- ' is subtracted as '- rest' and any other is added as
+    '+ body'; no bodies give '0'."""
+    parts = []
+    for body in bodies:
+        if parts:
+            if body.startswith("-"):
+                body = "- " + body[2 if body.startswith("- ") else 1:]
+            else:
+                body = "+ " + body
+        parts.append(body)
+    return " ".join(parts) or "0"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' (optionally signed) into a Fraction."""
     try:
@@ -225,27 +240,12 @@ class Scalar:
     # -- text -------------------------------------------------------------
 
     def __str__(self):
-        if not self:
-            return "0"
         re_part, im_part = self.re, self.im
-        parts = []
-        if re_part:
-            parts.append(str(re_part))
+        bodies = [str(re_part)] if re_part else []
         if im_part:
-            if im_part == 1:
-                im = "i"
-            elif im_part == -1:
-                im = "-i"
-            else:
-                im = f"{im_part} i"
-            if parts:
-                if im_part > 0:
-                    parts.append(f"+ {im}")
-                else:
-                    parts.append(f"- {im.lstrip('-')}")
-            else:
-                parts.append(im)
-        return " ".join(parts)
+            bodies.append("i" if im_part == 1 else "-i" if im_part == -1
+                          else f"{im_part} i")
+        return signed_sum(bodies)
 
     @classmethod
     def parse(cls, text: str) -> Scalar:
@@ -451,19 +451,8 @@ class TPoly:
         return f"TPoly({self.coeffs!r})"
 
     def __str__(self):
-        if not self.abds:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            body = _format_coeff_power(c, k)
-            if not parts:
-                parts.append(body)
-            else:
-                sign, mag = _split_sign(body)
-                parts.append(("- " if sign < 0 else "+ ") + mag)
-        return " ".join(parts)
+        return signed_sum([_format_coeff_power(c, k)
+                           for k, c in enumerate(self.coeffs) if c])
 
 
 _set_abds = TPoly.__dict__["abds"].__set__
@@ -485,14 +474,6 @@ def _abds_of(x):
     if x is None:
         return None
     return () if x == _Z else (x,)
-
-
-def _split_sign(body: str):
-    if body.startswith("- "):
-        return -1, body[2:]
-    if body.startswith("-"):
-        return -1, body[1:]
-    return 1, body
 
 
 def _format_coeff_power(c: Scalar, k: int) -> str:

@@ -19,7 +19,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import product
 
-from .algebra import Algebra, Tensor, slot_map, tensor_product
+from .algebra import Algebra, Tensor, scalar_map, slot_map, tensor_product
 from .braidtensor import (braid_at, braided_product, comul, comul_word,
                           counit, counit_word, lambda_n_key, star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
@@ -69,8 +69,7 @@ class VerifyContext:
         """The arity-2 functional delta . mul."""
         return Functional(
             self.alg, 2,
-            lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)),
-            name="delta.mul")
+            lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)))
 
     @cached_property
     def L_form(self) -> Functional:
@@ -86,11 +85,6 @@ class VerifyContext:
                  conv_sesqui(dm_form, self.L_form)),
                 (sesquilinearize(convolve_fn(self.L, dm)),
                  conv_sesqui(self.L_form, dm_form)))
-
-
-def _scalar(f):
-    """A word-tuple -> TPoly map as a word map into rank-0 tensors."""
-    return lambda *words: Tensor(0, {(): f(words)})
 
 
 # -- two-time laws: f(t + s) = g(t, s), decided in Q(i)[t][s] one power of s
@@ -333,7 +327,7 @@ def _beta_cocycle(ctx, w, a, b):
 
 @check("gen-commute", _BASE, pairs)
 def _gen_commute(ctx, a, b):
-    lam, L = lambda_n_key(ctx.alg, (a, b)), _scalar(ctx.L.on_key)
+    lam, L = lambda_n_key(ctx.alg, (a, b)), scalar_map(ctx.L.on_key)
     yield (slot_map(slot_map(lam, 0, 2, L, 0), 0, 2, ctx.alg.mul_words, 1),
            slot_map(slot_map(lam, 2, 2, L, 0), 0, 2, ctx.alg.mul_words, 1))
 
@@ -375,7 +369,7 @@ def _mu_t_assoc_eq3(ctx, a, b, c):
     """e^{tL} . (id (x) mul) (x) (delta (x) e^{tL}) against
     e^{tL} . (mul (x) id) (x) (e^{tL} (x) delta), through Lambda_3."""
     lam = lambda_n_key(ctx.alg, (a, b, c))
-    exp = _scalar(ctx.defm.expL_key)
+    exp = scalar_map(ctx.defm.expL_key)
 
     def side(unit_slot, mul_at):
         u = slot_map(slot_map(lam, unit_slot, 1, counit_word, 0), 3, 2, exp, 0)
@@ -447,7 +441,7 @@ def _ft_agreement(ctx, w):
 
 @check("ft-commute", _DEFORM, words)
 def _ft_commute(ctx, w):
-    ft = _scalar(lambda k: ctx.defm.ft_key(k[0]))
+    ft = scalar_map(lambda k: ctx.defm.ft_key(k[0]))
     yield (slot_map(ctx.comul(w), 0, 1, ft, 0),
            slot_map(ctx.comul(w), 1, 1, ft, 0))
 
@@ -815,11 +809,9 @@ def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
     verdict, wit = psd_exact(gram)
     if verdict == "psd":
         return Report(cid, "pass", max_degree, info)
-    element = Tensor(1)
-    for w, c in zip(labels, wit):
-        element.add_term((w,), TPoly((c,)) if c else T_ZERO)
     return Report(cid, "fail", max_degree,
-                  {**(info or {}), "witness": alg.format(element),
+                  {**(info or {}),
+                   "witness": alg.format(alg.element(dict(zip(labels, wit)))),
                    "form-value": str(gram.quadratic_form(wit))})
 
 

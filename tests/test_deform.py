@@ -183,7 +183,7 @@ def pruning_cases(draw):
 @given(pruning_cases())
 def test_pruned_mu_t_and_exponential_match_the_full_walk(case):
     alg, table, pairs = case
-    L = table_functional(alg, table, 2, name="L")
+    L = table_functional(alg, table, 2)
     defm = Deformation(alg, L)
     powers = {}
     for key in pairs:
