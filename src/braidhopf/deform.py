@@ -48,8 +48,8 @@ class Functional:
     """Linear functional on rank-n tensors, memoized on basis slot-tuples.
 
     support is a frozenset of length tuples (|w_1|, ..., |w_n|) off which
-    the functional vanishes on basis slot-tuples, where it also bounds the
-    convolution powers (see above); None otherwise.
+    the functional vanishes on basis slot-tuples, given only where it also
+    bounds the convolution powers (see the module docstring); else None.
     """
 
     __slots__ = ("alg", "arity", "support", "_fn", "memo")

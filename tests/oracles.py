@@ -322,6 +322,24 @@ def unpruned_mu_t_key(L, key, powers):
     return out
 
 
+# -- sigma one split at a time ----------------------------------------------
+#
+# sigma = L . (S (x) id) . comul on a basis word as a hand loop over the
+# splits of the comultiplication and the antipode of each left factor, with
+# no linear extension through tensors.
+
+
+def hand_sigma_word(L, w):
+    alg = L.alg
+    tot = T_ZERO
+    for (k0, k1), v in comul_word(alg, w).terms.items():
+        for (sk,), sc in alg.antipode_word(k0).terms.items():
+            lv = L.on_key((sk, k1))
+            if lv:
+                tot = tot + v * sc * lv
+    return tot
+
+
 # -- the state Gram matrix, one sample point at a time ----------------------
 #
 # mu_t is evaluated at t0 first and phi_t0 = e*^{t0 psi} is then applied word

@@ -1,0 +1,40 @@
+"""The statistics of scripts/bench_pairs.py, loaded by path."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_compare_counts_ties_for_neither_side():
+    for better in ("lower", "higher"):
+        row = bench_pairs.compare([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], better)
+        assert (row["change_won"], row["pairs"]) == (0, 3)
+
+
+def test_compare_counts_wins_by_the_metric_direction():
+    parent, change = [1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 3.0, 5.0]
+    assert bench_pairs.compare(parent, change, "lower")["change_won"] == 1
+    row = bench_pairs.compare(parent, change, "higher")
+    assert row["change_won"] == 2
+    assert row["better"] == "higher"
+    assert row["parent"]["median"] == 2.5
+    assert row["change"]["runs"] == change
+
+
+def test_summary_of_a_single_run():
+    assert bench_pairs.summary([0.25]) == {
+        "median": 0.25, "q1": 0.25, "q3": 0.25, "runs": [0.25]}
+
+
+def test_summary_quartiles():
+    row = bench_pairs.summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (row["q1"], row["median"], row["q3"]) == (2.0, 3.0, 4.0)
+
+
+def test_pair_order_alternates_sides():
+    orders = [bench_pairs.pair_order(i) for i in range(4)]
+    assert orders == [("parent", "change"), ("change", "parent")] * 2

@@ -210,6 +210,13 @@ def test_star_tensor_is_involutive(d):
         assert star_tensor(alg, star_tensor(alg, u)) == u
 
 
+@given(keys2)
+def test_star_tensor_is_antilinear(d):
+    u, i = tensor(2, d), Scalar(0, 1)
+    for alg in (CAR, Q2):
+        assert star_tensor(alg, u.scale(i)) == star_tensor(alg, u).scale(-i)
+
+
 def test_star_tensor_rejects_wrong_rank():
     with pytest.raises(ValueError):
         star_tensor(CAR, Tensor.basis(((0,),)))

@@ -1,8 +1,12 @@
+import inspect
 import json
+import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from braidhopf import Algebra, Tensor, parse_presentation
 from braidhopf.cli import main
 from braidhopf.verify import fixture_path
 
@@ -157,6 +161,33 @@ def test_eval_antipode_of_a_long_word(capsys):
     assert out == " ".join(["x"] * 1100) + "\n"
 
 
+def _x_power_comul(n):
+    # x is odd and primitive, so for even n comul(x^n) is the sum of the
+    # (-1)-binomials [n, k] x^k (x) x^(n-k): C(n/2, k/2) for even k, else 0
+    car = Algebra(parse_presentation(fixture_path("car.alg").read_text()))
+    return car.format(Tensor(2, {
+        ((0,) * k, (0,) * (n - k)): comb(n // 2, k // 2)
+        for k in range(0, n + 1, 2)}))
+
+
+@pytest.mark.parametrize("op, want", (
+    ("comul", _x_power_comul(150)),
+    # S(x^n) = (-1)^(n(n+1)/2) x^n, and sigma vanishes on powers of x
+    ("s_t", "- " + " ".join(["x"] * 150)),
+), ids=["comul", "s_t"])
+def test_eval_comul_of_a_long_word_stays_off_the_stack(capsys, op, want):
+    # a recursion limit far below the word's 150 letters: a comultiplication
+    # that recursed once per letter would raise RecursionError
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        rc, out, err = run(capsys, "eval", alg("car.alg"), "--op", op,
+                           "--lhs", " ".join(["x"] * 150))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (rc, out, err) == (0, want + "\n", "")
+
+
 @pytest.mark.parametrize("argv", (
     ("--op", "mul", "--lhs", "x"),                 # missing --rhs
     ("--op", "comul", "--lhs", "x", "--rhs", "x"),  # stray --rhs
@@ -296,6 +327,21 @@ def _one_error_line(rc, out, err):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("before, after", (
+    ("[algebra]\n", "[algebra]\n_lines = 1\n"),
+    ("grade = x:1 xs:1\n", "grade = x:1 xs:1\n_lines = 1\n"),
+), ids=["first", "after-grade"])
+def test_a_lines_key_is_ignored_like_any_unknown_key(capsys, tmp_path,
+                                                      before, after):
+    text = fixture_path("car.alg").read_text()
+    path = tmp_path / "car.alg"
+    path.write_text(text.replace(before, after, 1))
+    argv = ("--max-degree", "2", "--checks", "confluence,cocycle")
+    want = run(capsys, "verify", alg("car.alg"), *argv)
+    assert run(capsys, "verify", str(path), *argv) == want
+    assert want[0] == 0
 
 
 def test_zero_denominator_in_a_braiding_entry(capsys, tmp_path):

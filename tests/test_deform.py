@@ -17,8 +17,8 @@ from braidhopf.deform import (Functional, cocycle_defect, conv_exp_key,
 from braidhopf.scalars import T_ONE, T_T, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
-from oracles import (naive_exp2, unpruned_conv_exp_key, unpruned_conv_power,
-                     unpruned_mu_t_key)
+from oracles import (hand_sigma_word, naive_exp2, unpruned_conv_exp_key,
+                     unpruned_conv_power, unpruned_mu_t_key)
 
 # the benchmark's presentation generators
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -225,6 +225,17 @@ def _unit_term_case():
     return alg, cocycle_functional(alg)
 
 
+def test_a_table_records_its_support_only_where_it_prunes():
+    # off a length-homogeneous algebra only an all-zero table bounds its
+    # convolution powers by its support
+    alg, L = _unit_term_case()
+    assert L.support is None
+    assert table_functional(alg, {}, 2).support == frozenset()
+    assert Deformation(alg, L).sigma.support is None
+    zero = zero_functional(alg, 2)
+    assert Deformation(alg, zero).sigma.support == frozenset()
+
+
 def _bare_function_case():
     # the cocycle of car.alg behind a bare function: its support is unknown
     L = Functional(CAR, 2, lambda key: cocycle_functional(CAR).on_key(key))
@@ -313,6 +324,34 @@ def test_sigma_spot_values():
     assert DEF.sigma_word((0, 1)) == T_ONE
     assert DEF.sigma.on_key(((0, 1),)) == T_ONE
     assert DEF.sigma.on_key((X,)) == T_ZERO
+
+
+SIGMA_FIXTURES = [make("q2.alg"), make("freec.alg")]
+
+
+@st.composite
+def sigma_cases(draw):
+    """q2.alg or freec.alg, whose antipodes tell the two slots of the
+    comultiplication apart, and a random generator table on pairs of
+    normal words of total length at most 3."""
+    alg = draw(st.sampled_from(SIGMA_FIXTURES))
+    words = alg.basis(3)
+    table = draw(st.dictionaries(
+        st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
+            lambda p: any(p) and len(p[0]) + len(p[1]) <= 3),
+        st.integers(-2, 2).filter(bool).map(Scalar), min_size=1,
+        max_size=6))
+    return alg, table
+
+
+@settings(deadline=None, max_examples=30)
+@given(sigma_cases())
+def test_sigma_matches_the_split_by_split_loop(case):
+    alg, table = case
+    L = table_functional(alg, table, 2)
+    defm = Deformation(alg, L)
+    for w in alg.basis(3):
+        assert defm.sigma_word(w) == hand_sigma_word(L, w)
 
 
 def test_deformed_antipode_spot_values():
