@@ -12,8 +12,7 @@ from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import braid_at, braided_product, comul, counit, lambda_n
 from .deform import (Deformation, Functional, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
-                     counit_functional, psi_functional, sesquilinearize,
-                     table_functional, zero_functional)
+                     psi_functional, sesquilinearize, table_functional)
 from .verify import (CHECK_IDS, HermitianMatrix, SchoenbergError,
                      fixture_path, parse_psi, psd_exact, q_presentation,
                      qnogo_eval, run_catalog, schoenberg_check)
@@ -41,7 +40,6 @@ __all__ = [
     "conv_exp",
     "convolve_fn",
     "counit",
-    "counit_functional",
     "fixture_path",
     "lambda_n",
     "parse_presentation",
@@ -56,5 +54,4 @@ __all__ = [
     "sesquilinearize",
     "table_functional",
     "tensor_product",
-    "zero_functional",
 ]

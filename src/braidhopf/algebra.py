@@ -6,17 +6,16 @@ the linear basis of the quotient.  Tensor holds a finite TPoly-linear
 combination of slot-tuples of words; rank 1 plays the role of an algebra
 element, rank 0 of a bare coefficient.
 
-Algebra bundles a presentation with memoized normal forms, products,
-involutions, antipodes and braiding coefficients; Algebra.free() is the
-rule-free twin on the same alphabet and braiding, used when something must
-be computed upstairs before passing to the quotient.
+Algebra bundles a presentation with memoized normal forms, word
+products, involutions, antipodes and braiding coefficients; the product of
+elements is braidtensor.braided_product at rank 1.
 
 Three helpers serve every layer above: slot_map applies a word map to a
 run of slots, linearly; scalar_map turns a word-tuple -> TPoly map into a
 word map into rank-0 tensors; memoized keeps an owner's per-basis-input
 caches (an algebra, a functional, a deformation) in its one memo table.
 Maps run once per word or element go through slot_map.  The per-input
-loops of the checks (Algebra.mul, star_tensor, sesquilinearize,
+loops of the checks (braided_product, star_tensor, sesquilinearize,
 conv_sesqui, cocycle_defect, convolve_fn, mu_t_key) stay written out:
 through slot_map's intermediate tensors a catalog run measured about 5 %
 slower, and cocycle_defect alone four to five times slower.
@@ -172,13 +171,10 @@ def memoized(fn):
 class Algebra:
     """A presented algebra with memoized quotient arithmetic."""
 
-    def __init__(self, pres: AlgebraPresentation, apply_rules: bool = True):
+    def __init__(self, pres: AlgebraPresentation):
         self.pres = pres
-        self.apply_rules = apply_rules and bool(pres.rules)
-        self._rules = {}
-        if self.apply_rules:
-            for rule in pres.rules:
-                self._rules[rule.lhs] = rule.rhs  # inconsistent dups fail confluence
+        # inconsistent duplicate left sides fail confluence
+        self._rules = {rule.lhs: rule.rhs for rule in pres.rules}
         # rewriting, the comultiplication and the antipode preserve word
         # length: every rule rewrites to two-letter words (a unit term fails
         # quotient-compat) and every generator's antipode is letters
@@ -186,23 +182,11 @@ class Algebra:
             all(len(w) == 2 for rhs in self._rules.values() for w, _ in rhs)
             and all(len(w) == 1 for img in pres.antipode for w, _ in img))
         self.memo = defaultdict(dict)
-        self._free = None
 
     # -- construction -----------------------------------------------------
 
-    def free(self) -> "Algebra":
-        """The rule-free algebra on the same alphabet and braiding."""
-        if not self.apply_rules:
-            return self
-        if self._free is None:
-            self._free = Algebra(self.pres, apply_rules=False)
-        return self._free
-
     def one(self) -> Tensor:
         return Tensor.basis(((),))
-
-    def unit_tensor(self, rank: int) -> Tensor:
-        return Tensor.basis(((),) * rank)
 
     def element(self, terms: dict) -> Tensor:
         out = Tensor(1)
@@ -281,16 +265,6 @@ class Algebra:
     def mul_words(self, w1, w2) -> Tensor:
         return self.normal_form_word(tuple(w1) + tuple(w2))
 
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        out = Tensor(1)
-        for (w1,), c1 in a.terms.items():
-            for (w2,), c2 in b.terms.items():
-                prod = self.mul_words(w1, w2)
-                c = c1 * c2
-                for key, v in prod.terms.items():
-                    out.add_term(key, v * c)
-        return out
-
     # -- involution -------------------------------------------------------
 
     @memoized
@@ -329,7 +303,7 @@ class Algebra:
     @memoized
     def basis(self, max_degree: int):
         """All normal monomials of length <= max_degree, shortlex order."""
-        rules = self._rules if self.apply_rules else {}
+        rules = self._rules
         out = [()]
         layer = [()]
         n = len(self.pres.generators)

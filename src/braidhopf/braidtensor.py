@@ -83,7 +83,7 @@ def comul_word(alg: Algebra, w) -> Tensor:
     """Comultiplication of a basis word, memoized on the algebra; a new long
     word memoizes its suffixes shortest first, as antipode_word does."""
     if not w:
-        return alg.unit_tensor(2)
+        return Tensor.basis(((), ()))
     if len(w) == 1:
         return Tensor(2, {(w, ()): T_ONE, ((), w): T_ONE})
     if len(w) > 2 and w[1:] not in alg.memo["comul_word"]:

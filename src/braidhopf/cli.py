@@ -8,7 +8,7 @@ import json
 import sys
 
 from .algebra import Algebra, Tensor, tensor_product
-from .braidtensor import comul
+from .braidtensor import braided_product, comul
 from .deform import Deformation, conv_exp
 from .presentation import PresentationError, parse_presentation
 from .scalars import Scalar, parse_rational
@@ -64,7 +64,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--op {args.op} takes no --rhs")
 
     if args.op == "mul":
-        out = alg.mul(lhs, rhs)
+        out = braided_product(alg, lhs, rhs)
     elif args.op == "mu_t":
         out = defm.mu_t(lhs, rhs)
     elif args.op == "expL":
@@ -109,9 +109,10 @@ def cmd_schoenberg(args) -> int:
 def cmd_qnogo(args) -> int:
     q = Scalar.parse(args.q)
     t0 = parse_rational(args.t)
-    lhs, rhs = qnogo_eval(q, t0)
-    alg = Algebra(q_presentation(q))
+    lhs, rhs = qnogo_eval(q)
     equal = lhs == rhs
+    lhs, rhs = lhs.substitute(t0), rhs.substitute(t0)
+    alg = Algebra(q_presentation(q))
     if args.format == "json":
         print(json.dumps({"q": str(q), "t": str(t0),
                           "lhs": alg.format(lhs), "rhs": alg.format(rhs),

@@ -17,14 +17,13 @@ enforced).
 A Functional may record its support, the length tuples where it may be
 nonzero, where that support also bounds its convolution powers: the k-th
 power then vanishes off the k-fold sums of the support, and e*^{tF} off
-the monoid M(S) those sums make up.  Tables (L and psi among them) and
-sigma record one on a length-homogeneous algebra (Algebra.homogeneous); an
-empty table, the counit and the zero functional on any algebra.  A
-convolution or a functional built from a bare function carries None.  Only
-the supports of L, sigma and psi are read: conv_exp_key returns zero off
-M(S) without building a power, and mu_t visits only the splits of Lambda_2
-whose right pair has its lengths in M(S), or every split where the support
-is None.
+the monoid M(S) those sums make up.  Tables (L, psi and the counit among
+them) and sigma record one on a length-homogeneous algebra
+(Algebra.homogeneous), an empty table on any algebra.  A convolution or a
+functional built from a bare function carries None.  Only the supports of
+L, sigma and psi are read: conv_exp_key returns zero off M(S) without
+building a power, and mu_t visits only the splits of Lambda_2 whose right
+pair has its lengths in M(S), or every split where the support is None.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from operator import add
 from .algebra import (Algebra, Tensor, memoized, scalar_map, slot_map,
                       tensor_product)
 from .braidtensor import comul_word, lambda2_walk, lambda_n_key
-from .scalars import Scalar, TPoly, T_ONE, T_ZERO, as_tpoly
+from .scalars import Scalar, TPoly, T_ZERO, as_tpoly
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +81,6 @@ def _extend(arity: int, fn, u: Tensor) -> TPoly:
         if v:
             tot = tot + v * c
     return tot
-
-
-def counit_functional(alg: Algebra, arity: int = 1) -> Functional:
-    unit = ((),) * arity
-    return Functional(alg, arity,
-                      lambda key: T_ONE if key == unit else T_ZERO,
-                      support=frozenset({(0,) * arity}))
-
-
-def zero_functional(alg: Algebra, arity: int) -> Functional:
-    return Functional(alg, arity, lambda k: T_ZERO, support=frozenset())
 
 
 def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
@@ -168,7 +156,7 @@ def support_monoid(F: Functional, box) -> frozenset:
 def conv_power(F: Functional, k: int) -> Functional:
     """The k-th convolution power of F (k = 0 is the rank-n counit)."""
     if k == 0:
-        return counit_functional(F.alg, F.arity)
+        return table_functional(F.alg, {((),) * F.arity: 1}, F.arity)
     if k == 1:
         return F
     return convolve_fn(F, conv_power(F, k - 1))

@@ -11,7 +11,7 @@ structure maps with the quotient) have their own check functions below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .scalars import Scalar, signed_sum
@@ -22,7 +22,9 @@ Word = tuple  # tuple[int, ...): generator indices; () is the unit monomial
 # so neither may name a generator.
 _RESERVED = {"i", "t"}
 
-_TOKEN = re.compile(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
+# a generator name: the word token of element expressions
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\d+/\d+|\d+|{_NAME}|\S")
 
 
 class PresentationError(ValueError):
@@ -133,7 +135,7 @@ def parse_element_terms(text: str, names: dict, line: int | None = None):
             have_coeff = True
             pos += 1
         word = []
-        while pos < len(tokens) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tokens[pos]):
+        while pos < len(tokens) and re.fullmatch(_NAME, tokens[pos]):
             sym = tokens[pos]
             if sym == "i":
                 raise PresentationError("'i' is reserved for the imaginary unit", line)
@@ -204,6 +206,10 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     for g in gens:
         if g in _RESERVED:
             raise PresentationError(f"generator name {g!r} is reserved")
+        if not re.fullmatch(_NAME, g):
+            raise PresentationError(
+                f"generator name {g!r} must match {_NAME}",
+                linenos["generators"])
     names = {g: k for k, g in enumerate(gens)}
 
     star = _parse_involution(meta, linenos, names, gens)
@@ -568,7 +574,7 @@ def reduction_closure(element: dict, by_lhs: dict) -> set:
     return results
 
 
-def check_quotient_compatibility(source, max_degree: int = 4) -> Report:
+def check_quotient_compatibility(alg, max_degree: int = 4) -> Report:
     """Verify the ideal spanned by the relations is stable under the
     structure maps, so comultiplication, counit, braiding and antipode
     descend to the quotient.  Four sub-checks per rule:
@@ -578,15 +584,15 @@ def check_quotient_compatibility(source, max_degree: int = 4) -> Report:
     (c) braiding any basis monomial across lhs - rhs normalizes to 0,
     (d) the antipode of lhs - rhs normalizes to 0.
 
-    source is a presentation or an Algebra over one.  Assumes confluence
-    already passed.
+    alg is the Algebra over the presentation; the relations are expanded
+    in its rule-free twin on the same alphabet and braiding.  Assumes
+    confluence already passed.
     """
     from .algebra import Algebra, Tensor, slot_map, tensor_product
     from .braidtensor import braid_at, comul
 
-    alg = source if isinstance(source, Algebra) else Algebra(source)
     pres = alg.pres
-    free = alg.free()
+    free = Algebra(replace(pres, rules=()))
 
     def nf_slots(tensor):
         for i in range(tensor.rank):

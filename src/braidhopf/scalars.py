@@ -408,9 +408,6 @@ class TPoly:
     def constant_term(self) -> Scalar:
         return _scalar(self.abds[0]) if self.abds else S_ZERO
 
-    def __call__(self, r) -> Scalar:
-        return self.eval(r)
-
     def eval(self, r) -> Scalar:
         """Exact value at a rational (or Gaussian-rational) point."""
         r = as_scalar(r).abd

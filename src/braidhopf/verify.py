@@ -170,8 +170,9 @@ _DEFORM = _BASE + ("gen-unit", "beta-compat-cocycle", "gen-commute",
 
 @check("assoc-mul", _BASE, triples)
 def _assoc_mul(ctx, a, b, c):
-    yield (ctx.alg.mul(ctx.alg.mul_words(a, b), Tensor.basis((c,))),
-           ctx.alg.mul(Tensor.basis((a,)), ctx.alg.mul_words(b, c)))
+    mul = ctx.alg.mul_words
+    yield (braided_product(ctx.alg, mul(a, b), Tensor.basis((c,))),
+           braided_product(ctx.alg, Tensor.basis((a,)), mul(b, c)))
 
 
 @check("braid-equation", _BASE, triples)
@@ -274,7 +275,7 @@ def _involution_squared(ctx, w):
 def _involution_antihom(ctx, a, b):
     star = ctx.alg.involution_word
     yield (ctx.alg.involution(ctx.alg.mul_words(a, b)),
-           ctx.alg.mul(star(b), star(a)))
+           braided_product(ctx.alg, star(b), star(a)))
 
 
 @check("antipode-identity", _BASE, words)
@@ -714,29 +715,24 @@ def _constant(p: TPoly) -> Scalar:
     return p.constant_term()
 
 
-def schoenberg_check(source, psi=None, max_degree: int = 4,
+def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
+                     max_degree: int = 4,
                      t_samples=(Fraction(0), Fraction(1, 2), Fraction(1),
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
     property of the exponential family at each sample point: the state Gram
     matrix G(t) is built once in Q(i)[t] and evaluated at every sample.
 
-    psi may be a support table (dict), an arity-1 Functional, or None for
-    the zero functional.  The three hypotheses on psi are verified first
-    and raise SchoenbergError when violated.
+    psi is a support table, word -> scalar, or None for the zero
+    functional.  The three hypotheses on psi are verified first and raise
+    SchoenbergError when violated.
     """
     if not t_samples:
         raise ValueError("no t sample points given")
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    alg = source if isinstance(source, Algebra) else Algebra(source)
-    pres = alg.pres
-    if psi is None:
-        psi = psi_functional(alg, {})
-    elif isinstance(psi, dict):
-        psi = psi_functional(alg, psi)
-    elif psi.arity != 1:
-        raise ValueError("psi must have arity 1")
+    alg = Algebra(pres)
+    psi = psi_functional(alg, psi or {})
     basis = alg.basis(max_degree)
 
     # hypothesis gates, in order: hermitian, braiding-invariant, psi(1) = 0
@@ -841,15 +837,13 @@ def q_presentation(q: Scalar) -> AlgebraPresentation:
     )
 
 
-def qnogo_eval(q, t_val=Fraction(1)):
+def qnogo_eval(q):
     """Both sides of the module-map obstruction for the braiding at q:
     (mu_t (x) id).(id (x) b).(b (x) id) versus b.(id (x) mu_t), applied to
-    x (x) (x (x) xs - q xs (x) x).  They agree exactly when q^2 = 1."""
+    x (x) (x (x) xs - q xs (x) x), formal in t.  They are q^2 t (1 (x) x)
+    and t (1 (x) x), equal exactly when q^2 = 1."""
+    alg = Algebra(q_presentation(q))
     q = as_scalar(q)
-    if not q:
-        raise ValueError("q must be nonzero")
-    pres = q_presentation(q)
-    alg = Algebra(pres)
     defm = Deformation(alg)
 
     expr = Tensor(3)
@@ -862,4 +856,4 @@ def qnogo_eval(q, t_val=Fraction(1)):
     lhs = slot_map(braid_at(alg, braid_at(alg, expr, 0, 1, 1), 1, 1, 1),
                    0, 2, mu_t, 1)
     rhs = braid_at(alg, slot_map(expr, 1, 2, mu_t, 1), 0, 1, 1)
-    return lhs.substitute(t_val), rhs.substitute(t_val)
+    return lhs, rhs

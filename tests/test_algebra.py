@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf import Algebra, Scalar, Tensor, parse_presentation, tensor_product
-from braidhopf.braidtensor import comul_word
+from braidhopf.braidtensor import braided_product, comul_word
 from braidhopf.scalars import T_ONE, T_T, as_tpoly
 from braidhopf.verify import fixture_path
 
@@ -84,9 +85,10 @@ def as_element(alg, d):
 def test_mul_is_associative_and_unital(da, db, dc):
     alg = make("car.alg")
     a, b, c = (as_element(alg, d) for d in (da, db, dc))
-    assert alg.mul(alg.mul(a, b), c) == alg.mul(a, alg.mul(b, c))
-    assert alg.mul(alg.one(), a) == a
-    assert alg.mul(a, alg.one()) == a
+    mul = lambda u, v: braided_product(alg, u, v)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(alg.one(), a) == a
+    assert mul(a, alg.one()) == a
 
 
 @given(elements, elements)
@@ -94,13 +96,15 @@ def test_mul_is_bilinear(da, db):
     alg = make("car.alg")
     a, b = as_element(alg, da), as_element(alg, db)
     two_a = a.scale(as_tpoly(2))
-    assert alg.mul(two_a, b) == alg.mul(a, b).scale(as_tpoly(2))
+    assert (braided_product(alg, two_a, b)
+            == braided_product(alg, a, b).scale(as_tpoly(2)))
 
 
 def test_car_relation_holds_in_quotient(car):
     # x xs + xs x = 0 in the undeformed algebra
     x, xs = car.generator("x"), car.generator("xs")
-    assert car.mul(x, xs) + car.mul(xs, x) == Tensor(1)
+    assert (braided_product(car, x, xs) + braided_product(car, xs, x)
+            == Tensor(1))
 
 
 # -- involution ------------------------------------------------------------
@@ -121,7 +125,8 @@ def test_involution_is_antilinear(car):
 def test_involution_is_an_antihomomorphism(u, v):
     alg = make("car.alg")
     lhs = alg.involution(alg.mul_words(u, v))
-    rhs = alg.mul(alg.involution_word(v), alg.involution_word(u))
+    rhs = braided_product(alg, alg.involution_word(v),
+                          alg.involution_word(u))
     assert lhs == rhs
 
 
@@ -146,8 +151,8 @@ def test_antipode_is_the_convolution_inverse(car):
     for w in car.basis(3):
         acc = Tensor(1)
         for (k0, k1), v in comul_word(car, w).terms.items():
-            acc = acc + car.mul(car.antipode_word(k0),
-                                Tensor.basis((k1,))).scale(v)
+            acc = acc + braided_product(car, car.antipode_word(k0),
+                                        Tensor.basis((k1,))).scale(v)
         expect = car.one() if w == () else Tensor(1)
         assert acc == expect
 
@@ -189,9 +194,8 @@ def test_basis_words_avoid_rule_lhs(q2):
 
 
 def test_free_algebra_shares_alphabet(car):
-    fr = car.free()
+    fr = Algebra(replace(car.pres, rules=()))
     assert fr.normal_form_word((1, 0)) == Tensor.basis(((1, 0),))
-    assert fr is car.free()
 
 
 # -- elements and formatting -----------------------------------------------

@@ -175,7 +175,12 @@ def test_counit_laws():
 def test_braided_product_rank1_is_mul():
     a = CAR.parse_element("x + xs")
     b = CAR.parse_element("x xs - 2")
-    assert braided_product(CAR, a, b) == CAR.mul(a, b)
+    want = Tensor(1)
+    for (u,), cu in a.terms.items():
+        for (v,), cv in b.terms.items():
+            for key, c in CAR.mul_words(u, v).terms.items():
+                want.add_term(key, c * cu * cv)
+    assert braided_product(CAR, a, b) == want
 
 
 def test_braided_product_crossing_picks_up_sign():

@@ -46,6 +46,27 @@ def test_verify_failure_and_skip_lines(capsys):
             in lines)
 
 
+@pytest.mark.parametrize("check, witness", (
+    ("gen-hermitian", "input: x (x) xs; lhs: i; rhs: -i"),
+    ("star-deformation",
+     "input: xs (x) x; lhs: - x xs + i t; rhs: - x xs - i t"),
+    ("expL-hermitian", "input: x (x) xs; lhs: i t; rhs: -i t"),
+    ("st-star", "input: x xs; lhs: x xs + 2 i t; rhs: x xs"),
+    ("sesqui-hermitian", "input: x; lhs: i; rhs: -i"),
+))
+def test_an_imaginary_generator_fails_the_hermiticity_checks(
+        capsys, tmp_path, check, witness):
+    # L(xs (x) x) = i breaks L's hermiticity, which each of these checks
+    # sees in its own identity
+    path = tmp_path / "car-imagL.alg"
+    path.write_text(fixture_path("car.alg").read_text().replace(
+        "xs | x = 1", "xs | x = i"))
+    rc, out, err = run(capsys, "verify", str(path), "--checks", check,
+                       "--max-degree", "2")
+    assert (rc, err) == (1, "")
+    assert out == f"[FAIL] {check} (degree 2) -- {witness}\n"
+
+
 def test_verify_reports_inconsistent_rules_with_a_composite_coefficient(
         capsys, tmp_path):
     # two rules for b a whose right sides differ by i a b, a coefficient
@@ -306,6 +327,13 @@ def test_qnogo_unobstructed(capsys):
     assert out.splitlines()[-1] == "equal"
 
 
+def test_qnogo_decides_on_the_formal_sides(capsys):
+    # at t = 0 both sides print as 0, yet q^2 t and t differ for q = 2
+    rc, out, _ = run(capsys, "qnogo", "--q", "2", "--t", "0")
+    assert rc == 1
+    assert out == "lhs = 0\nrhs = 0\nunequal\n"
+
+
 def test_qnogo_json(capsys):
     rc, out, _ = run(capsys, "qnogo", "--q", "2", "--format", "json")
     assert rc == 1
@@ -342,6 +370,21 @@ def test_a_lines_key_is_ignored_like_any_unknown_key(capsys, tmp_path,
     want = run(capsys, "verify", alg("car.alg"), *argv)
     assert run(capsys, "verify", str(path), *argv) == want
     assert want[0] == 0
+
+
+@pytest.mark.parametrize("name", ("1", "-x"))
+def test_a_generator_name_elements_cannot_spell_is_refused(capsys, tmp_path,
+                                                           name):
+    # "1" would read as the scalar 1 in an element, "-x" as a minus sign
+    path = tmp_path / "bad.alg"
+    path.write_text(f"[algebra]\nname = bad\ngenerators = {name} a\n"
+                    f"involution = {name}:{name} a:a\ngrade = {name}:0 a:0\n"
+                    "\n[braiding]\nkind = graded-sign\n")
+    rc, out, err = run(capsys, "eval", str(path), "--op", "mul",
+                       "--lhs", "a", "--rhs", "a")
+    _one_error_line(rc, out, err)
+    assert err == (f"error: line 3: generator name {name!r} must match "
+                   "[A-Za-z_][A-Za-z0-9_]*\n")
 
 
 def test_zero_denominator_in_a_braiding_entry(capsys, tmp_path):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidhopf import (Algebra, Deformation, Scalar, Tensor,
-                       cocycle_functional, conv_exp, counit_functional,
-                       parse_presentation, psi_functional, table_functional,
-                       tensor_product, zero_functional)
+                       cocycle_functional, conv_exp, parse_presentation,
+                       psi_functional, table_functional, tensor_product)
 from braidhopf.cli import main
 from braidhopf.deform import (Functional, cocycle_defect, conv_exp_key,
                               conv_power, conv_sesqui, convolve_fn,
@@ -35,6 +34,10 @@ L = cocycle_functional(CAR)
 DEF = Deformation(CAR)
 
 X, XS = (0,), (1,)
+
+# the counits of CAR and CAR (x) CAR as one-entry tables
+DELTA1 = table_functional(CAR, {((),): 1}, 1)
+DELTA2 = table_functional(CAR, {((), ()): 1}, 2)
 
 
 # -- the convolution exponential against the naive series ------------------
@@ -86,16 +89,15 @@ def test_conv_power_zero_is_counit():
 
 
 def test_convolution_unit_law():
-    delta2 = counit_functional(CAR, 2)
-    conv = convolve_fn(delta2, delta2)
+    conv = convolve_fn(DELTA2, DELTA2)
     for a in CAR.basis(2):
         for b in CAR.basis(2):
-            assert conv.on_key((a, b)) == delta2.on_key((a, b))
+            assert conv.on_key((a, b)) == DELTA2.on_key((a, b))
 
 
 def test_convolution_rejects_mismatches():
     with pytest.raises(ValueError):
-        convolve_fn(L, counit_functional(CAR, 1))
+        convolve_fn(L, DELTA1)
     with pytest.raises(ValueError):
         convolve_fn(L, cocycle_functional(make("car.alg")))
     with pytest.raises(ValueError):
@@ -106,15 +108,15 @@ def test_convolution_rejects_mismatches():
 
 
 def test_trivial_flag_propagates():
-    # the zero functional and an all-zero table have empty support
-    z = zero_functional(CAR, 2)
+    # the empty table and an all-zero table have empty support
+    z = table_functional(CAR, {}, 2)
     assert z.support == frozenset()
     assert table_functional(CAR, {(X, XS): Scalar(0)}, 2).support == frozenset()
     assert L.support == {(1, 1)}
     M = table_functional(CAR, {(X, XS): Scalar(1), ((0, 1), X): Scalar(2),
                                ((), X): Scalar(3)}, 2)
     assert M.support == {(1, 1), (2, 1), (0, 1)}
-    assert counit_functional(CAR, 2).support == {(0, 0)}
+    assert DELTA2.support == {(0, 0)}
     assert DEF.sigma.support == {(2,)}
     assert conv_exp_key(z, (X, XS)) == T_ZERO
     assert conv_exp_key(z, ((), ())) == T_ONE
@@ -122,7 +124,7 @@ def test_trivial_flag_propagates():
 
 def test_trivial_generator_leaves_product_undeformed():
     # a zero-support generator leaves mu_t = mul and S_t = S
-    d = Deformation(CAR, zero_functional(CAR, 2))
+    d = Deformation(CAR, table_functional(CAR, {}, 2))
     assert d.L.support == d.sigma.support == frozenset()
     for a in CAR.basis(2):
         for b in CAR.basis(2):
@@ -230,9 +232,9 @@ def test_a_table_records_its_support_only_where_it_prunes():
     # convolution powers by its support
     alg, L = _unit_term_case()
     assert L.support is None
-    assert table_functional(alg, {}, 2).support == frozenset()
+    zero = table_functional(alg, {}, 2)
+    assert zero.support == frozenset()
     assert Deformation(alg, L).sigma.support is None
-    zero = zero_functional(alg, 2)
     assert Deformation(alg, zero).sigma.support == frozenset()
 
 
@@ -312,7 +314,7 @@ def test_mu_t_key_is_memoized():
 
 def test_generator_arity_is_checked():
     with pytest.raises(ValueError):
-        Deformation(CAR, counit_functional(CAR, 1))
+        Deformation(CAR, DELTA1)
 
 
 # -- sigma and the deformed antipode ---------------------------------------
@@ -386,11 +388,11 @@ def test_sesquilinearize_spot_values():
     assert K.on_key((X, X)) == T_ONE      # L(x* (x) x) = L(xs (x) x)
     assert K.on_key((XS, X)) == T_ZERO
     with pytest.raises(ValueError):
-        sesquilinearize(counit_functional(CAR, 1))
+        sesquilinearize(DELTA1)
 
 
 def test_conv_sesqui_unit_law():
-    d = sesquilinearize(counit_functional(CAR, 2))
+    d = sesquilinearize(DELTA2)
     K = sesquilinearize(L)
     conv = conv_sesqui(d, K)
     for a in CAR.basis(2):

@@ -1,5 +1,6 @@
-"""Every imported name is used somewhere in its module, and every private
-module-level function of the package is named somewhere in its module.
+"""Every imported name is used somewhere in its module, every private
+module-level function of the package is named somewhere in its module, and
+every name the package exports is bound by it and exported once.
 
 No linter is a dependency of the project, so this walks the syntax tree of
 every module under src/ and tests/ with the standard library's ast.
@@ -85,3 +86,45 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text("utf-8"))]
     assert found == []
+
+
+def export_faults(source: str) -> list:
+    """'name: reason' for each entry of the module's __all__ that no
+    module-level import, definition or assignment binds, and for each
+    entry listed more than once."""
+    tree = ast.parse(source)
+    bound, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        listed = ast.literal_eval(node.value)
+    faults, seen = [], set()
+    for name in listed:
+        if name not in bound:
+            faults.append(f"{name}: not bound")
+        elif name in seen:
+            faults.append(f"{name}: listed twice")
+        seen.add(name)
+    return faults
+
+
+def test_export_faults_are_found():
+    src = ("from a import b\n"
+           "def f():\n    pass\n"
+           "C = 1\n"
+           "__all__ = ['b', 'f', 'C', 'gone', 'b']\n")
+    assert export_faults(src) == ["gone: not bound", "b: listed twice"]
+
+
+def test_every_export_is_bound_and_listed_once():
+    init = ROOT / "src" / "braidhopf" / "__init__.py"
+    assert export_faults(init.read_text("utf-8")) == []

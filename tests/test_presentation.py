@@ -206,18 +206,11 @@ def test_element_format_parse_round_trip(terms):
 
 
 def test_quotient_compat_passes_on_car():
-    assert check_quotient_compatibility(load("car.alg"), 4).ok()
-
-
-def test_quotient_compat_accepts_an_algebra():
-    for name in ("car.alg", "car-wrongsign.alg"):
-        pres = load(name)
-        assert (check_quotient_compatibility(Algebra(pres), 3)
-                == check_quotient_compatibility(pres, 3))
+    assert check_quotient_compatibility(Algebra(load("car.alg")), 4).ok()
 
 
 def test_quotient_compat_wrongsign_fails_comul_subcheck():
-    rep = check_quotient_compatibility(load("car-wrongsign.alg"), 4)
+    rep = check_quotient_compatibility(Algebra(load("car-wrongsign.alg")), 4)
     assert rep.status == "fail"
     assert rep.witness["subcheck"] == "a"
     assert rep.witness["input"] == "xs x"
@@ -226,7 +219,7 @@ def test_quotient_compat_wrongsign_fails_comul_subcheck():
 def test_quotient_compat_badL_still_passes():
     # a broken cocycle is not an ideal problem; it fails later, in the
     # cocycle check
-    assert check_quotient_compatibility(load("car-badL.alg"), 4).ok()
+    assert check_quotient_compatibility(Algebra(load("car-badL.alg")), 4).ok()
 
 
 # -- fuzzing the parsers ---------------------------------------------------

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
-                       SchoenbergError, cocycle_functional,
-                       parse_presentation, parse_psi, psi_functional,
-                       schoenberg_check)
+                       SchoenbergError, parse_presentation, parse_psi,
+                       psi_functional, schoenberg_check)
 from braidhopf.verify import fixture_path, state_gram
 
 from oracles import state_gram_at
@@ -76,13 +75,6 @@ def test_nonzero_admissible_psi_passes_both_sides():
     assert res.equivalence_observed
 
 
-def test_functional_psi_is_accepted():
-    alg = Algebra(CAR)
-    res = schoenberg_check(alg, psi=psi_functional(alg, {(0, 1): Scalar(1)}),
-                           max_degree=2)
-    assert res.ok()
-
-
 # -- the state Gram matrix G(t) -------------------------------------------
 
 
@@ -136,9 +128,7 @@ def test_non_hermitian_generator_is_blamed_not_psi():
 
 def test_psi_hitting_the_unit_is_refused():
     with pytest.raises(SchoenbergError) as exc:
-        schoenberg_check(CAR, psi=psi_functional(Algebra(CAR),
-                                                 {(): Scalar(1)}),
-                         max_degree=1)
+        schoenberg_check(CAR, psi={(): Scalar(1)}, max_degree=1)
     assert exc.value.hypothesis == "unit"
 
 
@@ -148,12 +138,6 @@ def test_braiding_sensitive_psi_is_refused():
         schoenberg_check(load("q2.alg"),
                          psi={(0,): Scalar(1), (1,): Scalar(1)}, max_degree=2)
     assert exc.value.hypothesis == "braiding-invariant"
-
-
-def test_psi_arity_is_checked():
-    alg = Algebra(CAR)
-    with pytest.raises(ValueError):
-        schoenberg_check(alg, psi=cocycle_functional(alg), max_degree=1)
 
 
 # -- the psi file format ---------------------------------------------------
