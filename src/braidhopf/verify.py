@@ -26,8 +26,8 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      conv_power, conv_sesqui, convolve_fn, psi_functional,
                      sesquilinearize)
 from .presentation import (AlgebraPresentation, PresentationError, Report,
-                           _parse_word, _word_is_normal, check_confluence,
-                           check_quotient_compatibility)
+                           Rule, _parse_word, _word_is_normal,
+                           check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
                       T_ZERO, as_scalar)
 
@@ -135,7 +135,7 @@ def fixed(*key):
 
 
 _DECLARED = [
-    ("confluence", (), lambda ctx: check_confluence(ctx.pres)),
+    ("confluence", (), lambda ctx: check_confluence(ctx.alg)),
     ("quotient-compat", ("confluence",),
      lambda ctx: check_quotient_compatibility(ctx.alg, ctx.max_degree)),
 ]
@@ -520,8 +520,8 @@ def run_catalog(pres: AlgebraPresentation, ids=None,
     A check is skipped when a prerequisite in the same run did not pass;
     prerequisites not selected are taken as satisfied.
     """
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    if max_degree < 1:
+        raise ValueError(f"max degree must be positive, got {max_degree}")
     if ids is None:
         selected = set(CHECK_IDS)
     else:
@@ -729,8 +729,8 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
     """
     if not t_samples:
         raise ValueError("no t sample points given")
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    if max_degree < 1:
+        raise ValueError(f"max degree must be positive, got {max_degree}")
     alg = Algebra(pres)
     psi = psi_functional(alg, psi or {})
     basis = alg.basis(max_degree)
@@ -818,8 +818,6 @@ def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
 def q_presentation(q: Scalar) -> AlgebraPresentation:
     """The one-parameter diagonal-braiding presentation at a concrete q,
     with the cocycle that realizes mu_t(x (x) xs - q xs (x) x) = t 1."""
-    from .presentation import Rule
-
     q = as_scalar(q)
     if not q:
         raise ValueError("q must be nonzero")

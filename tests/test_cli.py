@@ -82,6 +82,20 @@ def test_verify_reports_inconsistent_rules_with_a_composite_coefficient(
                    "lhs: a b + i a b; rhs: a b\n")
 
 
+def test_verify_reports_forms_that_first_differ_in_a_coefficient(
+        capsys, tmp_path):
+    # c (b a) and (c b) a both reduce to a multiple of a
+    path = tmp_path / "coeff.alg"
+    path.write_text("[algebra]\nname = coeff\ngenerators = a b c\n"
+                    "involution = a:a b:b c:c\ngrade = a:1 b:1 c:1\n\n"
+                    "[braiding]\nkind = graded-sign\n\n"
+                    "[relations]\nb a = - a a\nc a = 2\nc b = 3 a c\n")
+    rc, out, err = run(capsys, "verify", str(path), "--checks", "confluence")
+    assert (rc, err) == (1, "")
+    assert out == ("[FAIL] confluence (degree 3) -- input: c b a; "
+                   "lhs: - 2 a; rhs: 6 a\n")
+
+
 def test_verify_json_matches_golden(capsys):
     rc, out, _ = run(capsys, "verify", alg("car.alg"),
                      "--checks", "confluence,assoc-mul,coassoc,cocycle",
@@ -126,7 +140,18 @@ def test_verify_rejects_negative_degree(capsys):
     rc, out, err = run(capsys, "verify", alg("car.alg"), "--max-degree", "-1")
     assert rc == 2
     assert out == ""
-    assert err == "error: max degree must be nonnegative, got -1\n"
+    assert err == "error: max degree must be positive, got -1\n"
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify", alg("car-badL.alg")),
+    ("schoenberg", alg("car-negL.alg")),
+), ids=("verify", "schoenberg"))
+def test_degree_zero_is_refused(capsys, argv):
+    # at degree 0 every domain is the unit word alone, so every check passes
+    rc, out, err = run(capsys, *argv, "--max-degree", "0")
+    _one_error_line(rc, out, err)
+    assert err == "error: max degree must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("checks", ("", ","))
@@ -273,7 +298,7 @@ def test_schoenberg_blames_a_non_hermitian_generator(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,message", (
     (("--t", ""), "no t sample points given"),
-    (("--max-degree", "-1"), "max degree must be nonnegative, got -1"),
+    (("--max-degree", "-1"), "max degree must be positive, got -1"),
 ))
 def test_schoenberg_rejects_vacuous_input(capsys, argv, message):
     rc, out, err = run(capsys, "schoenberg", alg("car.alg"),
@@ -372,19 +397,27 @@ def test_a_lines_key_is_ignored_like_any_unknown_key(capsys, tmp_path,
     assert want[0] == 0
 
 
-@pytest.mark.parametrize("name", ("1", "-x"))
-def test_a_generator_name_elements_cannot_spell_is_refused(capsys, tmp_path,
-                                                           name):
-    # "1" would read as the scalar 1 in an element, "-x" as a minus sign
+@pytest.mark.parametrize("generators, message", (
+    pytest.param("1 a", "generator name '1' must match [A-Za-z_][A-Za-z0-9_]*",
+                 id="1"),
+    pytest.param("-x a",
+                 "generator name '-x' must match [A-Za-z_][A-Za-z0-9_]*",
+                 id="-x"),
+    pytest.param("i a", "generator name 'i' is reserved", id="i"),
+    pytest.param("a a", "duplicate generator", id="duplicate"),
+))
+def test_a_generator_name_elements_cannot_spell_is_refused(
+        capsys, tmp_path, generators, message):
+    # "1" would read as the scalar 1 in an element, "-x" as a minus sign,
+    # "i" as the imaginary unit, and a repeated name as either generator
     path = tmp_path / "bad.alg"
-    path.write_text(f"[algebra]\nname = bad\ngenerators = {name} a\n"
-                    f"involution = {name}:{name} a:a\ngrade = {name}:0 a:0\n"
+    path.write_text(f"[algebra]\nname = bad\ngenerators = {generators}\n"
+                    "involution = a:a\ngrade = a:0\n"
                     "\n[braiding]\nkind = graded-sign\n")
     rc, out, err = run(capsys, "eval", str(path), "--op", "mul",
                        "--lhs", "a", "--rhs", "a")
     _one_error_line(rc, out, err)
-    assert err == (f"error: line 3: generator name {name!r} must match "
-                   "[A-Za-z_][A-Za-z0-9_]*\n")
+    assert err == f"error: line 3: {message}\n"
 
 
 def test_zero_denominator_in_a_braiding_entry(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Every imported name is used somewhere in its module, every private
+"""Every imported name is used somewhere in its module, no function imports
+from a module its file already imports at module level, every private
 module-level function of the package is named somewhere in its module, and
 every name the package exports is bound by it and exported once.
 
@@ -44,6 +45,53 @@ def test_unused_imports_are_found():
            "__all__ = ['b']\n"
            "os.path.join()\n")
     assert unused_imports(src) == [(3, "d")]
+
+
+def import_sources(node) -> list:
+    """The modules an import statement reads, relative dots kept; none for
+    any other node."""
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def repeated_function_imports(source: str) -> list:
+    """(line, module) for each import inside a function from a module that
+    the file already imports at module level, where the name belongs."""
+    tree = ast.parse(source)
+    top = {m for node in tree.body for m in import_sources(node)}
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                found.update((node.lineno, m) for m in import_sources(node)
+                             if m in top)
+    return sorted(found)
+
+
+def test_repeated_function_imports_are_found():
+    src = ("import os\n"
+           "from .a import b\n"
+           "def f():\n"
+           "    from .a import c\n"
+           "    from .d import e\n"
+           "    import os.path\n"
+           "    def g():\n"
+           "        from .a import h\n"
+           "        import os\n"
+           "    return b, c, e, g, h, os\n")
+    assert repeated_function_imports(src) == [(4, ".a"), (8, ".a"), (9, "os")]
+
+
+def test_no_function_imports_from_a_module_its_file_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for top in ("src", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for line, module in repeated_function_imports(
+                 path.read_text("utf-8"))]
+    assert found == []
 
 
 def unnamed_private_functions(source: str) -> list:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,7 @@ from braidhopf import (Algebra, PresentationError, parse_presentation,
                        parse_psi, pretty_print)
 from braidhopf.presentation import (check_confluence,
                                     check_quotient_compatibility,
-                                    format_element_terms, parse_element_terms,
-                                    reduction_closure)
+                                    format_element_terms, parse_element_terms)
 from braidhopf.scalars import Scalar
 from braidhopf.verify import fixture_path
 
@@ -28,7 +28,7 @@ from oracles import all_words, exhaustive_normal_forms
 @pytest.mark.parametrize("name", ("car.alg", "q2.alg", "car-wrongsign.alg"))
 def test_confluence_matches_exhaustive_oracle(name):
     pres = load(name)
-    assert check_confluence(pres).ok()
+    assert check_confluence(Algebra(pres)).ok()
     for w in all_words(len(pres.generators), 3):
         assert len(exhaustive_normal_forms(w, pres)) == 1
 
@@ -51,7 +51,7 @@ z y = 1
 
 def test_confluence_detects_divergence():
     pres = parse_presentation(NONCONFLUENT)
-    rep = check_confluence(pres)
+    rep = check_confluence(Algebra(pres))
     assert rep.status == "fail"
     assert rep.witness["input"] == "z y x"
     # the oracle agrees: (zy)x -> x while z(yx) -> z
@@ -75,16 +75,54 @@ kind = graded-sign
 xs x = - x xs
 xs x = x xs
 """
-    rep = check_confluence(parse_presentation(src))
+    rep = check_confluence(Algebra(parse_presentation(src)))
     assert rep.status == "fail"
     assert rep.witness["input"] == "xs x"
 
 
-def test_reduction_closure_singleton_on_car():
-    pres = load("car.alg")
-    by_lhs = {r.lhs: r.rhs for r in pres.rules}
-    closure = reduction_closure({(1, 0, 0): Scalar(1)}, by_lhs)
-    assert len(closure) == 1
+RANDOM_COEFFS = ("", "- ", "2 ", "3 ", "1/2 ", "i ")
+
+
+def random_presentation(rng):
+    """Generators a b c with some of the three left sides b a, c a, c b,
+    each rewritten to up to two normal words below it and, sometimes, a
+    constant."""
+    names = "abc"
+    relations = []
+    for x, y in ((1, 0), (2, 0), (2, 1)):
+        if rng.random() < 0.3:
+            continue
+        below = [(u, v) for u in range(x) for v in range(u, 3)]
+        terms = [f"{rng.choice(RANDOM_COEFFS)}{names[u]} {names[v]}"
+                 for u, v in rng.sample(below, rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            terms.append(rng.choice(("1", "- 1", "2", "3", "1/2", "i")))
+        relations.append(f"{names[x]} {names[y]} = "
+                         + (" + ".join(terms) or "0"))
+    return parse_presentation(
+        "[algebra]\nname = random\ngenerators = a b c\n"
+        "involution = a:a b:b c:c\ngrade = a:1 b:1 c:1\n\n"
+        "[braiding]\nkind = graded-sign\n\n[relations]\n"
+        + "\n".join(relations) + "\n")
+
+
+def test_confluence_matches_the_exhaustive_oracle_on_random_rules():
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(600):
+        pres = random_presentation(rng)
+        rep = check_confluence(Algebra(pres))
+        verdicts.add(rep.status)
+        ambiguous = ((w, finals) for w in all_words(3, 3)
+                     if len(finals := exhaustive_normal_forms(w, pres)) > 1)
+        first = next(ambiguous, None)
+        assert rep.ok() == (first is None), pretty_print(pres)
+        if first is not None:
+            word, finals = first
+            forms = {format_element_terms(f, pres) for f in finals}
+            assert rep.witness["input"] == pres.word_str(word)
+            assert {rep.witness["lhs"], rep.witness["rhs"]} == forms
+    assert verdicts == {"pass", "fail"}
 
 
 # -- parsing the fixture files ---------------------------------------------
