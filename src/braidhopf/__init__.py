@@ -7,15 +7,15 @@ deformation parameter t; no floating point anywhere.
 
 from .scalars import Scalar, TPoly
 from .presentation import (AlgebraPresentation, PresentationError, Report,
-                           parse_presentation, pretty_print)
+                           parse_presentation, parse_psi, pretty_print)
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import braid_at, braided_product, comul, counit, lambda_n
 from .deform import (Deformation, Functional, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
                      psi_functional, sesquilinearize, table_functional)
 from .verify import (CHECK_IDS, HermitianMatrix, SchoenbergError,
-                     fixture_path, parse_psi, psd_exact, q_presentation,
-                     qnogo_eval, run_catalog, schoenberg_check)
+                     fixture_path, psd_exact, q_presentation, qnogo_eval,
+                     run_catalog, schoenberg_check)
 
 __version__ = "0.1.0"
 

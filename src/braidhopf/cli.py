@@ -10,9 +10,9 @@ import sys
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import braided_product, comul
 from .deform import Deformation, conv_exp
-from .presentation import PresentationError, parse_presentation
-from .scalars import Scalar, parse_rational
-from .verify import (SchoenbergError, parse_psi, q_presentation, qnogo_eval,
+from .presentation import parse_presentation, parse_psi, parse_scalar
+from .scalars import parse_rational
+from .verify import (q_presentation, qnogo_eval, require_confluence,
                      run_catalog, schoenberg_check)
 
 EXIT_OK = 0
@@ -54,6 +54,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     pres = _load(args.presentation)
     alg = Algebra(pres)
+    require_confluence(alg)
     defm = Deformation(alg)
     lhs = alg.parse_element(args.lhs)
     if args.op in _BINARY_OPS:
@@ -107,7 +108,7 @@ def cmd_schoenberg(args) -> int:
 
 
 def cmd_qnogo(args) -> int:
-    q = Scalar.parse(args.q)
+    q = parse_scalar(args.q)
     t0 = parse_rational(args.t)
     lhs, rhs = qnogo_eval(q)
     equal = lhs == rhs
@@ -187,10 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_values(argv))
     try:
         return args.func(args)
-    except SchoenbergError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (PresentationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

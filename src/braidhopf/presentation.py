@@ -1,9 +1,12 @@
-"""Presented *-algebras with a chosen braiding, read from .alg files.
+"""Presented *-algebras with a chosen braiding, read from .alg files, and
+the support tables of a functional psi on them, read from .psi files.
 
 A presentation fixes: an ordered generator alphabet with grades and an
 involution pairing, a braiding (graded-sign or diagonal), a normal-ordering
 rewrite system (two-letter left sides only), an optional cocycle support
-table, and an antipode table.  Parsing validates everything that can be
+table, and an antipode table.  Both file formats go through one section
+reader, and every '= value' scalar through parse_scalar, the element
+grammar without generators.  Parsing validates everything that can be
 checked locally, and puts every right-side word below its left side, so
 rewriting terminates.  The global properties have their own check
 functions below, which take the Algebra over the presentation and rewrite
@@ -16,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
-from .scalars import Scalar, signed_sum
+from .scalars import S_ZERO, Scalar, signed_sum
 
 Word = tuple  # tuple[int, ...): generator indices; () is the unit monomial
 
@@ -92,7 +96,15 @@ class AlgebraPresentation:
 
 
 # ---------------------------------------------------------------------------
-# element expressions
+# element expressions and scalars
+
+
+def _gen(names: dict, sym: str, line: int | None) -> int:
+    """The index of the generator named sym."""
+    try:
+        return names[sym]
+    except KeyError:
+        raise PresentationError(f"unknown generator {sym!r}", line) from None
 
 
 def parse_element_terms(text: str, names: dict, line: int | None = None):
@@ -142,9 +154,7 @@ def parse_element_terms(text: str, names: dict, line: int | None = None):
             sym = tokens[pos]
             if sym == "i":
                 raise PresentationError("'i' is reserved for the imaginary unit", line)
-            if sym not in names:
-                raise PresentationError(f"unknown generator {sym!r}", line)
-            word.append(names[sym])
+            word.append(_gen(names, sym, line))
             pos += 1
         if not word and not have_coeff:
             raise PresentationError(
@@ -161,13 +171,18 @@ def parse_element_terms(text: str, names: dict, line: int | None = None):
     return {w: c for w, c in terms.items() if c}
 
 
+def parse_scalar(text: str, line: int | None = None) -> Scalar:
+    """A scalar value: an element expression without generators, so
+    'a/b + c/d i' and '1 + 2' read, and '2 3' or '1 / 2' does not."""
+    try:
+        terms = parse_element_terms(text, {}, line)
+    except PresentationError:
+        raise PresentationError(f"malformed scalar {text!r}", line) from None
+    return terms.get((), S_ZERO)
+
+
 def _parse_word(text: str, names: dict, line: int | None = None) -> Word:
-    word = []
-    for tok in text.split():
-        if tok not in names:
-            raise PresentationError(f"unknown generator {tok!r}", line)
-        word.append(names[tok])
-    return tuple(word)
+    return tuple(_gen(names, tok, line) for tok in text.split())
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +191,11 @@ def _parse_word(text: str, names: dict, line: int | None = None) -> Word:
 _SECTIONS = ("algebra", "braiding", "relations", "cocycle", "antipode")
 
 
-def parse_presentation(text: str) -> AlgebraPresentation:
-    """Parse an .alg file; raises PresentationError with a line number."""
-    sections: dict = {name: [] for name in _SECTIONS}
+def _read_sections(text: str, known) -> dict:
+    """The sections of an .alg or .psi file, as a dict from the name of each
+    section present to its (line number, text) lines, with comments and
+    blank lines dropped.  Text after a header is the section's first line."""
+    sections: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -186,17 +203,23 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             continue
         m = re.match(r"^\[([a-z-]+)\]\s*(.*)$", line)
         if m:
-            name, rest = m.group(1), m.group(2).strip()
-            if name not in _SECTIONS:
-                raise PresentationError(f"unknown section [{name}]", lineno)
-            current = name
-            if rest:
-                sections[current].append((lineno, rest))
-            continue
+            current, line = m.group(1), m.group(2).strip()
+            if current not in known:
+                raise PresentationError(f"unknown section [{current}]", lineno)
+            if current in sections:
+                raise PresentationError(f"duplicate section [{current}]", lineno)
+            sections[current] = []
+            if not line:
+                continue
         if current is None:
             raise PresentationError(f"content before any section: {line!r}", lineno)
         sections[current].append((lineno, line))
+    return sections
 
+
+def parse_presentation(text: str) -> AlgebraPresentation:
+    """Parse an .alg file; raises PresentationError with a line number."""
+    sections = {name: [] for name in _SECTIONS} | _read_sections(text, _SECTIONS)
     meta, linenos = _parse_keyvals(sections["algebra"], "algebra")
     name = meta.get("name")
     if not name:
@@ -219,7 +242,8 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     grades = _parse_grades(meta, linenos, names, gens, star)
     kind, table = _parse_braiding(sections["braiding"], names, gens)
     rules = _parse_rules(sections["relations"], names, gens)
-    cocycle = _parse_cocycle(sections["cocycle"], names, rules)
+    cocycle = tuple((left, right, val) for (left, right), val in _parse_table(
+        sections["cocycle"], "m | n", names, rules, "cocycle").items())
     antipode = _parse_antipode(sections["antipode"], names, gens, star)
 
     return AlgebraPresentation(
@@ -229,35 +253,55 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     )
 
 
+def parse_psi(text: str, pres: AlgebraPresentation) -> dict:
+    """Parse a .psi support table, one [psi] section of 'word = scalar'
+    lines, as a dict from each word to its Scalar."""
+    sections = _read_sections(text, ("psi",))
+    if "psi" not in sections:
+        raise PresentationError("missing [psi] section")
+    names = {g: k for k, g in enumerate(pres.generators)}
+    table = _parse_table(sections["psi"], "word", names, pres.rules, "psi")
+    return {word: val for (word,), val in table.items()}
+
+
 def _parse_keyvals(lines, section):
-    """The key = value lines of a section as two dicts from each key: to its
-    value, and to its line number."""
+    """The key = value lines of a section as two dicts from each key, with
+    its whitespace collapsed: to its value, and to its line number."""
     out, linenos = {}, {}
     for lineno, line in lines:
-        if "=" not in line:
+        key, eq, val = line.partition("=")
+        if not eq:
             raise PresentationError(f"expected 'key = value' in [{section}]", lineno)
-        key, val = (s.strip() for s in line.split("=", 1))
+        key = " ".join(key.split())
         if key in out:
             raise PresentationError(f"duplicate key {key!r} in [{section}]", lineno)
-        out[key] = val
+        out[key] = val.strip()
         linenos[key] = lineno
     return out, linenos
 
 
-def _parse_involution(meta, linenos, names, gens):
-    spec = meta.get("involution")
+def _parse_gen_map(meta, linenos, key, names, entry):
+    """The 'g:v' entries of the [algebra] key as (index of g, v) pairs, and
+    the key's line number."""
+    spec = meta.get(key)
     if spec is None:
-        raise PresentationError("missing 'involution' in [algebra]")
-    lineno = linenos.get("involution")
+        raise PresentationError(f"missing {key!r} in [algebra]")
+    lineno = linenos[key]
+    pairs = []
+    for item in spec.split():
+        sym, colon, val = item.partition(":")
+        if not colon:
+            raise PresentationError(f"malformed {entry} {item!r}", lineno)
+        pairs.append((_gen(names, sym, lineno), val))
+    return pairs, lineno
+
+
+def _parse_involution(meta, linenos, names, gens):
+    pairs, lineno = _parse_gen_map(meta, linenos, "involution", names,
+                                   "involution pair")
     star = [None] * len(gens)
-    for pair in spec.split():
-        if ":" not in pair:
-            raise PresentationError(f"malformed involution pair {pair!r}", lineno)
-        a, b = pair.split(":", 1)
-        for sym in (a, b):
-            if sym not in names:
-                raise PresentationError(f"unknown generator {sym!r}", lineno)
-        ia, ib = names[a], names[b]
+    for ia, b in pairs:
+        ib = _gen(names, b, lineno)
         for i, j in ((ia, ib), (ib, ia)):
             if star[i] is not None and star[i] != j:
                 raise PresentationError(
@@ -270,24 +314,17 @@ def _parse_involution(meta, linenos, names, gens):
 
 
 def _parse_grades(meta, linenos, names, gens, star):
-    spec = meta.get("grade")
-    if spec is None:
-        raise PresentationError("missing 'grade' in [algebra]")
-    lineno = linenos.get("grade")
+    pairs, lineno = _parse_gen_map(meta, linenos, "grade", names,
+                                   "grade entry")
     grades = [None] * len(gens)
-    for pair in spec.split():
-        if ":" not in pair:
-            raise PresentationError(f"malformed grade entry {pair!r}", lineno)
-        sym, val = pair.split(":", 1)
-        if sym not in names:
-            raise PresentationError(f"unknown generator {sym!r}", lineno)
+    for k, val in pairs:
         try:
             g = int(val)
         except ValueError:
             raise PresentationError(f"malformed grade {val!r}", lineno) from None
         if g < 0:
             raise PresentationError("grades must be nonnegative", lineno)
-        grades[names[sym]] = g
+        grades[k] = g
     for k, g in enumerate(gens):
         if grades[k] is None:
             raise PresentationError(f"generator {g!r} missing from grade map", lineno)
@@ -300,50 +337,37 @@ def _parse_grades(meta, linenos, names, gens, star):
 def _parse_braiding(lines, names, gens):
     if not lines:
         raise PresentationError("missing [braiding] section")
-    kind = None
+    vals, linenos = _parse_keyvals(lines, "braiding")
+    kind = vals.pop("kind", None)
+    if kind is None:
+        raise PresentationError("missing 'kind' in [braiding]")
+    if kind not in ("graded-sign", "diagonal"):
+        raise PresentationError(f"unknown braiding kind {kind!r}", linenos["kind"])
     entries = {}
-    for lineno, line in lines:
-        if "=" not in line:
-            raise PresentationError("expected 'key = value' in [braiding]", lineno)
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key == "kind":
-            if val not in ("graded-sign", "diagonal"):
-                raise PresentationError(f"unknown braiding kind {val!r}", lineno)
-            kind = val
-            continue
+    for key, val in vals.items():
+        lineno = linenos[key]
         pair = key.split()
         if len(pair) != 2:
             raise PresentationError(
                 f"diagonal braiding entries look like 'g h = scalar', got {key!r}",
                 lineno)
-        for sym in pair:
-            if sym not in names:
-                raise PresentationError(f"unknown generator {sym!r}", lineno)
-        try:
-            c = Scalar.parse(val)
-        except ValueError as exc:
-            raise PresentationError(str(exc), lineno) from None
-        if not c:
+        g, h = (_gen(names, sym, lineno) for sym in pair)
+        entries[g, h] = parse_scalar(val, lineno)
+        if not entries[g, h]:
             raise PresentationError(
                 "diagonal braiding coefficients must be nonzero", lineno)
-        entries[(names[pair[0]], names[pair[1]])] = c
-    if kind is None:
-        raise PresentationError("missing 'kind' in [braiding]")
     if kind == "graded-sign":
         if entries:
-            raise PresentationError("graded-sign braiding takes no table entries")
+            raise PresentationError("graded-sign braiding takes no table entries",
+                                    linenos[next(iter(vals))])
         return kind, None
-    n = len(gens)
-    table = []
-    for g in range(n):
-        row = []
-        for h in range(n):
-            if (g, h) not in entries:
-                raise PresentationError(
-                    f"missing diagonal braiding entry for {gens[g]} {gens[h]}")
-            row.append(entries[(g, h)])
-        table.append(tuple(row))
-    return kind, tuple(table)
+    n = range(len(gens))
+    for g, h in product(n, n):
+        if (g, h) not in entries:
+            raise PresentationError(
+                f"missing diagonal braiding entry for {gens[g]} {gens[h]}",
+                linenos["kind"])
+    return kind, tuple(tuple(entries[g, h] for h in n) for g in n)
 
 
 def _parse_rules(lines, names, gens):
@@ -383,49 +407,37 @@ def _parse_rules(lines, names, gens):
     return tuple(rules)
 
 
-def _word_is_normal(w: Word, rule_lhs: set) -> bool:
-    return all((w[k], w[k + 1]) not in rule_lhs for k in range(len(w) - 1))
-
-
-def _parse_cocycle(lines, names, rules):
+def _parse_table(lines, shape, names, rules, section):
+    """The 'key = scalar' lines of a [cocycle] or [psi] section as a dict
+    from each key to its Scalar.  A key is one word per '|'-separated part
+    of shape, and each word is a non-unit monomial in normal form."""
     lhs_set = {r.lhs for r in rules}
-    table = []
-    seen = set()
+    table = {}
     for lineno, line in lines:
-        if "=" not in line or "|" not in line.split("=", 1)[0]:
-            raise PresentationError("cocycle entries look like 'm | n = scalar'", lineno)
-        key_text, val_text = (s.strip() for s in line.split("=", 1))
-        left_text, right_text = (s.strip() for s in key_text.split("|", 1))
-        left = _parse_word(left_text, names, lineno)
-        right = _parse_word(right_text, names, lineno)
-        if not left or not right:
-            raise PresentationError("cocycle keys must not involve the unit", lineno)
-        for w in (left, right):
-            if not _word_is_normal(w, lhs_set):
-                raise PresentationError("cocycle keys must be normal-form monomials",
-                                        lineno)
-        if (left, right) in seen:
-            raise PresentationError("duplicate cocycle key", lineno)
-        seen.add((left, right))
-        try:
-            val = Scalar.parse(val_text)
-        except ValueError as exc:
-            raise PresentationError(str(exc), lineno) from None
-        table.append((left, right, val))
-    return tuple(table)
+        key_text, eq, val = line.partition("=")
+        parts = key_text.split("|")
+        if not eq or len(parts) != shape.count("|") + 1:
+            raise PresentationError(
+                f"expected '{shape} = scalar' in [{section}]", lineno)
+        key = tuple(_parse_word(part, names, lineno) for part in parts)
+        if not all(key):
+            raise PresentationError(
+                f"{section} keys must not involve the unit", lineno)
+        if any((w[k], w[k + 1]) in lhs_set
+               for w in key for k in range(len(w) - 1)):
+            raise PresentationError(
+                f"{section} keys must be normal-form monomials", lineno)
+        if key in table:
+            raise PresentationError(f"duplicate {section} key", lineno)
+        table[key] = parse_scalar(val.strip(), lineno)
+    return table
 
 
 def _parse_antipode(lines, names, gens, star):
-    given = {}
-    for lineno, line in lines:
-        if "=" not in line:
-            raise PresentationError("antipode entries look like 'g = element'", lineno)
-        sym, val = (s.strip() for s in line.split("=", 1))
-        if sym not in names:
-            raise PresentationError(f"unknown generator {sym!r}", lineno)
-        if names[sym] in given:
-            raise PresentationError(f"duplicate antipode entry for {sym!r}", lineno)
-        given[names[sym]] = parse_element_terms(val, names, lineno)
+    vals, linenos = _parse_keyvals(lines, "antipode")
+    given = {_gen(names, sym, linenos[sym]):
+             parse_element_terms(val, names, linenos[sym])
+             for sym, val in vals.items()}
 
     def star_element(terms):
         # (sum c_w w)* with letters starred and words reversed

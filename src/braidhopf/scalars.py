@@ -11,15 +11,16 @@ d > 0.  The form is unique, so equal values have equal triples, and the
 functions _add, _mul and _inv keep every result canonical.  A TPoly holds
 the triples of its coefficients; Scalar objects are built only where a
 caller asks for one.
+
+The module is arithmetic and its printing.  Scalar values are read by
+presentation.parse_scalar, the element grammar without generators; only
+parse_rational, which reads the real sample points of t, is here.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, gcd
-
-_ONE_F = Fraction(1)
 
 
 def signed_sum(bodies) -> str:
@@ -121,18 +122,6 @@ def _hash(x):
 
 
 _new = object.__new__
-
-_PATTERN = re.compile(
-    r"""^
-    (?P<re>[+-]?\d+(?:/\d+)?)?
-    (?:
-        (?P<sep>[+-])?
-        (?P<im>\d+(?:/\d+)?)?
-        i
-    )?
-    $""",
-    re.X,
-)
 
 
 class Scalar:
@@ -246,30 +235,6 @@ class Scalar:
             bodies.append("i" if im_part == 1 else "-i" if im_part == -1
                           else f"{im_part} i")
         return signed_sum(bodies)
-
-    @classmethod
-    def parse(cls, text: str) -> Scalar:
-        """Parse 'a/b', 'a/b + c/d i', 'c/d i', 'i', '-i' (whitespace-insensitive).
-        Malformed text, a zero denominator included, raises ValueError."""
-        squeezed = re.sub(r"\s+", "", text)
-        m = _PATTERN.match(squeezed)
-        if not m or not squeezed or squeezed in "+-":
-            raise ValueError(f"malformed scalar {text!r}")
-        re_part, sep, im_part = m.group("re"), m.group("sep"), m.group("im")
-        has_i = squeezed.endswith("i")
-        if not has_i:
-            if re_part is None:
-                raise ValueError(f"malformed scalar {text!r}")
-            return cls(parse_rational(re_part))
-        if re_part is not None and sep is None:
-            # '3/4i' means (3/4)i, not 3/4 + i; composite forms need a sign.
-            if im_part is not None:
-                raise ValueError(f"malformed scalar {text!r}")
-            return cls(0, parse_rational(re_part))
-        im = parse_rational(im_part) if im_part is not None else _ONE_F
-        if sep == "-":
-            im = -im
-        return cls(parse_rational(re_part) if re_part is not None else 0, im)
 
 
 _set_abd = Scalar.__dict__["abd"].__set__

@@ -12,7 +12,6 @@ the evaluator for the diagonal-braiding obstruction.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,8 +24,7 @@ from .braidtensor import (braid_at, braided_product, comul, comul_word,
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      conv_power, conv_sesqui, convolve_fn, psi_functional,
                      sesquilinearize)
-from .presentation import (AlgebraPresentation, PresentationError, Report,
-                           Rule, _parse_word, _word_is_normal,
+from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
                       T_ZERO, as_scalar)
@@ -635,7 +633,8 @@ def _psd(m):
 
 
 class SchoenbergError(ValueError):
-    """A hypothesis on psi failed; carries which one."""
+    """A hypothesis of the positivity checker failed, on psi, on L or on
+    the relations; carries which one."""
 
     def __init__(self, message: str, hypothesis: str):
         super().__init__(message)
@@ -655,46 +654,16 @@ class SchoenbergResult:
         return [self.conditional] + list(self.states)
 
 
-def parse_psi(text: str, pres: AlgebraPresentation) -> dict:
-    """Support table file: a [psi] header and 'word = scalar' lines."""
-    names = {g: k for k, g in enumerate(pres.generators)}
-    lhs_set = {r.lhs for r in pres.rules}
-    table = {}
-    seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.match(r"^\[([a-z-]+)\]\s*(.*)$", line)
-        if m:
-            if m.group(1) != "psi" or seen_header:
-                raise PresentationError(
-                    f"expected a single [psi] section, got [{m.group(1)}]",
-                    lineno)
-            seen_header = True
-            line = m.group(2).strip()
-            if not line:
-                continue
-        if not seen_header:
-            raise PresentationError("content before [psi]", lineno)
-        if "=" not in line:
-            raise PresentationError("expected 'word = scalar'", lineno)
-        key_text, val_text = (s.strip() for s in line.split("=", 1))
-        word = _parse_word(key_text, names, lineno)
-        if not word:
-            raise PresentationError("psi keys must not be the unit", lineno)
-        if not _word_is_normal(word, lhs_set):
-            raise PresentationError(
-                "psi keys must be normal-form monomials", lineno)
-        if word in table:
-            raise PresentationError("duplicate psi key", lineno)
-        try:
-            table[word] = Scalar.parse(val_text)
-        except ValueError as exc:
-            raise PresentationError(str(exc), lineno) from None
-    if not seen_header:
-        raise PresentationError("missing [psi] section")
-    return table
+def require_confluence(alg: Algebra) -> None:
+    """Raise SchoenbergError, naming an overlap word and its two normal
+    forms, unless the relations of alg are confluent: on a non-confluent
+    rewrite system a product depends on the order of rewriting."""
+    report = check_confluence(alg)
+    if not report.ok():
+        w = report.witness
+        raise SchoenbergError(
+            f"relations are not confluent: {w['input']} rewrites to "
+            f"{w['lhs']} and to {w['rhs']}", "confluence")
 
 
 def _gram(form: Functional, labels) -> list:
@@ -724,14 +693,15 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
     matrix G(t) is built once in Q(i)[t] and evaluated at every sample.
 
     psi is a support table, word -> scalar, or None for the zero
-    functional.  The three hypotheses on psi are verified first and raise
-    SchoenbergError when violated.
+    functional.  The relations must be confluent, and the three hypotheses
+    on psi are verified first; a violation raises SchoenbergError.
     """
     if not t_samples:
         raise ValueError("no t sample points given")
     if max_degree < 1:
         raise ValueError(f"max degree must be positive, got {max_degree}")
     alg = Algebra(pres)
+    require_confluence(alg)
     psi = psi_functional(alg, psi or {})
     basis = alg.basis(max_degree)
 

@@ -82,18 +82,44 @@ def test_verify_reports_inconsistent_rules_with_a_composite_coefficient(
                    "lhs: a b + i a b; rhs: a b\n")
 
 
+# c (b a) and (c b) a both reduce to a multiple of a
+COEFF = ("[algebra]\nname = coeff\ngenerators = a b c\n"
+         "involution = a:a b:b c:c\ngrade = a:1 b:1 c:1\n\n"
+         "[braiding]\nkind = graded-sign\n\n"
+         "[relations]\nb a = - a a\nc a = 2\nc b = 3 a c\n")
+
+
 def test_verify_reports_forms_that_first_differ_in_a_coefficient(
         capsys, tmp_path):
-    # c (b a) and (c b) a both reduce to a multiple of a
     path = tmp_path / "coeff.alg"
-    path.write_text("[algebra]\nname = coeff\ngenerators = a b c\n"
-                    "involution = a:a b:b c:c\ngrade = a:1 b:1 c:1\n\n"
-                    "[braiding]\nkind = graded-sign\n\n"
-                    "[relations]\nb a = - a a\nc a = 2\nc b = 3 a c\n")
+    path.write_text(COEFF)
     rc, out, err = run(capsys, "verify", str(path), "--checks", "confluence")
     assert (rc, err) == (1, "")
     assert out == ("[FAIL] confluence (degree 3) -- input: c b a; "
                    "lhs: - 2 a; rhs: 6 a\n")
+
+
+def test_only_verify_runs_on_non_confluent_relations(capsys, tmp_path):
+    # a product would depend on the order of rewriting, c (b a) giving
+    # - 2 a and (c b) a giving 6 a: verify reports it and skips every check
+    # downstream, eval and schoenberg refuse the input
+    path = tmp_path / "coeff.alg"
+    path.write_text(COEFF)
+    rc, out, err = run(capsys, "verify", str(path), "--max-degree", "2")
+    lines = out.splitlines()
+    assert (rc, err, len(lines)) == (1, "", 45)
+    assert lines[0] == ("[FAIL] confluence (degree 3) -- input: c b a; "
+                        "lhs: - 2 a; rhs: 6 a")
+    assert all(line.startswith("[skip] ")
+               and line.endswith(" -- reason: requires confluence")
+               for line in lines[1:])
+    refusal = (2, "", "error: relations are not confluent: c b a rewrites "
+                      "to - 2 a and to 6 a\n")
+    for argv in (("eval", "--op", "mul", "--lhs", "c", "--rhs", "b a"),
+                 ("eval", "--op", "mul", "--lhs", "c b", "--rhs", "a"),
+                 ("eval", "--op", "comul", "--lhs", "a"),
+                 ("schoenberg", "--max-degree", "2")):
+        assert run(capsys, argv[0], str(path), *argv[1:]) == refusal
 
 
 def test_verify_json_matches_golden(capsys):
@@ -438,6 +464,35 @@ def test_zero_denominator_in_a_psi_table(capsys, tmp_path):
 
 def test_zero_denominator_in_q(capsys):
     _one_error_line(*run(capsys, "qnogo", "--q", "1/0"))
+
+
+# -- one grammar for every scalar ------------------------------------------
+
+
+@pytest.mark.parametrize("name, line, edit", (
+    ("q2.alg", 13, ("x x = 2", "x x = 2 3")),
+    ("car.alg", 17, ("xs | x = 1", "xs | x = 1 2")),
+), ids=["braiding", "cocycle"])
+def test_juxtaposed_numbers_are_not_one_scalar(capsys, tmp_path, name, line,
+                                               edit):
+    # the digits of "2 3" are two numbers, not the number 23
+    path = tmp_path / name
+    path.write_text(fixture_path(name).read_text().replace(*edit, 1))
+    value = edit[1].split("= ")[1]
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: line {line}: malformed scalar '{value}'\n")
+
+
+def test_juxtaposed_numbers_in_a_psi_table(capsys, tmp_path):
+    path = tmp_path / "bad.psi"
+    path.write_text("[psi]\nx xs = 1 2\n")
+    assert run(capsys, "schoenberg", alg("car.alg"), "--psi", str(path)) == (
+        2, "", "error: line 2: malformed scalar '1 2'\n")
+
+
+def test_juxtaposed_numbers_in_q(capsys):
+    assert run(capsys, "qnogo", "--q", "1 0") == (
+        2, "", "error: malformed scalar '1 0'\n")
 
 
 # -- option values that start with a dash ----------------------------------

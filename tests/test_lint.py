@@ -1,7 +1,8 @@
 """Every imported name is used somewhere in its module, no function imports
 from a module its file already imports at module level, every private
-module-level function of the package is named somewhere in its module, and
-every name the package exports is bound by it and exported once.
+module-level function of the package is named somewhere in its module, no
+package module imports another module's private name, and every name the
+package exports is bound by it and exported once.
 
 No linter is a dependency of the project, so this walks the syntax tree of
 every module under src/ and tests/ with the standard library's ast.
@@ -133,6 +134,35 @@ def test_no_module_imports_a_name_it_never_uses():
              for top in ("src", "tests")
              for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text("utf-8"))]
+    assert found == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) for each name with a single leading underscore that an
+    import takes from another module, at any depth of the module."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.startswith("__"))
+
+
+def test_private_imports_are_found():
+    src = ("from __future__ import annotations\n"
+           "from .a import b, _c\n"
+           "from .d import (e,\n"
+           "                _f as g)\n"
+           "from . import __version__\n"
+           "def h():\n"
+           "    from .i import _j\n")
+    assert private_imports(src) == [(2, "_c"), (3, "_f"), (7, "_j")]
+
+
+def test_no_package_module_imports_a_private_name():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "braidhopf").glob("*.py"))
+             for line, name in private_imports(path.read_text("utf-8"))]
     assert found == []
 
 

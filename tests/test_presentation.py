@@ -194,6 +194,40 @@ def test_parse_unknown_section():
         parse_presentation(BASE.format(rule="xs x = - x xs") + "\n[bogus]\n")
 
 
+ONE_GENERATOR = """\
+[algebra]
+name = one
+generators = x
+involution = x:x
+grade = x:0
+
+[braiding]
+{braiding}
+"""
+
+
+@pytest.mark.parametrize("braiding, message", (
+    ("kind = diagonal\nkind = diagonal\nx x = 2",
+     "line 9: duplicate key 'kind' in [braiding]"),
+    ("kind = diagonal\nx x = 2\nx  x = 3",
+     "line 10: duplicate key 'x x' in [braiding]"),
+    ("kind = diagonal", "line 8: missing diagonal braiding entry for x x"),
+    ("kind = graded-sign\nx x = -1",
+     "line 9: graded-sign braiding takes no table entries"),
+), ids=["kind", "entry", "missing", "graded-sign"])
+def test_braiding_section_errors_carry_their_line(braiding, message):
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(ONE_GENERATOR.format(braiding=braiding))
+    assert str(exc.value) == message
+
+
+def test_a_repeated_section_is_refused():
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(BASE.format(rule="xs x = - x xs")
+                           + "[relations]\nxs x = - x xs\n")
+    assert str(exc.value) == "line 12: duplicate section [relations]"
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(PresentationError) as exc:
         parse_presentation(BASE.format(rule="xs y = x xs"))

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from braidhopf.presentation import PresentationError, parse_scalar
 from braidhopf.scalars import (Scalar, TPoly, S_I, S_ONE, S_ZERO, T_ONE,
                                T_T, T_ZERO, as_scalar, as_tpoly,
                                parse_rational)
@@ -46,18 +47,21 @@ def test_scalar_i_squared():
 
 @given(scalars)
 def test_scalar_parse_str_round_trip(a):
-    assert Scalar.parse(str(a)) == a
+    assert parse_scalar(str(a)) == a
 
 
 def test_scalar_parse_forms():
-    assert Scalar.parse("-3/4 + 2 i") == Scalar(Fraction(-3, 4), 2)
-    assert Scalar.parse("i") == S_I
-    assert Scalar.parse("-i") == Scalar(0, -1)
-    assert Scalar.parse("5") == Scalar(5)
-    with pytest.raises(ValueError):
-        Scalar.parse("x")
-    with pytest.raises(ValueError):
-        Scalar.parse("")
+    assert parse_scalar("-3/4 + 2 i") == Scalar(Fraction(-3, 4), 2)
+    assert parse_scalar("i") == S_I
+    assert parse_scalar("-i") == Scalar(0, -1)
+    assert parse_scalar("5") == Scalar(5)
+    # a scalar is an element expression without generators
+    assert parse_scalar("1 + 2") == Scalar(3)
+    assert parse_scalar("- - 1") == S_ONE
+    for text in ("x", "", "2 3", "1 / 2", "1/0"):
+        with pytest.raises(PresentationError) as exc:
+            parse_scalar(text, 4)
+        assert str(exc.value) == f"line 4: malformed scalar {text!r}"
 
 
 def test_parse_rational():
@@ -248,7 +252,7 @@ def test_scalar_kernel_matches_fraction_pair_oracle(p, q):
     assert (x == y) == (rx == ry)
     assert (x == x * S_ONE) and (x + y == y + x)
     assert str(x) == str(rx)
-    assert Scalar.parse(str(x)) == x
+    assert parse_scalar(str(x)) == x
 
 
 @given(st.lists(_pairs, max_size=4), st.lists(_pairs, max_size=4), _pairs,

@@ -154,14 +154,14 @@ def test_parse_psi_scalar_forms():
 
 
 @pytest.mark.parametrize("text,fragment", (
-    ("x = 1", "before [psi]"),
+    ("x = 1", "content before any section"),
     ("[psi]\n = 1", "unit"),
     ("[psi]\nxs x = 1", "normal-form"),
     ("[psi]\nx = 1\nx = 2", "duplicate"),
     ("[psi]\ny = 1", "unknown generator"),
     ("[psi]\nx", "expected"),
-    ("[psi]\n[psi]", "single [psi]"),
-    ("[algebra]\nx = 1", "single [psi]"),
+    ("[psi]\n[psi]", "duplicate section [psi]"),
+    ("[algebra]\nx = 1", "unknown section [algebra]"),
     ("[psi]\nx = oops", "oops"),
     ("", "missing"),
 ))
