@@ -7,9 +7,9 @@ deformation parameter t; no floating point anywhere.
 
 from .scalars import Scalar, TPoly
 from .presentation import (AlgebraPresentation, PresentationError, Report,
-                           parse_presentation, parse_psi, pretty_print)
+                           parse_presentation, parse_psi)
 from .algebra import Algebra, Tensor, tensor_product
-from .braidtensor import braid_at, braided_product, comul, counit, lambda_n
+from .braidtensor import braid_at, braided_product, comul, counit
 from .deform import (Deformation, Functional, cocycle_defect,
                      cocycle_functional, conv_exp, convolve_fn,
                      psi_functional, sesquilinearize, table_functional)
@@ -41,10 +41,8 @@ __all__ = [
     "convolve_fn",
     "counit",
     "fixture_path",
-    "lambda_n",
     "parse_presentation",
     "parse_psi",
-    "pretty_print",
     "psd_exact",
     "psi_functional",
     "q_presentation",

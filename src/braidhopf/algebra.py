@@ -103,9 +103,6 @@ class Tensor:
     def coefficient(self, key) -> TPoly:
         return self.terms.get(key, T_ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if isinstance(other, Tensor):
             return self.rank == other.rank and self.terms == other.terms

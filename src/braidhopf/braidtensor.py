@@ -176,8 +176,3 @@ def lambda2_walk(alg: Algebra, key, lengths, right):
                 if r:
                     yield a1, b1, a2, b2, ca * cb * coeff((a2, b1)) * r
 
-
-def lambda_n(alg: Algebra, u: Tensor) -> Tensor:
-    """Comultiplication on the rank-n tensor power, linear extension."""
-    return slot_map(u, 0, u.rank, lambda *key: lambda_n_key(alg, key),
-                    2 * u.rank)

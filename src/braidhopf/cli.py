@@ -11,7 +11,6 @@ from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import braided_product, comul
 from .deform import Deformation, conv_exp
 from .presentation import parse_presentation, parse_psi, parse_scalar
-from .scalars import parse_rational
 from .verify import (q_presentation, qnogo_eval, require_confluence,
                      run_catalog, schoenberg_check)
 
@@ -26,6 +25,15 @@ _UNARY_OPS = ("comul", "antipode", "s_t", "sigma")
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_presentation(fh.read())
+
+
+def _t_value(text: str):
+    """A value of t: a real scalar in the parse_scalar grammar, as a
+    Fraction."""
+    t = parse_scalar(text)
+    if t.im:
+        raise ValueError(f"t must be real, got {text!r}")
+    return t.re
 
 
 def _print_reports(reports, fmt: str):
@@ -67,7 +75,7 @@ def cmd_eval(args) -> int:
     if args.op == "mul":
         out = braided_product(alg, lhs, rhs)
     elif args.op == "mu_t":
-        out = defm.mu_t(lhs, rhs)
+        out = defm.mu_t(tensor_product(lhs, rhs))
     elif args.op == "expL":
         out = conv_exp(defm.L, tensor_product(lhs, rhs))
     elif args.op == "comul":
@@ -80,7 +88,7 @@ def cmd_eval(args) -> int:
         out = defm.sigma(lhs)
 
     if args.t is not None:
-        t0 = parse_rational(args.t)
+        t0 = _t_value(args.t)
         out = out.substitute(t0) if isinstance(out, Tensor) else out.eval(t0)
     print(alg.format(out) if isinstance(out, Tensor) else str(out))
     return EXIT_OK
@@ -92,7 +100,7 @@ def cmd_schoenberg(args) -> int:
     if args.psi is not None:
         with open(args.psi, "r", encoding="utf-8") as fh:
             psi = parse_psi(fh.read(), pres)
-    t_samples = [parse_rational(s) for s in args.t.split(",") if s.strip()]
+    t_samples = [_t_value(s) for s in args.t.split(",") if s.strip()]
     result = schoenberg_check(pres, psi, args.max_degree, t_samples)
     if args.format == "json":
         print(json.dumps({
@@ -109,7 +117,7 @@ def cmd_schoenberg(args) -> int:
 
 def cmd_qnogo(args) -> int:
     q = parse_scalar(args.q)
-    t0 = parse_rational(args.t)
+    t0 = _t_value(args.t)
     lhs, rhs = qnogo_eval(q)
     equal = lhs == rhs
     lhs, rhs = lhs.substitute(t0), rhs.substitute(t0)
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--op", required=True, choices=_BINARY_OPS + _UNARY_OPS)
     e.add_argument("--lhs", required=True, help="element expression")
     e.add_argument("--rhs", help="second element (binary ops)")
-    e.add_argument("--t", help="substitute a rational for t")
+    e.add_argument("--t", help="substitute a real scalar for t")
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("schoenberg",
@@ -153,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--psi", help="support table file (.psi); default zero")
     s.add_argument("--max-degree", type=int, default=4)
     s.add_argument("--t", default="0,1/2,1,2",
-                   help="comma-separated rational sample points")
+                   help="comma-separated real sample points")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_schoenberg)
 
     n = sub.add_parser("qnogo",
                        help="both sides of the diagonal-braiding obstruction")
     n.add_argument("--q", required=True, help="nonzero scalar")
-    n.add_argument("--t", default="1", help="rational value for t")
+    n.add_argument("--t", default="1", help="real value for t")
     n.add_argument("--format", choices=("text", "json"), default="text")
     n.set_defaults(func=cmd_qnogo)
     return p

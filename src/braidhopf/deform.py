@@ -6,7 +6,8 @@ algebra through
     mu_t = (mul (x) e*^{tL}) . Lambda_2,
 
 with t kept as a formal polynomial variable throughout.  The module also
-builds sigma = L . (S (x) id) . comul, the deformed antipode
+builds sigma = L . (S (x) id) . comul, an arity-1 Functional that computes
+and memoizes its value on each word itself, the deformed antipode
 S_t = S * e*^{-t sigma}, and the sesquilinear forms used by the
 positivity checks (arity-2 functionals keyed on word pairs).  Everything
 evaluates to exact TPoly values; the convolution exponential truncates by
@@ -33,8 +34,7 @@ from fractions import Fraction
 from math import factorial
 from operator import add
 
-from .algebra import (Algebra, Tensor, memoized, scalar_map, slot_map,
-                      tensor_product)
+from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_word, lambda2_walk, lambda_n_key
 from .scalars import Scalar, TPoly, T_ZERO, as_tpoly
 
@@ -208,7 +208,8 @@ class Deformation:
         # lengths where L's support bounds its powers
         S = self.L.support
         self.sigma = Functional(
-            alg, 1, lambda key: self.sigma_word(key[0]),
+            alg, 1, lambda key: self.L(slot_map(
+                comul_word(alg, key[0]), 0, 1, alg.antipode_word, 1)),
             support=None if S is None else frozenset((p + q,) for p, q in S))
 
     # -- the deformed product ---------------------------------------------
@@ -230,23 +231,14 @@ class Deformation:
                 out.add_term((pw,), pc * v)
         return out
 
-    def mu_t(self, u: Tensor, v: Tensor | None = None,
-             time_sign: int = 1) -> Tensor:
-        """mu_t (or mu_{-t}) of a rank-2 tensor, or of a pair of elements."""
-        if v is not None:
-            u = tensor_product(u, v)
+    def mu_t(self, u: Tensor, time_sign: int = 1) -> Tensor:
+        """mu_t (or mu_{-t}) of a rank-2 tensor."""
         if u.rank != 2:
             raise ValueError("mu_t consumes rank-2 tensors")
         return slot_map(u, 0, 2, _at_time(
             lambda a, b: self.mu_t_key((a, b)), time_sign), 1)
 
-    # -- sigma and the deformed antipode ----------------------------------
-
-    @memoized
-    def sigma_word(self, w) -> TPoly:
-        """sigma = L . (S (x) id) . comul on a basis word."""
-        return self.L(slot_map(comul_word(self.alg, w), 0, 1,
-                               self.alg.antipode_word, 1))
+    # -- the deformed antipode ---------------------------------------------
 
     def ft_key(self, w, time_sign: int = 1) -> TPoly:
         """F_t = e*^{t sigma} on a basis word."""

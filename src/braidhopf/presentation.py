@@ -318,13 +318,9 @@ def _parse_grades(meta, linenos, names, gens, star):
                                    "grade entry")
     grades = [None] * len(gens)
     for k, val in pairs:
-        try:
-            g = int(val)
-        except ValueError:
-            raise PresentationError(f"malformed grade {val!r}", lineno) from None
-        if g < 0:
-            raise PresentationError("grades must be nonnegative", lineno)
-        grades[k] = g
+        if not (val.isascii() and val.isdigit()):
+            raise PresentationError(f"malformed grade {val!r}", lineno)
+        grades[k] = int(val)
     for k, g in enumerate(gens):
         if grades[k] is None:
             raise PresentationError(f"generator {g!r} missing from grade map", lineno)
@@ -461,7 +457,7 @@ def _parse_antipode(lines, names, gens, star):
 
 
 # ---------------------------------------------------------------------------
-# pretty-printing (canonical form; parse . pretty_print is the identity)
+# printing element terms in the syntax parse_element_terms reads
 
 
 def format_element_terms(terms, pres: AlgebraPresentation) -> str:
@@ -478,45 +474,6 @@ def format_element_terms(terms, pres: AlgebraPresentation) -> str:
             body = " ".join(x for x in (coeff, unit, word) if x)
             bodies.append(f"- {body}" if v < 0 else body)
     return signed_sum(bodies)
-
-
-def pretty_print(pres: AlgebraPresentation) -> str:
-    lines = ["[algebra]"]
-    lines.append(f"name = {pres.name}")
-    lines.append("generators = " + " ".join(pres.generators))
-    done = set()
-    pairs = []
-    for k, s in enumerate(pres.star):
-        if k in done:
-            continue
-        pairs.append(f"{pres.generators[k]}:{pres.generators[s]}")
-        done.update((k, s))
-    lines.append("involution = " + " ".join(pairs))
-    lines.append("grade = " + " ".join(
-        f"{g}:{d}" for g, d in zip(pres.generators, pres.grades)))
-    lines.append("")
-    lines.append("[braiding]")
-    lines.append(f"kind = {pres.braiding_kind}")
-    if pres.braiding_kind == "diagonal":
-        for g, row in enumerate(pres.braiding_table):
-            for h, c in enumerate(row):
-                lines.append(
-                    f"{pres.generators[g]} {pres.generators[h]} = {c}")
-    lines.append("")
-    lines.append("[relations]")
-    for rule in pres.rules:
-        lines.append(
-            f"{pres.word_str(rule.lhs)} = {format_element_terms(rule.rhs, pres)}")
-    lines.append("")
-    lines.append("[cocycle]")
-    for left, right, val in pres.cocycle:
-        lines.append(f"{pres.word_str(left)} | {pres.word_str(right)} = {val}")
-    lines.append("")
-    lines.append("[antipode]")
-    for k, terms in enumerate(pres.antipode):
-        lines.append(
-            f"{pres.generators[k]} = {format_element_terms(terms, pres)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

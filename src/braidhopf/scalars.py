@@ -13,8 +13,7 @@ the triples of its coefficients; Scalar objects are built only where a
 caller asks for one.
 
 The module is arithmetic and its printing.  Scalar values are read by
-presentation.parse_scalar, the element grammar without generators; only
-parse_rational, which reads the real sample points of t, is here.
+presentation.parse_scalar, the element grammar without generators.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ def signed_sum(bodies) -> str:
                 body = "+ " + body
         parts.append(body)
     return " ".join(parts) or "0"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' (optionally signed) into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
 
 
 # -- the int-triple kernel ---------------------------------------------------

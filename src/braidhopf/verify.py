@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from itertools import product
 
@@ -49,6 +48,18 @@ class VerifyContext:
         self.defm = Deformation(self.alg)
         self.L = self.defm.L
         self.basis = self.alg.basis(max_degree)
+        # the sesquilinear form L~, and the form pairs ((F * K)~, F~ (*) K~)
+        # for (F, K) = (delta.mul, L) and (L, delta.mul)
+        self.L_form = sesquilinearize(self.L)
+        delta_mul = Functional(
+            self.alg, 2,
+            lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)))
+        dm_form = sesquilinearize(delta_mul)
+        self.sesqui_conv_sides = (
+            (sesquilinearize(convolve_fn(delta_mul, self.L)),
+             conv_sesqui(dm_form, self.L_form)),
+            (sesquilinearize(convolve_fn(self.L, delta_mul)),
+             conv_sesqui(self.L_form, dm_form)))
 
     def comul(self, w) -> Tensor:
         return comul_word(self.alg, w)
@@ -61,28 +72,6 @@ class VerifyContext:
                "lhs": fmt(lhs), "rhs": fmt(rhs)}
         wit.update((k, str(v)) for k, v in (extras or {}).items())
         return Report(cid, "fail", self.max_degree, wit)
-
-    @cached_property
-    def delta_mul(self) -> Functional:
-        """The arity-2 functional delta . mul."""
-        return Functional(
-            self.alg, 2,
-            lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)))
-
-    @cached_property
-    def L_form(self) -> Functional:
-        """The sesquilinear form L~."""
-        return sesquilinearize(self.L)
-
-    @cached_property
-    def sesqui_conv_sides(self) -> tuple:
-        """The form pairs ((F * K)~, F~ (*) K~) for (F, K) = (delta.mul, L)
-        and (L, delta.mul)."""
-        dm, dm_form = self.delta_mul, sesquilinearize(self.delta_mul)
-        return ((sesquilinearize(convolve_fn(dm, self.L)),
-                 conv_sesqui(dm_form, self.L_form)),
-                (sesquilinearize(convolve_fn(self.L, dm)),
-                 conv_sesqui(self.L_form, dm_form)))
 
 
 # -- two-time laws: f(t + s) = g(t, s), decided in Q(i)[t][s] one power of s
@@ -359,8 +348,8 @@ def _delta_mu_t(ctx, a, b):
 @check("mu-t-assoc", _DEFORM, triples)
 def _mu_t_assoc(ctx, a, b, c):
     mu_t, mu_t_key = ctx.defm.mu_t, ctx.defm.mu_t_key
-    yield (mu_t(mu_t_key((a, b)), Tensor.basis((c,))),
-           mu_t(Tensor.basis((a,)), mu_t_key((b, c))))
+    yield (mu_t(tensor_product(mu_t_key((a, b)), Tensor.basis((c,)))),
+           mu_t(tensor_product(Tensor.basis((a,)), mu_t_key((b, c)))))
 
 
 @check("mu-t-assoc-eq3", _DEFORM, small_triples)
@@ -427,7 +416,7 @@ def _primitive_formula(ctx, a, b):
 
 @check("sigma-two-sided", _DEFORM, words)
 def _sigma_two_sided(ctx, w):
-    yield (ctx.defm.sigma_word(w),
+    yield (ctx.defm.sigma.on_key((w,)),
            ctx.L(slot_map(ctx.comul(w), 1, 1, ctx.alg.antipode_word, 1)))
 
 

@@ -229,7 +229,7 @@ def test_tensor_add_term_drops_zeros():
     t = Tensor(1)
     t.add_term(((0,),), T_ONE)
     t.add_term(((0,),), as_tpoly(-1))
-    assert t.is_zero()
+    assert not t.terms
 
 
 def test_tensor_substitute():

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 from braidhopf import Algebra, Scalar, Tensor, parse_presentation
 from braidhopf.algebra import slot_map
 from braidhopf.braidtensor import (braid_at, braided_product, comul_word,
-                                   counit, lambda_n, lambda_n_key,
-                                   star_tensor)
+                                   counit, lambda_n_key, star_tensor)
 from braidhopf.scalars import T_ONE, T_ZERO, as_tpoly
 from braidhopf.verify import fixture_path
 
@@ -251,6 +250,12 @@ def test_lambda_spot_value():
         ((0,), (1,), (), ()): Scalar(1),
     })
     assert got == want
+
+
+def lambda_n(alg, u):
+    """Lambda_n on a rank-n tensor: lambda_n_key extended linearly."""
+    return slot_map(u, 0, u.rank, lambda *key: lambda_n_key(alg, key),
+                    2 * u.rank)
 
 
 def test_lambda_n_linear_extension():

@@ -197,22 +197,30 @@ def test_verify_missing_file(capsys):
 # -- eval ------------------------------------------------------------------
 
 
+# the first entry of argv is the fixture; freec.alg's sigma and mu_t are
+# not linear in t
 @pytest.mark.parametrize("argv,want", (
-    (("--op", "mu_t", "--lhs", "xs", "--rhs", "x"), "- x xs + t"),
-    (("--op", "mu_t", "--lhs", "xs", "--rhs", "x", "--t", "1/2"),
+    (("car.alg", "--op", "mu_t", "--lhs", "xs", "--rhs", "x"), "- x xs + t"),
+    (("car.alg", "--op", "mu_t", "--lhs", "xs", "--rhs", "x", "--t", "1/2"),
      "- x xs + 1/2"),
-    (("--op", "mul", "--lhs", "x", "--rhs", "xs"), "x xs"),
-    (("--op", "expL", "--lhs", "xs", "--rhs", "x"), "t"),
-    (("--op", "comul", "--lhs", "x xs"),
+    (("car.alg", "--op", "mul", "--lhs", "x", "--rhs", "xs"), "x xs"),
+    (("car.alg", "--op", "expL", "--lhs", "xs", "--rhs", "x"), "t"),
+    (("car.alg", "--op", "comul", "--lhs", "x xs"),
      "1 (x) x xs + x (x) xs + x xs (x) 1 - xs (x) x"),
-    (("--op", "antipode", "--lhs", "x"), "- x"),
-    (("--op", "s_t", "--lhs", "x xs"), "x xs - t"),
-    (("--op", "s_t", "--lhs", "x xs", "--t", "2"), "x xs - 2"),
-    (("--op", "sigma", "--lhs", "x xs"), "1"),
-    (("--op", "sigma", "--lhs", "x"), "0"),
+    (("car.alg", "--op", "antipode", "--lhs", "x"), "- x"),
+    (("car.alg", "--op", "s_t", "--lhs", "x xs"), "x xs - t"),
+    (("car.alg", "--op", "s_t", "--lhs", "x xs", "--t", "2"), "x xs - 2"),
+    (("car.alg", "--op", "sigma", "--lhs", "x xs"), "1"),
+    (("car.alg", "--op", "sigma", "--lhs", "x"), "0"),
+    (("freec.alg", "--op", "mu_t", "--lhs", "x xs", "--rhs", "xs x"),
+     "x xs xs x + t x xs + t xs x + t^2"),
+    (("freec.alg", "--op", "sigma", "--lhs", "x xs"), "-2"),
+    (("freec.alg", "--op", "s_t", "--lhs", "x xs"), "xs x + 2 t"),
+    (("freec.alg", "--op", "expL", "--lhs", "x xs", "--rhs", "xs x"), "t^2"),
 ))
 def test_eval_spot_outputs(capsys, argv, want):
-    rc, out, _ = run(capsys, "eval", alg("car.alg"), *argv)
+    fixture, *options = argv
+    rc, out, _ = run(capsys, "eval", alg(fixture), *options)
     assert rc == 0
     assert out == want + "\n"
 
@@ -493,6 +501,44 @@ def test_juxtaposed_numbers_in_a_psi_table(capsys, tmp_path):
 def test_juxtaposed_numbers_in_q(capsys):
     assert run(capsys, "qnogo", "--q", "1 0") == (
         2, "", "error: malformed scalar '1 0'\n")
+
+
+MU_T = ("eval", alg("car.alg"), "--op", "mu_t", "--lhs", "xs", "--rhs", "x")
+
+
+def test_t_value_reads_as_a_real_scalar(capsys):
+    assert run(capsys, *MU_T, "--t", "-7/2") == (0, "- x xs - 7/2\n", "")
+    assert run(capsys, *MU_T, "--t", " 4 ") == (0, "- x xs + 4\n", "")
+    for text in ("1/0", "a"):
+        assert run(capsys, *MU_T, "--t", text) == (
+            2, "", f"error: malformed scalar {text!r}\n")
+
+
+@pytest.mark.parametrize("argv", (
+    MU_T,
+    ("schoenberg", alg("car.alg"), "--max-degree", "1"),
+    ("qnogo", "--q", "2"),
+), ids=["eval", "schoenberg", "qnogo"])
+@pytest.mark.parametrize("text", ("1_0", "2.5"))
+def test_t_value_outside_the_scalar_grammar_is_refused(capsys, argv, text):
+    # Python's Fraction syntax would read these as 10 and 5/2
+    assert run(capsys, *argv, "--t", text) == (
+        2, "", f"error: malformed scalar {text!r}\n")
+
+
+def test_imaginary_t_value_is_refused(capsys):
+    assert run(capsys, *MU_T, "--t", "i") == (
+        2, "", "error: t must be real, got 'i'\n")
+
+
+@pytest.mark.parametrize("grade", ("1_1", "-1", "+1", "1.0", "\u0661"))
+def test_a_grade_is_ascii_digits(capsys, tmp_path, grade):
+    # int() would read 1_1 as 11, +1 as 1 and the Arabic-Indic digit as 1
+    path = tmp_path / "car.alg"
+    path.write_text(fixture_path("car.alg").read_text().replace(
+        "grade = x:1 xs:1", f"grade = x:{grade} xs:{grade}", 1))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: line 8: malformed grade {grade!r}\n")
 
 
 # -- option values that start with a dash ----------------------------------

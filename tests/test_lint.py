@@ -1,14 +1,17 @@
 """Every imported name is used somewhere in its module, no function imports
 from a module its file already imports at module level, every private
 module-level function of the package is named somewhere in its module, no
-package module imports another module's private name, and every name the
-package exports is bound by it and exported once.
+package module imports another module's private name, every name the
+package exports is bound by it and exported once, and every public
+module-level function or class of the package is read by some package
+module or named in README.md.
 
 No linter is a dependency of the project, so this walks the syntax tree of
 every module under src/ and tests/ with the standard library's ast.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,3 +209,45 @@ def test_export_faults_are_found():
 def test_every_export_is_bound_and_listed_once():
     init = ROOT / "src" / "braidhopf" / "__init__.py"
     assert export_faults(init.read_text("utf-8")) == []
+
+
+def unreached_public_names(sources: dict, readme: str) -> list:
+    """'module: name' for each public module-level function or class of the
+    modules sources (module name -> source) that no module reads and readme
+    does not name.  A read is a name or an attribute looked up in code; an
+    import alone, such as a re-export, is not one."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{mod}: {node.name}" for mod, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read
+            and not re.search(rf"\b{node.name}\b", readme)]
+
+
+def test_unreached_public_names_are_found():
+    sources = {"a": ("def used():\n    pass\n"
+                     "def documented():\n    pass\n"
+                     "def dead():\n    return used\n"
+                     "class Dead:\n    pass\n"
+                     "def _private():\n    pass\n"),
+               "b": ("from .a import Dead, dead, used\n"
+                     "__all__ = ['dead']\n"
+                     "def by_attribute():\n    pass\n"
+                     "x = sys.modules[__name__].by_attribute\n")}
+    readme = "Call `documented()`, not `dead_end`.\n"
+    assert unreached_public_names(sources, readme) == ["a: dead", "a: Dead"]
+
+
+def test_every_public_name_is_read_or_documented():
+    sources = {path.stem: path.read_text("utf-8") for path in sorted(
+        (ROOT / "src" / "braidhopf").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text("utf-8")
+    assert unreached_public_names(sources, readme) == []

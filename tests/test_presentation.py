@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from braidhopf import (Algebra, PresentationError, parse_presentation,
-                       parse_psi, pretty_print)
+                       parse_psi)
 from braidhopf.presentation import (check_confluence,
                                     check_quotient_compatibility,
                                     format_element_terms, parse_element_terms)
@@ -116,7 +116,7 @@ def test_confluence_matches_the_exhaustive_oracle_on_random_rules():
         ambiguous = ((w, finals) for w in all_words(3, 3)
                      if len(finals := exhaustive_normal_forms(w, pres)) > 1)
         first = next(ambiguous, None)
-        assert rep.ok() == (first is None), pretty_print(pres)
+        assert rep.ok() == (first is None), pres.rules
         if first is not None:
             word, finals = first
             forms = {format_element_terms(f, pres) for f in finals}
@@ -147,12 +147,6 @@ def test_parse_q2_braiding_table():
     assert pres.braiding_kind == "diagonal"
     assert pres.braiding_table[0][0] == Scalar(2)
     assert pres.braiding_table[1][0] == Scalar(Fraction(1, 2))
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_pretty_print_round_trip(name):
-    pres = load(name)
-    assert parse_presentation(pretty_print(pres)) == pres
 
 
 BASE = """\

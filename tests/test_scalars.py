@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 
 from braidhopf.presentation import PresentationError, parse_scalar
 from braidhopf.scalars import (Scalar, TPoly, S_I, S_ONE, S_ZERO, T_ONE,
-                               T_T, T_ZERO, as_scalar, as_tpoly,
-                               parse_rational)
+                               T_T, T_ZERO, as_scalar, as_tpoly)
 from oracles import RefScalar, RefTPoly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -62,15 +61,6 @@ def test_scalar_parse_forms():
         with pytest.raises(PresentationError) as exc:
             parse_scalar(text, 4)
         assert str(exc.value) == f"line 4: malformed scalar {text!r}"
-
-
-def test_parse_rational():
-    assert parse_rational("-7/2") == Fraction(-7, 2)
-    assert parse_rational(" 4 ") == Fraction(4)
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("a")
 
 
 def test_floats_are_rejected_at_coercion():
