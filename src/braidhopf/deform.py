@@ -238,7 +238,7 @@ class Deformation:
         return slot_map(u, 0, 2, _at_time(
             lambda a, b: self.mu_t_key((a, b)), time_sign), 1)
 
-    # -- the deformed antipode ---------------------------------------------
+    # -- the deformed antipode ------------------------------------------------
 
     def ft_key(self, w, time_sign: int = 1) -> TPoly:
         """F_t = e*^{t sigma} on a basis word."""
