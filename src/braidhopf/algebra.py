@@ -2,9 +2,16 @@
 
 Monomials are index words (tuples of generator indices); a word is normal
 when no adjacent pair matches a rule left side, and the normal words form
-the linear basis of the quotient.  Tensor holds a finite TPoly-linear
-combination of slot-tuples of words; rank 1 plays the role of an algebra
-element, rank 0 of a bare coefficient.
+the linear basis of the quotient.  Tensor holds a finite linear
+combination of slot-tuples of words over Q(i)[t]; rank 1 plays the role of
+an algebra element, rank 0 of a bare coefficient.
+
+A Tensor coefficient is the canonical triple tuple of a TPoly (its abds),
+combined by the scalars.poly_* kernel here, in braidtensor, deform and the
+check bodies of verify: most products there multiply by exactly 1, so a
+wrapper per operation costs more than the arithmetic.  A TPoly is built
+where a coefficient leaves that layer (iterating a Tensor, coefficient(),
+format, functional values); Tensor(rank, terms) takes TPoly, Scalar or int.
 
 Algebra bundles a presentation with memoized normal forms, word
 products, involutions, antipodes and braiding coefficients; the product of
@@ -28,11 +35,13 @@ from functools import wraps
 
 from .presentation import AlgebraPresentation, parse_element_terms
 from .scalars import (S_MINUS_ONE, S_ONE, Scalar, TPoly, T_MINUS_ONE,
-                      T_ONE, T_ZERO, as_tpoly, signed_sum)
+                      T_ONE, as_tpoly, from_abds, poly_add, poly_conj,
+                      poly_mul, signed_sum)
 
 
 class Tensor:
-    """Rank-n tensor: dict mapping n-tuples of words to TPoly coefficients.
+    """Rank-n tensor: dict mapping n-tuples of words to coefficients, each
+    the canonical triple tuple of a TPoly.
 
     Zero coefficients are dropped on the fly, so equal tensors compare
     equal as dicts.
@@ -45,24 +54,22 @@ class Tensor:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                self.add_term(key, c)
+                self.add_term(key, as_tpoly(c).abds)
 
     @classmethod
     def basis(cls, key) -> "Tensor":
         t = cls(len(key))
-        t.terms[key] = T_ONE
+        t.terms[key] = T_ONE.abds
         return t
 
-    def add_term(self, key, coeff):
-        if type(coeff) is not TPoly:
-            coeff = as_tpoly(coeff)
-        if not coeff:
+    def add_term(self, key, abds):
+        if not abds:
             return
         cur = self.terms.get(key)
         if cur is None:
-            self.terms[key] = coeff
+            self.terms[key] = abds
         else:
-            s = cur + coeff
+            s = poly_add(cur, abds)
             if s:
                 self.terms[key] = s
             else:
@@ -84,24 +91,25 @@ class Tensor:
         return self.scale(-1)
 
     def scale(self, c) -> "Tensor":
-        c = as_tpoly(c)
-        return self.map_coeffs(lambda v: v * c)
+        c = as_tpoly(c).abds
+        return self.map_coeffs(lambda v: poly_mul(v, c))
 
     def substitute(self, r) -> "Tensor":
         """Evaluate every coefficient at the rational point r."""
-        return self.map_coeffs(lambda v: v.eval(r))
+        return self.map_coeffs(lambda v: as_tpoly(from_abds(v).eval(r)).abds)
 
     def map_coeffs(self, fn) -> "Tensor":
-        """Apply fn to every coefficient, dropping the zeros it yields."""
+        """Apply fn, a map of coefficient tuples, to every coefficient,
+        dropping the zeros it yields."""
         out = Tensor(self.rank)
         for key, v in self.terms.items():
-            c = as_tpoly(fn(v))
+            c = fn(v)
             if c:
                 out.terms[key] = c
         return out
 
     def coefficient(self, key) -> TPoly:
-        return self.terms.get(key, T_ZERO)
+        return from_abds(self.terms.get(key, ()))
 
     def __eq__(self, other):
         if isinstance(other, Tensor):
@@ -112,7 +120,8 @@ class Tensor:
         raise TypeError("Tensor is not hashable")
 
     def __iter__(self):
-        return iter(self.terms.items())
+        """The pairs (key, TPoly coefficient)."""
+        return ((k, from_abds(v)) for k, v in self.terms.items())
 
     def __len__(self):
         return len(self.terms)
@@ -123,9 +132,9 @@ class Tensor:
 
 def tensor_product(u: Tensor, v: Tensor) -> Tensor:
     out = Tensor(u.rank + v.rank)
-    for ku, cu in u.terms.items():
+    for ku, cu in u.terms.items():    # distinct keys, nonzero products
         for kv, cv in v.terms.items():
-            out.add_term(ku + kv, cu * cv)
+            out.terms[ku + kv] = poly_mul(cu, cv)
     return out
 
 
@@ -137,13 +146,13 @@ def slot_map(u: Tensor, i: int, k: int, fn, rank: int) -> Tensor:
     for key, c in u.terms.items():
         head, tail = key[:i], key[i + k:]
         for mid, v in fn(*key[i:i + k]).terms.items():
-            out.add_term(head + mid + tail, c * v)
+            out.add_term(head + mid + tail, poly_mul(c, v))
     return out
 
 
 def scalar_map(f):
-    """The word-tuple -> TPoly map f as a word map into rank-0 tensors, for
-    slot_map."""
+    """The map f from word tuples to TPoly as a word map into rank-0
+    tensors, for slot_map."""
     return lambda *words: Tensor(0, {(): f(words)})
 
 
@@ -171,7 +180,8 @@ class Algebra:
     def __init__(self, pres: AlgebraPresentation):
         self.pres = pres
         # inconsistent duplicate left sides fail confluence
-        self._rules = {rule.lhs: rule.rhs for rule in pres.rules}
+        self._rules = {rule.lhs: tuple((w, as_tpoly(c).abds) for w, c in
+                                       rule.rhs) for rule in pres.rules}
         # rewriting, the comultiplication and the antipode preserve word
         # length: every rule rewrites to two-letter words (a unit term fails
         # quotient-compat) and every generator's antipode is letters
@@ -186,10 +196,7 @@ class Algebra:
         return Tensor.basis(((),))
 
     def element(self, terms: dict) -> Tensor:
-        out = Tensor(1)
-        for w, c in terms.items():
-            out.add_term((tuple(w),), c)
-        return out
+        return Tensor(1, {(tuple(w),): c for w, c in terms.items()})
 
     def generator(self, symbol: str) -> Tensor:
         return Tensor.basis(((self.pres.gen_index(symbol),),))
@@ -255,7 +262,7 @@ class Algebra:
             result = Tensor(1)
             for sub, coeff in subs:
                 for key, c in memo[sub].terms.items():
-                    result.add_term(key, c * coeff)
+                    result.add_term(key, poly_mul(c, coeff))
             memo[cur] = result
         return memo[w]
 
@@ -271,7 +278,7 @@ class Algebra:
 
     def involution(self, a: Tensor) -> Tensor:
         """The *-operation: antilinear, word-reversing."""
-        return slot_map(a.map_coeffs(TPoly.conj), 0, 1, self.involution_word,
+        return slot_map(a.map_coeffs(poly_conj), 0, 1, self.involution_word,
                         1)
 
     # -- antipode ---------------------------------------------------------
@@ -318,22 +325,18 @@ class Algebra:
     # -- formatting --------------------------------------------------------
 
     def format_poly_coeff(self, p: TPoly) -> str:
-        s = str(p)
-        if len(p.coeffs) - sum(1 for c in p.coeffs if not c) > 1:
-            return f"({s})"
-        # single nonzero coefficient; parenthesize composite scalars
-        for k, c in enumerate(p.coeffs):
-            if c and c.re and c.im:
-                return f"({s})"
-        return s
+        """p, parenthesized when it has two nonzero coefficients or one
+        with both a real and an imaginary part."""
+        nonzero = [(a, b) for a, b, _ in p.abds if a or b]
+        if len(nonzero) > 1 or any(a and b for a, b in nonzero):
+            return f"({p})"
+        return str(p)
 
     def format(self, t: Tensor) -> str:
         """Human-readable rendering; slots joined with a tensor sign."""
         bodies = []
         for key, c in sorted(
-            t.terms.items(),
-            key=lambda kv: (-sum(len(w) for w in kv[0]), kv[0]),
-        ):
+            t, key=lambda kv: (-sum(len(w) for w in kv[0]), kv[0])):
             word = " (x) ".join(self.pres.word_str(w) for w in key)
             if t.rank == 0:
                 bodies.append(str(c))

@@ -24,6 +24,10 @@ lambda2_walk: the split a' (x) a'' of a and b' (x) b'' of b gives the term
 a' (x) b' (x) a'' (x) b'' with coefficient c(a'', b').  The walk serves both
 the memoized rank-2 lambda_n_key and the deformed product mu_t; L_n is
 inductive for n >= 3 only.
+
+braid_at, tensor_product, _product_keys and _lambda_pair write each term
+once: their key maps are injective, and a product of nonzero coefficients
+is nonzero (the parser and q_presentation refuse a zero braid entry).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
-from .scalars import TPoly, T_ONE, T_ZERO
+from .scalars import TPoly, T_ONE, poly_conj, poly_mul
 
 
 def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int) -> Tensor:
@@ -43,8 +47,8 @@ def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int) -> Tensor:
     out = Tensor(u.rank)
     for key, c in u.terms.items():
         left, right = key[start:mid], key[mid:end]
-        out.add_term(key[:start] + right + left + key[end:],
-                     c * coeff((sum(left, ()), sum(right, ()))))
+        out.terms[key[:start] + right + left + key[end:]] = poly_mul(
+            c, (coeff((sum(left, ()), sum(right, ()))).abd,))
     return out
 
 
@@ -55,13 +59,14 @@ def _product_keys(alg, akey, bkey) -> Tensor:
         return alg.mul_words(akey[0], bkey[0])
     # braid b's first slot leftward past a's tail, then multiply slotwise
     b0 = bkey[0]
-    coeff = alg.braid_coeff((sum(akey[1:], ()), b0))
+    coeff = (alg.braid_coeff((sum(akey[1:], ()), b0)).abd,)
     head = alg.mul_words(akey[0], b0)
     tail = _product_keys(alg, akey[1:], bkey[1:])
     out = Tensor(n)
     for (hw,), hc in head.terms.items():
+        hc = poly_mul(hc, coeff)
         for tkey, tc in tail.terms.items():
-            out.add_term((hw,) + tkey, hc * tc * coeff)
+            out.terms[(hw,) + tkey] = poly_mul(hc, tc)
     return out
 
 
@@ -72,9 +77,9 @@ def braided_product(alg: Algebra, u: Tensor, v: Tensor) -> Tensor:
     out = Tensor(u.rank)
     for akey, ca in u.terms.items():
         for bkey, cb in v.terms.items():
-            c = ca * cb
+            c = poly_mul(ca, cb)
             for key, val in _product_keys(alg, akey, bkey).terms.items():
-                out.add_term(key, val * c)
+                out.add_term(key, poly_mul(val, c))
     return out
 
 
@@ -94,8 +99,8 @@ def comul_word(alg: Algebra, w) -> Tensor:
 
 @memoized
 def comul_buckets(alg: Algebra, w) -> dict:
-    """The terms (w', w'', c) of comul(w), grouped by the length of the
-    right factor w''."""
+    """The terms (w', w'', c) of comul(w), c a coefficient tuple, grouped
+    by the length of the right factor w''."""
     out = {}
     for (left, right), c in comul_word(alg, w).terms.items():
         out.setdefault(len(right), []).append((left, right, c))
@@ -111,7 +116,7 @@ def comul(alg: Algebra, a: Tensor) -> Tensor:
 
 def counit(a: Tensor) -> TPoly:
     """Coefficient of the all-units slot-tuple."""
-    return a.terms.get(((),) * a.rank, T_ZERO)
+    return a.coefficient(((),) * a.rank)
 
 
 def counit_word(w) -> Tensor:
@@ -125,13 +130,14 @@ def star_tensor(alg: Algebra, u: Tensor) -> Tensor:
         raise ValueError("star_tensor acts on rank-2 tensors")
     out = Tensor(2)
     for (m, n), c in u.terms.items():
-        cc = c.conj()
+        cc = poly_conj(c)
         left = alg.involution_word(n)
         right = alg.involution_word(m)
         for (a,), ca in left.terms.items():
+            cca = poly_mul(cc, ca)
             for (b,), cb in right.terms.items():
-                k = alg.braid_coeff((a, b))
-                out.add_term((b, a), cc * ca * cb * k)
+                k = (alg.braid_coeff((a, b)).abd,)
+                out.add_term((b, a), poly_mul(poly_mul(cca, cb), k))
     return out
 
 
@@ -152,7 +158,8 @@ def lambda_n_key(alg: Algebra, key) -> Tensor:
 @memoized
 def _lambda_pair(alg: Algebra, key) -> Tensor:
     out = Tensor(4)
-    for a1, b1, a2, b2, v in lambda2_walk(alg, key, None, lambda k: T_ONE):
+    for a1, b1, a2, b2, v in lambda2_walk(alg, key, None,
+                                          lambda k: T_ONE.abds):
         out.terms[(a1, b1, a2, b2)] = v
     return out
 
@@ -162,7 +169,8 @@ def lambda2_walk(alg: Algebra, key, lengths, right):
     (a'', b'') has its lengths in lengths (every split when lengths is
     None), and yield (a', b', a'', b'', v * right((a'', b''))) where that
     value is nonzero.  v is the split's coefficient: the comultiplication
-    coefficients of a and b times the braid coefficient c(a'', b')."""
+    coefficients of a and b times the braid coefficient c(a'', b').  right
+    returns, and the walk yields, coefficient tuples."""
     a, b = key
     ba, bb = comul_buckets(alg, a), comul_buckets(alg, b)
     coeff = alg.braid_coeff
@@ -174,5 +182,6 @@ def lambda2_walk(alg: Algebra, key, lengths, right):
             for b1, b2, cb in tb:
                 r = right((a2, b2))
                 if r:
-                    yield a1, b1, a2, b2, ca * cb * coeff((a2, b1)) * r
+                    yield a1, b1, a2, b2, poly_mul(poly_mul(
+                        poly_mul(ca, cb), (coeff((a2, b1)).abd,)), r)
 

@@ -10,10 +10,10 @@ builds sigma = L . (S (x) id) . comul, an arity-1 Functional that computes
 and memoizes its value on each word itself, the deformed antipode
 S_t = S * e*^{-t sigma}, and the sesquilinear forms used by the
 positivity checks (arity-2 functionals keyed on word pairs).  Everything
-evaluates to exact TPoly values; the convolution exponential truncates by
-the total-degree bound (the k-th convolution power kills tuples of total
-degree < k once the functional vanishes on the unit tuple, which is
-enforced).
+evaluates to exact TPoly values, summed as coefficient tuples; the
+convolution exponential truncates by the total-degree bound (the k-th
+convolution power kills tuples of total degree < k once the functional
+vanishes on the unit tuple, which is enforced).
 
 A Functional may record its support, the length tuples where it may be
 nonzero, where that support also bounds its convolution powers: the k-th
@@ -36,7 +36,8 @@ from operator import add
 
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_word, lambda2_walk, lambda_n_key
-from .scalars import Scalar, TPoly, T_ZERO, as_tpoly
+from .scalars import (Scalar, TPoly, T_ZERO, as_tpoly, from_abds, poly_add,
+                      poly_conj, poly_flip, poly_mul, poly_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +76,12 @@ def _extend(arity: int, fn, u: Tensor) -> TPoly:
     if u.rank != arity:
         raise ValueError(
             f"arity mismatch: functional takes rank {arity}, got {u.rank}")
-    tot = T_ZERO
+    tot = ()
     for key, c in u.terms.items():
-        v = fn(key)
+        v = fn(key).abds
         if v:
-            tot = tot + v * c
-    return tot
+            tot = poly_add(tot, poly_mul(v, c))
+    return from_abds(tot)
 
 
 def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
@@ -121,15 +122,15 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
     alg = F.alg
 
     def conv(key):
-        tot = T_ZERO
+        tot = ()
         for k2, v in lambda_n_key(alg, key).terms.items():
-            a = F.on_key(k2[:n])
+            a = F.on_key(k2[:n]).abds
             if not a:
                 continue
-            b = G.on_key(k2[n:])
+            b = G.on_key(k2[n:]).abds
             if b:
-                tot = tot + v * a * b
-        return tot
+                tot = poly_add(tot, poly_mul(poly_mul(v, a), b))
+        return from_abds(tot)
 
     return Functional(alg, n, conv)
 
@@ -173,12 +174,13 @@ def conv_exp_key(F: Functional, key) -> TPoly:
     if F.support is not None and lengths not in support_monoid(F, lengths):
         return T_ZERO
     d = sum(lengths)
-    tot = T_ZERO
+    tot = ()
     for k in range(d + 1):
-        pk = conv_power(F, k).on_key(key)
+        pk = conv_power(F, k).on_key(key).abds
         if pk:
-            tot = tot + TPoly.term(Scalar(Fraction(1, factorial(k))), k) * pk
-    return tot
+            tot = poly_add(tot, poly_mul(
+                TPoly.term(Scalar(Fraction(1, factorial(k))), k).abds, pk))
+    return from_abds(tot)
 
 
 def conv_exp(F: Functional, u: Tensor) -> TPoly:
@@ -225,10 +227,10 @@ class Deformation:
         if self.L.support is not None:
             lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
-        for a1, b1, _, _, v in lambda2_walk(self.alg, key, lengths,
-                                            self.expL_key):
+        for a1, b1, _, _, v in lambda2_walk(
+                self.alg, key, lengths, lambda k: self.expL_key(k).abds):
             for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
-                out.add_term((pw,), pc * v)
+                out.add_term((pw,), poly_mul(pc, v))
         return out
 
     def mu_t(self, u: Tensor, time_sign: int = 1) -> Tensor:
@@ -263,7 +265,7 @@ def _at_time(fn, time_sign: int):
     """The word map fn, or fn with t -> -t in its values for time_sign < 0."""
     if time_sign > 0:
         return fn
-    return lambda *words: fn(*words).map_coeffs(TPoly.flip_sign)
+    return lambda *words: fn(*words).map_coeffs(poly_flip)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +280,12 @@ def sesquilinearize(K: Functional) -> Functional:
     alg = K.alg
 
     def fn(key):
-        tot = T_ZERO
+        tot = ()
         for (iw,), ic in alg.involution_word(key[0]).terms.items():
-            lv = K.on_key((iw, key[1]))
+            lv = K.on_key((iw, key[1])).abds
             if lv:
-                tot = tot + ic * lv
-        return tot
+                tot = poly_add(tot, poly_mul(ic, lv))
+        return from_abds(tot)
 
     return Functional(alg, 2, fn)
 
@@ -297,17 +299,18 @@ def conv_sesqui(P: Functional, Q: Functional) -> Functional:
     alg = P.alg
 
     def fn(key):
-        tot = T_ZERO
+        tot = ()
         for (a0, a1), va in comul_word(alg, key[0]).terms.items():
-            vac = va.conj()
+            vac = poly_conj(va)
             for (b0, b1), vb in comul_word(alg, key[1]).terms.items():
-                p = P.on_key((a0, b0))
+                p = P.on_key((a0, b0)).abds
                 if not p:
                     continue
-                q = Q.on_key((a1, b1))
+                q = Q.on_key((a1, b1)).abds
                 if q:
-                    tot = tot + vac * vb * p * q
-        return tot
+                    tot = poly_add(tot, poly_mul(
+                        poly_mul(poly_mul(vac, vb), p), q))
+        return from_abds(tot)
 
     return Functional(alg, 2, fn)
 
@@ -320,17 +323,15 @@ def cocycle_defect(L: Functional, a, b, c) -> TPoly:
     """The coboundary (delta (x) L) - L.(mul (x) id) + L.(id (x) mul)
     - (L (x) delta) evaluated at the basis words a (x) b (x) c."""
     alg = L.alg
-    tot = T_ZERO
-    if a == ():
-        tot = tot + L.on_key((b, c))
+    tot = L.on_key((b, c)).abds if a == () else ()
     for (mw,), mc in alg.mul_words(a, b).terms.items():
-        v = L.on_key((mw, c))
+        v = L.on_key((mw, c)).abds
         if v:
-            tot = tot - mc * v
+            tot = poly_add(tot, poly_neg(poly_mul(mc, v)))
     for (mw,), mc in alg.mul_words(b, c).terms.items():
-        v = L.on_key((a, mw))
+        v = L.on_key((a, mw)).abds
         if v:
-            tot = tot + mc * v
+            tot = poly_add(tot, poly_mul(mc, v))
     if c == ():
-        tot = tot - L.on_key((a, b))
-    return tot
+        tot = poly_add(tot, poly_neg(L.on_key((a, b)).abds))
+    return from_abds(tot)

@@ -555,7 +555,7 @@ def check_quotient_compatibility(alg, max_degree: int = 4) -> Report:
             rel = rel + free.element({w: -coeff})
         where = pres.word_str(rule.lhs)
 
-        eps = rel.terms.get(((),))
+        eps = rel.coefficient(((),))
         if eps:
             return defect("b", str(eps), where)
         out = nf_slots(comul(free, rel))

@@ -8,9 +8,10 @@ carries these; no floats anywhere.
 Both rest on one kernel of Python ints: a Gaussian rational is the
 canonical triple (a, b, d), meaning (a + b*i)/d with gcd(a, b, d) == 1 and
 d > 0.  The form is unique, so equal values have equal triples, and the
-functions _add, _mul and _inv keep every result canonical.  A TPoly holds
-the triples of its coefficients; Scalar objects are built only where a
-caller asks for one.
+functions _add, _mul and _inv keep every result canonical.  A polynomial
+is the tuple of its coefficients' triples with no trailing zero, kept so by
+the poly_* functions; a TPoly wraps one, a Tensor holds them bare (see
+algebra), and Scalar and TPoly objects are built only where asked for.
 
 The module is arithmetic and its printing.  Scalar values are read by
 presentation.parse_scalar, the element grammar without generators.
@@ -110,6 +111,78 @@ def _hash(x):
     if b:
         return hash(x)
     return hash(a) if d == 1 else hash(Fraction(a, d))
+
+
+# -- polynomials as tuples of canonical triples ------------------------------
+
+
+def poly_add(a, b):
+    """The sum of two coefficient tuples, trailing zeros trimmed."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = _add(a[0], b[0])
+        return () if c == _Z else (c,)
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] = _add(out[k], c)
+    while out and out[-1] == _Z:
+        out.pop()
+    return tuple(out)
+
+
+def poly_mul(a, b):
+    """The product of two coefficient tuples; over a field the product of
+    the leading coefficients is nonzero, so nothing needs trimming."""
+    if b == _UNIT:                    # most factors are exactly 1
+        return a
+    if a == _UNIT:
+        return b
+    if not a or not b:
+        return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        x = a[0]
+        return tuple([_mul(x, y) for y in b])
+    out = [_Z] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        if x != _Z:
+            for k, y in enumerate(b, j):
+                if y != _Z:
+                    out[k] = _add(out[k], _mul(x, y))
+    return tuple(out)
+
+
+def poly_neg(a):
+    return tuple([(-x, -y, d) for x, y, d in a])
+
+
+def poly_conj(a):
+    """Conjugate every coefficient; t is real."""
+    return tuple([(x, -y, d) for x, y, d in a])
+
+
+def poly_flip(a):
+    """Substitute t -> -t."""
+    return tuple([(-c[0], -c[1], c[2]) if k & 1 else c
+                  for k, c in enumerate(a)])
+
+
+def poly_shift(a, j: int):
+    """The s^j coefficient of p(t + s): sum_i C(i + j, j) p_{i+j} t^i."""
+    return tuple([_mul(c, (comb(i + j, j), 0, 1))
+                  for i, c in enumerate(a[j:])])
+
+
+def poly_part(a, j: int):
+    """The coefficient of t^j as a constant polynomial."""
+    c = a[j:j + 1]
+    return () if c == (_Z,) else c
 
 
 _new = object.__new__
@@ -273,7 +346,7 @@ class TPoly:
         raise AttributeError("TPoly is immutable")
 
     def __reduce__(self):
-        return _poly, (self.abds,)
+        return from_abds, (self.abds,)
 
     @property
     def coeffs(self) -> tuple:
@@ -284,7 +357,7 @@ class TPoly:
         c = as_scalar(c)
         if not c:
             return T_ZERO
-        return _poly((_Z,) * power + (c.abd,))
+        return from_abds((_Z,) * power + (c.abd,))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -292,19 +365,7 @@ class TPoly:
         b = other.abds if type(other) is TPoly else _abds_of(other)
         if b is None:
             return NotImplemented
-        a = self.abds
-        if not a:
-            return other if type(other) is TPoly else _poly(b)
-        if not b:
-            return self
-        if len(a) < len(b):
-            a, b = b, a
-        if len(a) == 1:
-            return _poly((_add(a[0], b[0]),))
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = _add(out[k], c)
-        return _poly(tuple(out))
+        return from_abds(poly_add(self.abds, b))
 
     __radd__ = __add__
 
@@ -312,43 +373,19 @@ class TPoly:
         b = other.abds if type(other) is TPoly else _abds_of(other)
         if b is None:
             return NotImplemented
-        return self + _poly(tuple((-c, -e, f) for c, e, f in b))
+        return from_abds(poly_add(self.abds, poly_neg(b)))
 
     def __rsub__(self, other):
-        b = _abds_of(other)
-        if b is None:
-            return NotImplemented
-        return _poly(b) - self
+        return -self + other
 
     def __neg__(self):
-        return _poly(tuple((-a, -b, d) for a, b, d in self.abds))
+        return from_abds(poly_neg(self.abds))
 
     def __mul__(self, other):
         b = other.abds if type(other) is TPoly else _abds_of(other)
         if b is None:
             return NotImplemented
-        a = self.abds
-        if b == _UNIT:                # most factors are exactly 1
-            return self
-        if a == _UNIT:
-            return other if type(other) is TPoly else _poly(b)
-        if not a or not b:
-            return T_ZERO
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            x = a[0]
-            if len(b) == 1:
-                return _poly((_mul(x, b[0]),))
-            return _poly(tuple([_mul(x, y) for y in b]))
-        out = [_Z] * (len(a) + len(b) - 1)
-        for j, x in enumerate(a):
-            if x == _Z:
-                continue
-            for k, y in enumerate(b, j):
-                if y != _Z:
-                    out[k] = _add(out[k], _mul(x, y))
-        return _poly(tuple(out))
+        return from_abds(poly_mul(self.abds, b))
 
     __rmul__ = __mul__
 
@@ -373,18 +410,15 @@ class TPoly:
         return _scalar(acc)
 
     def conj(self) -> TPoly:
-        return _poly(tuple((a, -b, d) for a, b, d in self.abds))
+        return from_abds(poly_conj(self.abds))
 
     def shift(self, j: int) -> TPoly:
-        """The coefficient of s^j in p(t + s), a polynomial in t:
-        sum_i C(i + j, j) p_{i+j} t^i."""
-        return _poly(tuple(_mul(c, (comb(i + j, j), 0, 1))
-                           for i, c in enumerate(self.abds[j:])))
+        """The coefficient of s^j in p(t + s), a polynomial in t."""
+        return from_abds(poly_shift(self.abds, j))
 
     def flip_sign(self) -> TPoly:
         """Substitute t -> -t."""
-        return _poly(tuple((-c[0], -c[1], c[2]) if k & 1 else c
-                           for k, c in enumerate(self.abds)))
+        return from_abds(poly_flip(self.abds))
 
     def __eq__(self, other):
         b = other.abds if type(other) is TPoly else _abds_of(other)
@@ -411,10 +445,9 @@ class TPoly:
 _set_abds = TPoly.__dict__["abds"].__set__
 
 
-def _poly(abds) -> TPoly:
-    """The TPoly of a tuple of canonical triples, trailing zeros trimmed."""
-    while abds and abds[-1] == _Z:
-        abds = abds[:-1]
+def from_abds(abds) -> TPoly:
+    """The TPoly of a canonical coefficient tuple: canonical triples and no
+    trailing zero, as the poly_* functions return."""
     p = _new(TPoly)
     _set_abds(p, abds)
     return p
@@ -449,7 +482,7 @@ def as_tpoly(x) -> TPoly:
     abds = _abds_of(x)
     if abds is None:
         raise TypeError(f"cannot coerce {type(x).__name__} to TPoly")
-    return _poly(abds)
+    return from_abds(abds)
 
 
 T_ZERO = TPoly(())

@@ -26,7 +26,8 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
-                      T_ZERO, as_scalar)
+                      T_ZERO, as_scalar, from_abds, poly_add, poly_mul,
+                      poly_part, poly_shift)
 
 
 def fixture_path(name: str):
@@ -83,13 +84,14 @@ class VerifyContext:
 
 def _s_part(j):
     """The coefficient map taking p(s) to the coefficient of s^j."""
-    return lambda p: TPoly(p.coeffs[j:j + 1])
+    return lambda p: poly_part(p, j)
 
 
 def _t_degree(*values) -> int:
     """The largest t-degree among TPolys and the coefficients of Tensors."""
-    return max((p.degree() for v in values for p in (
-        v.terms.values() if isinstance(v, Tensor) else (v,))), default=-1)
+    return max((len(p) - 1 for v in values for p in (
+        v.terms.values() if isinstance(v, Tensor) else (v.abds,))),
+        default=-1)
 
 
 # -- input domains: each yields the tuples of words a check is evaluated at
@@ -373,7 +375,7 @@ def _deformation_law(ctx, a, b):
     lam, mu = lambda_n_key(ctx.alg, (a, b)), ctx.defm.mu_t_key
     left = comul(ctx.alg, mu((a, b)))
     for j in range(_t_degree(left, *(mu(k[2:]) for k in lam.terms)) + 1):
-        yield (left.map_coeffs(lambda p: p.shift(j)),
+        yield (left.map_coeffs(lambda p: poly_shift(p, j)),
                slot_map(lam, 0, 4, lambda *k: tensor_product(
                    mu(k[:2]), mu(k[2:]).map_coeffs(_s_part(j))), 2),
                {"power of s": j})
@@ -391,10 +393,11 @@ def _expL_semigroup(ctx, a, b):
     """e*^{(t+s)L} = (e*^{tL} (x) e*^{sL}) . Lambda_2."""
     exp, splits = ctx.defm.expL_key, lambda_n_key(ctx.alg, (a, b)).terms
     for j in range(_t_degree(exp((a, b)), *(exp(k[2:]) for k in splits)) + 1):
-        yield (exp((a, b)).shift(j),
-               sum((v * exp(k[:2]) * _s_part(j)(exp(k[2:]))
-                    for k, v in splits.items()), T_ZERO),
-               {"power of s": j})
+        tot = ()
+        for k, v in splits.items():
+            tot = poly_add(tot, poly_mul(poly_mul(v, exp(k[:2]).abds),
+                                         poly_part(exp(k[2:]).abds, j)))
+        yield exp((a, b)).shift(j), from_abds(tot), {"power of s": j}
 
 
 @check("expL-hermitian", _DEFORM, pairs)
@@ -462,7 +465,7 @@ def _st_comul(ctx, w):
     left = comul(ctx.alg, st_word(w))
     for j in range(_t_degree(left, *(st_word(k[0]) for k in ctx.comul(w)
                                      .terms)) + 1):
-        yield (left.map_coeffs(lambda p: p.shift(j)),
+        yield (left.map_coeffs(lambda p: poly_shift(p, j)),
                slot_map(ctx.comul(w), 0, 2, lambda k0, k1: tensor_product(
                    st_word(k1), st_word(k0).map_coeffs(_s_part(j)))
                    .scale(ctx.alg.braid_coeff((k0, k1))), 2),
@@ -565,12 +568,10 @@ class HermitianMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def quadratic_form(self, v) -> Scalar:
-        """v* G v for a vector of Scalars."""
-        tot = Scalar(0)
-        for i, vi in enumerate(v):
-            for j, vj in enumerate(v):
-                tot = tot + vi.conj() * self.entries[i][j] * vj
-        return tot
+        """v* G v for a vector of Scalars; zero coordinates are skipped."""
+        nz = [(i, vi) for i, vi in enumerate(v) if vi]
+        return sum((vi.conj() * self.entries[i][j] * vj
+                    for i, vi in nz for j, vj in nz), S_ZERO)
 
 
 def _non_hermitian_at(rows):
@@ -606,8 +607,9 @@ def _psd(m):
         wit[j] = m[0][j].conj() * (S_MINUS_ONE if p <= 0 else Scalar(-e) / p)
         return ("not-psd", tuple(wit))
     pivot_row = [x / a for x in m[0][1:]]
+    # a row with a zero pivot-column entry passes through unchanged
     sub = [[x - row[0] * y for x, y in zip(row[1:], pivot_row)]
-           for row in m[1:]]
+           if row[0] else row[1:] for row in m[1:]]
     verdict, wit = _psd(sub)
     if wit is None:
         return ("psd", None)
@@ -803,9 +805,7 @@ def qnogo_eval(q):
     q = as_scalar(q)
     defm = Deformation(alg)
 
-    expr = Tensor(3)
-    expr.add_term(((0,), (0,), (1,)), T_ONE)
-    expr.add_term(((0,), (1,), (0,)), TPoly((-q,)))
+    expr = Tensor(3, {((0,), (0,), (1,)): 1, ((0,), (1,), (0,)): -q})
 
     def mu_t(x, y):
         return defm.mu_t_key((x, y))

@@ -91,6 +91,22 @@ class RefTPoly:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs
 
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        pad = (RefScalar(),) * n
+        return RefTPoly(x + y for x, y in zip((a + pad)[:n], (b + pad)[:n]))
+
+    def __neg__(self):
+        return RefTPoly(-c for c in self.coeffs)
+
+    def conj(self):
+        return RefTPoly(c.conj() for c in self.coeffs)
+
+    def flip(self):
+        """t -> -t."""
+        return RefTPoly(-c if k % 2 else c for k, c in enumerate(self.coeffs))
+
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -234,8 +250,8 @@ def braid_key(pres, key, m, n):
 
 def lambda2_splits(alg, a, b):
     out = []
-    for (a1, a2), ca in comul_word(alg, a).terms.items():
-        for (b1, b2), cb in comul_word(alg, b).terms.items():
+    for (a1, a2), ca in comul_word(alg, a):
+        for (b1, b2), cb in comul_word(alg, b):
             out.append(((a1, b1, a2, b2),
                         ca * cb * closed_form_braid_coeff(alg.pres, a2, b1)))
     return out
@@ -281,7 +297,7 @@ def splits(alg, key):
     """(slot-tuple, coefficient) for every term of Lambda_n on key."""
     if len(key) == 2:
         return lambda2_splits(alg, *key)
-    return lambda_n_key(alg, key).terms.items()
+    return lambda_n_key(alg, key)
 
 
 def unpruned_conv_power(F, k, key, powers):
@@ -317,8 +333,8 @@ def unpruned_mu_t_key(L, key, powers):
     for k2, v in lambda2_splits(alg, *key):
         e = unpruned_conv_exp_key(L, k2[2:], powers)
         if e:
-            for (pw,), pc in alg.mul_words(k2[0], k2[1]).terms.items():
-                out.add_term((pw,), pc * v * e)
+            for (pw,), pc in alg.mul_words(k2[0], k2[1]):
+                out.add_term((pw,), (pc * v * e).abds)
     return out
 
 
@@ -332,8 +348,8 @@ def unpruned_mu_t_key(L, key, powers):
 def hand_sigma_word(L, w):
     alg = L.alg
     tot = T_ZERO
-    for (k0, k1), v in comul_word(alg, w).terms.items():
-        for (sk,), sc in alg.antipode_word(k0).terms.items():
+    for (k0, k1), v in comul_word(alg, w):
+        for (sk,), sc in alg.antipode_word(k0):
             lv = L.on_key((sk, k1))
             if lv:
                 tot = tot + v * sc * lv
@@ -363,9 +379,9 @@ def state_gram_at(defm, psi, labels, t0):
         row = []
         for b in labels:
             tot = Scalar(0)
-            for (iw,), ic in istar.terms.items():
+            for (iw,), ic in istar:
                 prod = defm.mu_t_key((iw, b)).substitute(t0)
-                for (pw,), pc in prod.terms.items():
+                for (pw,), pc in prod:
                     tot = tot + (ic.constant_term() * pc.constant_term()
                                  * phi(pw))
             row.append(tot)

@@ -22,10 +22,7 @@ def load(name):
 
 
 def rank1(d):
-    out = Tensor(1)
-    for w, c in d.items():
-        out.add_term((w,), c)
-    return out
+    return Tensor(1, {(w,): c for w, c in d.items()})
 
 
 def test_full_catalog_at_degree_four_under_a_minute():
@@ -56,19 +53,15 @@ def test_deformed_product_and_antipode_spot_values():
     # the deformed antipode value, then its defining identity at x xs
     assert defm.st_word(xxs) == rank1({xxs: T_ONE, (): T_T.flip_sign()})
     total = Tensor(1)
-    for (k0, k1), c in comul_word(alg, xxs).terms.items():
+    for (k0, k1), c in comul_word(alg, xxs):
         total = total + defm.mu_t(tensor_product(
             Tensor.basis((k0,)), defm.st_word(k1))).scale(c)
     assert not total.terms
 
 
 def _comul_xxs(alg):
-    want = Tensor(2)
-    want.add_term(((0, 1), ()), T_ONE)
-    want.add_term(((0,), (1,)), T_ONE)
-    want.add_term(((1,), (0,)), as_tpoly(-1))
-    want.add_term(((), (0, 1)), T_ONE)
-    return want
+    return Tensor(2, {((0, 1), ()): T_ONE, ((0,), (1,)): T_ONE,
+                      ((1,), (0,)): as_tpoly(-1), ((), (0, 1)): T_ONE})
 
 
 def test_positivity_checker_accepts_and_rejects_exactly(capsys):

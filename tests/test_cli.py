@@ -133,7 +133,7 @@ def test_verify_json_matches_golden(capsys):
 @pytest.mark.parametrize("name,degree", (
     [(n, 2) for n in ("car", "car-badL", "car-negL", "car-wrongsign",
                       "free2", "freec", "q2")]
-    + [(n, 3) for n in ("car-badL", "car-wrongsign", "q2")]))
+    + [(n, 3) for n in ("car-badL", "car-wrongsign", "freec", "q2")]))
 def test_verify_full_catalog_matches_golden(capsys, name, degree):
     rc, out, _ = run(capsys, "verify", alg(name + ".alg"),
                      "--max-degree", str(degree), "--format", "json")
@@ -217,6 +217,21 @@ def test_verify_missing_file(capsys):
     (("freec.alg", "--op", "sigma", "--lhs", "x xs"), "-2"),
     (("freec.alg", "--op", "s_t", "--lhs", "x xs"), "xs x + 2 t"),
     (("freec.alg", "--op", "expL", "--lhs", "x xs", "--rhs", "xs x"), "t^2"),
+    # products with coefficients other than 1
+    (("freec.alg", "--op", "mu_t", "--lhs", "x xs x", "--rhs", "xs x xs"),
+     "x xs x xs x xs + t x x xs xs + t x xs x xs + t x xs xs x + t xs x x xs"
+     " + t xs x xs x + 4 t^2 x xs + 2 t^2 xs x + 2 t^3"),
+    (("freec.alg", "--op", "mu_t", "--lhs", "x xs x", "--rhs", "xs x xs",
+      "--t", "1/3"),
+     "x xs x xs x xs + 1/3 x x xs xs + 1/3 x xs x xs + 1/3 x xs xs x"
+     " + 1/3 xs x x xs + 1/3 xs x xs x + 4/9 x xs + 2/9 xs x + 2/27"),
+    (("freec.alg", "--op", "expL", "--lhs", "x xs x xs", "--rhs",
+      "xs x xs x"), "4 t^4"),
+    (("freec.alg", "--op", "s_t", "--lhs", "x xs x xs"),
+     "xs x xs x + 2 t x xs + 6 t xs x + 8 t^2"),
+    (("q2.alg", "--op", "comul", "--lhs", "x xs x"),
+     "1/2 (1 (x) x x xs) + 3/2 (x (x) x xs) + 1/2 (x x (x) xs)"
+     " + 1/2 (x x xs (x) 1) + 3 (x xs (x) x) + 2 (xs (x) x x)"),
 ))
 def test_eval_spot_outputs(capsys, argv, want):
     fixture, *options = argv

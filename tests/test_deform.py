@@ -280,9 +280,7 @@ def test_unit_term_rule_reaches_mu_t_through_eval(capsys, tmp_path, lhs,
 
 def test_mu_t_spot_values():
     got = DEF.mu_t_key((XS, X))
-    want = Tensor(1)
-    want.add_term(((0, 1),), as_tpoly(-1))
-    want.add_term(((),), T_T)
+    want = Tensor(1, {((0, 1),): as_tpoly(-1), ((),): T_T})
     assert got == want
     assert DEF.mu_t_key((X, XS)) == Tensor.basis(((0, 1),))
     assert DEF.mu_t_key(((), X)) == Tensor.basis((X,))
@@ -299,9 +297,7 @@ def test_mu_t_pair_form_and_negative_time():
     x, xs = CAR.generator("x"), CAR.generator("xs")
     u = tensor_product(xs, x)
     neg = DEF.mu_t(u, time_sign=-1)
-    want = Tensor(1)
-    want.add_term(((0, 1),), as_tpoly(-1))
-    want.add_term(((),), T_T.flip_sign())
+    want = Tensor(1, {((0, 1),): as_tpoly(-1), ((),): T_T.flip_sign()})
     assert neg == want
     with pytest.raises(ValueError):
         DEF.mu_t(x)
@@ -355,9 +351,7 @@ def test_sigma_matches_the_split_by_split_loop(case):
 
 def test_deformed_antipode_spot_values():
     got = DEF.st_word((0, 1))
-    want = Tensor(1)
-    want.add_term(((0, 1),), T_ONE)
-    want.add_term(((),), T_T.flip_sign())
+    want = Tensor(1, {((0, 1),): T_ONE, ((),): T_T.flip_sign()})
     assert got == want
     assert DEF.st_word(X) == Tensor.basis((X,)).scale(as_tpoly(-1))
 

@@ -9,9 +9,7 @@ from braidhopf.verify import fixture_path
 
 
 def side(c):
-    out = Tensor(2)
-    out.add_term(((), (0,)), TPoly((c,)) if c else TPoly(()))
-    return out
+    return Tensor(2, {((), (0,)): c})
 
 
 def test_obstruction_spot_value():

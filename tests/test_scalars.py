@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf.presentation import PresentationError, parse_scalar
-from braidhopf.scalars import (Scalar, TPoly, S_I, S_ONE, S_ZERO, T_ONE,
-                               T_T, T_ZERO, as_scalar, as_tpoly)
+from braidhopf.scalars import (_UNIT, _Z, Scalar, TPoly, S_I, S_ONE, S_ZERO,
+                               T_ONE, T_T, T_ZERO, as_scalar, as_tpoly,
+                               from_abds, poly_add, poly_conj, poly_flip,
+                               poly_mul, poly_neg, poly_part, poly_shift)
 from oracles import RefScalar, RefTPoly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -255,3 +257,35 @@ def test_tpoly_kernel_matches_fraction_pair_oracle(ps, qs, r, j):
     assert _poly_agrees(p * q, rp * rq)
     assert _poly_agrees(p.shift(j), rp.shift(j))
     assert _agrees(p.eval(Scalar(*r)), rp.eval(RefScalar(*r)))
+
+
+def _abds_agree(abds, ref):
+    """abds is a canonical coefficient tuple, with no trailing zero, whose
+    value is the oracle's."""
+    assert type(abds) is tuple
+    assert not abds or abds[-1] != _Z
+    return _poly_agrees(from_abds(abds), ref)
+
+
+@given(st.lists(_pairs, max_size=4), st.lists(_pairs, max_size=4),
+       st.integers(0, 4), st.booleans())
+def test_poly_kernel_matches_fraction_pair_oracle(ps, qs, j, cancel):
+    if cancel:
+        # q is -p above its lowest len(qs) coefficients, so the top of
+        # p + q cancels, and all of it when qs is empty
+        qs = qs[:len(ps)] + [(-a, -b) for a, b in ps[len(qs):]]
+    p, q = (TPoly(Scalar(*c) for c in cs).abds for cs in (ps, qs))
+    rp, rq = (RefTPoly(RefScalar(*c) for c in cs) for cs in (ps, qs))
+    assert _abds_agree(poly_add(p, q), rp + rq)
+    if cancel and not qs:
+        assert poly_add(p, q) == ()
+    assert _abds_agree(poly_mul(p, q), rp * rq)
+    one = RefTPoly((RefScalar(1),))
+    assert poly_mul(_UNIT, p) == p == poly_mul(p, _UNIT)
+    assert _abds_agree(poly_mul(_UNIT, p), one * rp)
+    assert _abds_agree(poly_mul(q, _UNIT), rq * one)
+    assert _abds_agree(poly_neg(p), -rp)
+    assert _abds_agree(poly_conj(p), rp.conj())
+    assert _abds_agree(poly_flip(p), rp.flip())
+    assert _abds_agree(poly_shift(p, j), rp.shift(j))
+    assert _abds_agree(poly_part(p, j), RefTPoly(rp.coeffs[j:j + 1]))

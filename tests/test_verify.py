@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from braidhopf import (CHECK_IDS, HermitianMatrix, Scalar, parse_presentation,
-                       psd_exact, run_catalog)
+from braidhopf import (CHECK_IDS, Deformation, Functional, HermitianMatrix,
+                       Scalar, Tensor, parse_presentation, psd_exact,
+                       run_catalog)
 from braidhopf.scalars import TPoly, T_ONE
 from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
@@ -51,11 +53,15 @@ def test_psd_all_small_two_by_two():
                     check_against_minors([[a, b], [b.conj(), d]])
 
 
-def random_hermitian(rng, n):
+def random_hermitian(rng, n, density=1.0):
+    """A random hermitian matrix whose off-diagonal entries are nonzero
+    with probability at most density."""
     rows = [[S0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = Scalar(Fraction(rng.randint(-4, 8), rng.randint(1, 3)))
         for j in range(i + 1, n):
+            if rng.random() >= density:
+                continue
             b = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                        Fraction(rng.randint(-2, 2)))
             rows[i][j] = b
@@ -84,6 +90,11 @@ def test_psd_random_three_and_four_by_four():
             check_against_minors(random_hermitian(rng, n))
         for _ in range(15):
             assert check_against_minors(random_gram(rng, n)) == "psd"
+    # sparse rows: a zero pivot-column entry skips the Schur update
+    verdicts = [check_against_minors(random_hermitian(rng, n, density))
+                for n in (3, 4, 5) for density in (0.2, 0.4)
+                for _ in range(30)]
+    assert {"psd", "not-psd"} <= set(verdicts)
 
 
 def test_psd_spot_values():
@@ -262,3 +273,45 @@ def test_t_identities_reject_perturbations_invisible_at_sample_points(
     perturb(ctx)
     run = next(fn for i, _, fn in CATALOG if i == cid)
     assert run(ctx).status == "fail"
+
+
+# -- one coefficient representation -----------------------------------------
+
+
+def memo_tensors(owner, seen):
+    """Every Tensor in the memo tables of owner, and of the functionals
+    those tables or owner's attributes hold, each table walked once."""
+    if id(owner) in seen:
+        return
+    seen.add(id(owner))
+    values = [v for table in owner.memo.values() for v in table.values()]
+    values += [getattr(owner, name, None) for name in ("sigma", "L")]
+    for v in values:
+        if isinstance(v, Tensor):
+            yield v
+        elif isinstance(v, (Functional, Deformation)):
+            yield from memo_tensors(v, seen)
+
+
+def is_canonical_poly(abds):
+    """abds is a nonempty tuple of canonical triples with no trailing
+    zero."""
+    return (type(abds) is tuple and abds and abds[-1] != (0, 0, 1)
+            and all(type(x) is tuple and len(x) == 3
+                    and all(type(n) is int for n in x)
+                    and x[2] > 0 and gcd(*x) == 1 for x in abds))
+
+
+@pytest.mark.parametrize("name", ("car", "q2", "freec"))
+def test_every_memoized_tensor_holds_coefficient_tuples(name):
+    ctx = VerifyContext(load(name + ".alg"), 2)
+    for _, _, run in CATALOG:
+        run(ctx)
+    seen = set()
+    owners = [ctx.alg, ctx.defm, ctx.L_form,
+              *(f for pair in ctx.sesqui_conv_sides for f in pair)]
+    tensors = [t for o in owners for t in memo_tensors(o, seen)]
+    assert len(tensors) > 100
+    bad = [(key, c) for t in tensors for key, c in t.terms.items()
+           if not is_canonical_poly(c)]
+    assert bad == []
