@@ -10,9 +10,8 @@ from .presentation import (AlgebraPresentation, PresentationError, Report,
                            parse_presentation, parse_psi)
 from .algebra import Algebra, Tensor, tensor_product
 from .braidtensor import braid_at, braided_product, comul, counit
-from .deform import (Deformation, Functional, cocycle_defect,
-                     cocycle_functional, conv_exp, convolve_fn,
-                     psi_functional, sesquilinearize, table_functional)
+from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
+                     convolve_fn, sesquilinearize, table_functional)
 from .verify import (CHECK_IDS, HermitianMatrix, SchoenbergError,
                      fixture_path, psd_exact, q_presentation, qnogo_eval,
                      run_catalog, schoenberg_check)
@@ -35,7 +34,6 @@ __all__ = [
     "braid_at",
     "braided_product",
     "cocycle_defect",
-    "cocycle_functional",
     "comul",
     "conv_exp",
     "convolve_fn",
@@ -44,7 +42,6 @@ __all__ = [
     "parse_presentation",
     "parse_psi",
     "psd_exact",
-    "psi_functional",
     "q_presentation",
     "qnogo_eval",
     "run_catalog",

@@ -22,8 +22,8 @@ run of slots, linearly; scalar_map turns a word-tuple -> TPoly map into a
 word map into rank-0 tensors; memoized keeps an owner's per-basis-input
 caches (an algebra, a functional, a deformation) in its one memo table.
 Maps run once per word or element go through slot_map.  The per-input
-loops of the checks (braided_product, star_tensor, sesquilinearize,
-conv_sesqui, cocycle_defect, convolve_fn, mu_t_key) stay written out:
+loops of the checks (braided_product, sesquilinearize, conv_sesqui,
+cocycle_defect, convolve_fn, mu_t_key) stay written out:
 through slot_map's intermediate tensors a catalog run measured about 5 %
 slower, and cocycle_defect alone four to five times slower.
 """
@@ -198,9 +198,6 @@ class Algebra:
     def element(self, terms: dict) -> Tensor:
         return Tensor(1, {(tuple(w),): c for w, c in terms.items()})
 
-    def generator(self, symbol: str) -> Tensor:
-        return Tensor.basis(((self.pres.gen_index(symbol),),))
-
     def parse_element(self, text: str) -> Tensor:
         names = {g: k for k, g in enumerate(self.pres.generators)}
         terms = parse_element_terms(text, names)
@@ -267,7 +264,7 @@ class Algebra:
         return memo[w]
 
     def mul_words(self, w1, w2) -> Tensor:
-        return self.normal_form_word(tuple(w1) + tuple(w2))
+        return self.normal_form_word(w1 + w2)
 
     # -- involution -------------------------------------------------------
 

@@ -125,20 +125,13 @@ def counit_word(w) -> Tensor:
 
 
 def star_tensor(alg: Algebra, u: Tensor) -> Tensor:
-    """The involution on the tensor square: braid . (* (x) *) . swap."""
+    """The involution on the tensor square, braid_at . (* (x) *) . swap."""
     if u.rank != 2:
         raise ValueError("star_tensor acts on rank-2 tensors")
-    out = Tensor(2)
-    for (m, n), c in u.terms.items():
-        cc = poly_conj(c)
-        left = alg.involution_word(n)
-        right = alg.involution_word(m)
-        for (a,), ca in left.terms.items():
-            cca = poly_mul(cc, ca)
-            for (b,), cb in right.terms.items():
-                k = (alg.braid_coeff((a, b)).abd,)
-                out.add_term((b, a), poly_mul(poly_mul(cca, cb), k))
-    return out
+    star = alg.involution_word
+    return braid_at(alg, slot_map(
+        u.map_coeffs(poly_conj), 0, 2,
+        lambda m, n: tensor_product(star(n), star(m)), 2), 0, 1, 1)
 
 
 def lambda_n_key(alg: Algebra, key) -> Tensor:

@@ -56,7 +56,7 @@ def cmd_verify(args) -> int:
         ids = [s.strip() for s in args.checks.split(",") if s.strip()]
     reports = run_catalog(pres, ids, args.max_degree)
     _print_reports(reports, args.format)
-    return EXIT_FAIL if any(r.status == "fail" for r in reports) else EXIT_OK
+    return EXIT_OK if all(r.ok() for r in reports) else EXIT_FAIL
 
 
 def cmd_eval(args) -> int:

@@ -45,7 +45,8 @@ from .scalars import (Scalar, TPoly, T_ZERO, as_tpoly, from_abds, poly_add,
 
 
 class Functional:
-    """Linear functional on rank-n tensors, memoized on basis slot-tuples.
+    """Linear functional on rank-n tensors, memoized on basis slot-tuples;
+    fn maps a basis slot-tuple to its TPoly value.
 
     support is a frozenset of length tuples (|w_1|, ..., |w_n|) off which
     the functional vanishes on basis slot-tuples, given only where it also
@@ -64,8 +65,7 @@ class Functional:
 
     @memoized
     def on_key(self, key) -> TPoly:
-        v = self._fn(key)
-        return v if type(v) is TPoly else as_tpoly(v)
+        return self._fn(key)
 
     def __call__(self, u: Tensor) -> TPoly:
         return _extend(self.arity, self.on_key, u)
@@ -99,17 +99,6 @@ def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
     support = frozenset(tuple(map(len, k)) for k in tab)
     return Functional(alg, arity, lambda k: tab.get(k, T_ZERO),
                       support=support if alg.homogeneous or not tab else None)
-
-
-def cocycle_functional(alg: Algebra) -> Functional:
-    """The generator L read off the presentation's cocycle table."""
-    table = {(l, r): c for l, r, c in alg.pres.cocycle}
-    return table_functional(alg, table, 2)
-
-
-def psi_functional(alg: Algebra, table: dict) -> Functional:
-    """Arity-1 support-table functional (for Schoenberg-style inputs)."""
-    return table_functional(alg, {(w,): c for w, c in table.items()}, 1)
 
 
 def convolve_fn(F: Functional, G: Functional) -> Functional:
@@ -202,7 +191,8 @@ class Deformation:
 
     def __init__(self, alg: Algebra, L: Functional | None = None):
         self.alg = alg
-        self.L = L if L is not None else cocycle_functional(alg)
+        self.L = L if L is not None else table_functional(
+            alg, {(l, r): c for l, r, c in alg.pres.cocycle}, 2)
         if self.L.arity != 2:
             raise ValueError("the generator must have arity 2")
         self.memo = defaultdict(dict)
@@ -216,9 +206,6 @@ class Deformation:
 
     # -- the deformed product ---------------------------------------------
 
-    def expL_key(self, key) -> TPoly:
-        return conv_exp_key(self.L, key)
-
     @memoized
     def mu_t_key(self, key) -> Tensor:
         """mu_t on a basis pair, formal in t: the splits of Lambda_2 whose
@@ -228,7 +215,7 @@ class Deformation:
             lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
         for a1, b1, _, _, v in lambda2_walk(
-                self.alg, key, lengths, lambda k: self.expL_key(k).abds):
+                self.alg, key, lengths, lambda k: conv_exp_key(self.L, k).abds):
             for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
                 out.add_term((pw,), poly_mul(pc, v))
         return out
@@ -242,16 +229,11 @@ class Deformation:
 
     # -- the deformed antipode ------------------------------------------------
 
-    def ft_key(self, w, time_sign: int = 1) -> TPoly:
-        """F_t = e*^{t sigma} on a basis word."""
-        e = conv_exp_key(self.sigma, (w,))
-        return e.flip_sign() if time_sign < 0 else e
-
     @memoized
     def st_word(self, w) -> Tensor:
         """S_t = S * e*^{-t sigma} on a basis word, formal in t."""
-        f_minus_t = scalar_map(lambda k: self.ft_key(k[0], time_sign=-1))
-        return slot_map(slot_map(comul_word(self.alg, w), 1, 1, f_minus_t, 0),
+        f_neg_t = scalar_map(lambda k: conv_exp_key(self.sigma, k).flip_sign())
+        return slot_map(slot_map(comul_word(self.alg, w), 1, 1, f_neg_t, 0),
                         0, 1, self.alg.antipode_word, 1)
 
     def st(self, u: Tensor, time_sign: int = 1) -> Tensor:

@@ -85,12 +85,6 @@ class AlgebraPresentation:
     cocycle: tuple                             # ((Word, Word, Scalar), ...)
     antipode: tuple                            # per generator: ((Word, Scalar), ...)
 
-    def gen_index(self, symbol: str) -> int:
-        try:
-            return self.generators.index(symbol)
-        except ValueError:
-            raise PresentationError(f"unknown generator {symbol!r}") from None
-
     def word_str(self, w: Word) -> str:
         return " ".join(self.generators[k] for k in w) if w else "1"
 

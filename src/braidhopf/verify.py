@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import product
 
@@ -21,8 +22,8 @@ from .algebra import Algebra, Tensor, scalar_map, slot_map, tensor_product
 from .braidtensor import (braid_at, braided_product, comul, comul_word,
                           counit, counit_word, lambda_n_key, star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
-                     conv_power, conv_sesqui, convolve_fn, psi_functional,
-                     sesquilinearize)
+                     conv_exp_key, conv_power, conv_sesqui, convolve_fn,
+                     sesquilinearize, table_functional)
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
@@ -80,11 +81,6 @@ class VerifyContext:
 # only through factors evaluated at s, each of which contributes its t^j
 # coefficient.  Both sides vanish beyond the largest t-degree of f and of
 # those factors, so the powers compared are read off the polynomials.
-
-
-def _s_part(j):
-    """The coefficient map taking p(s) to the coefficient of s^j."""
-    return lambda p: poly_part(p, j)
 
 
 def _t_degree(*values) -> int:
@@ -344,7 +340,7 @@ def _nilpotency(ctx, a, b):
 
 @check("delta-mu-t", _DEFORM, pairs)
 def _delta_mu_t(ctx, a, b):
-    yield counit(ctx.defm.mu_t_key((a, b))), ctx.defm.expL_key((a, b))
+    yield counit(ctx.defm.mu_t_key((a, b))), conv_exp_key(ctx.L, (a, b))
 
 
 @check("mu-t-assoc", _DEFORM, triples)
@@ -359,7 +355,7 @@ def _mu_t_assoc_eq3(ctx, a, b, c):
     """e^{tL} . (id (x) mul) (x) (delta (x) e^{tL}) against
     e^{tL} . (mul (x) id) (x) (e^{tL} (x) delta), through Lambda_3."""
     lam = lambda_n_key(ctx.alg, (a, b, c))
-    exp = scalar_map(ctx.defm.expL_key)
+    exp = scalar_map(partial(conv_exp_key, ctx.L))
 
     def side(unit_slot, mul_at):
         u = slot_map(slot_map(lam, unit_slot, 1, counit_word, 0), 3, 2, exp, 0)
@@ -377,7 +373,8 @@ def _deformation_law(ctx, a, b):
     for j in range(_t_degree(left, *(mu(k[2:]) for k in lam.terms)) + 1):
         yield (left.map_coeffs(lambda p: poly_shift(p, j)),
                slot_map(lam, 0, 4, lambda *k: tensor_product(
-                   mu(k[:2]), mu(k[2:]).map_coeffs(_s_part(j))), 2),
+                   mu(k[:2]),
+                   mu(k[2:]).map_coeffs(lambda p: poly_part(p, j))), 2),
                {"power of s": j})
 
 
@@ -391,7 +388,8 @@ def _star_deformation(ctx, a, b):
 @check("expL-semigroup", _DEFORM, pairs)
 def _expL_semigroup(ctx, a, b):
     """e*^{(t+s)L} = (e*^{tL} (x) e*^{sL}) . Lambda_2."""
-    exp, splits = ctx.defm.expL_key, lambda_n_key(ctx.alg, (a, b)).terms
+    exp = partial(conv_exp_key, ctx.L)
+    splits = lambda_n_key(ctx.alg, (a, b)).terms
     for j in range(_t_degree(exp((a, b)), *(exp(k[2:]) for k in splits)) + 1):
         tot = ()
         for k, v in splits.items():
@@ -405,7 +403,7 @@ def _expL_hermitian(ctx, a, b):
     """Exact in Q(i)[t] because t is real, so conj acts on coefficients."""
     star = ctx.alg.involution_word
     yield (conv_exp(ctx.L, tensor_product(star(a), star(b))),
-           ctx.defm.expL_key((b, a)).conj())
+           conv_exp_key(ctx.L, (b, a)).conj())
 
 
 @check("primitive-formula", _DEFORM, generator_pairs)
@@ -427,12 +425,12 @@ def _sigma_two_sided(ctx, w):
 def _ft_agreement(ctx, w):
     for i in (0, 1):
         split = slot_map(ctx.comul(w), i, 1, ctx.alg.antipode_word, 1)
-        yield conv_exp(ctx.L, split), ctx.defm.ft_key(w)
+        yield conv_exp(ctx.L, split), conv_exp_key(ctx.defm.sigma, (w,))
 
 
 @check("ft-commute", _DEFORM, words)
 def _ft_commute(ctx, w):
-    ft = scalar_map(lambda k: ctx.defm.ft_key(k[0]))
+    ft = scalar_map(partial(conv_exp_key, ctx.defm.sigma))
     yield (slot_map(ctx.comul(w), 0, 1, ft, 0),
            slot_map(ctx.comul(w), 1, 1, ft, 0))
 
@@ -467,7 +465,8 @@ def _st_comul(ctx, w):
                                      .terms)) + 1):
         yield (left.map_coeffs(lambda p: poly_shift(p, j)),
                slot_map(ctx.comul(w), 0, 2, lambda k0, k1: tensor_product(
-                   st_word(k1), st_word(k0).map_coeffs(_s_part(j)))
+                   st_word(k1),
+                   st_word(k0).map_coeffs(lambda p: poly_part(p, j)))
                    .scale(ctx.alg.braid_coeff((k0, k1))), 2),
                {"power of s": j})
 
@@ -507,8 +506,8 @@ def run_catalog(pres: AlgebraPresentation, ids=None,
                 max_degree: int = 4) -> list:
     """Run the selected checks (all by default) in catalog order.
 
-    A check is skipped when a prerequisite in the same run did not pass;
-    prerequisites not selected are taken as satisfied.
+    A check is skipped when a prerequisite did not pass.  Unselected
+    prerequisites run silently, so a check reports as in the full run.
     """
     if max_degree < 1:
         raise ValueError(f"max degree must be positive, got {max_degree}")
@@ -522,21 +521,25 @@ def run_catalog(pres: AlgebraPresentation, ids=None,
         if unknown:
             raise ValueError(
                 "unknown check id(s): " + ", ".join(sorted(unknown)))
+    needed = set(selected)
+    for cid, needs, _ in reversed(CATALOG):
+        if cid in needed:
+            needed.update(needs)
     ctx = VerifyContext(pres, max_degree)
     status = {}
     reports = []
     for cid, needs, fn in CATALOG:
-        if cid not in selected:
+        if cid not in needed:
             continue
-        blocker = next(
-            (n for n in needs if status.get(n, "pass") != "pass"), None)
+        blocker = next((n for n in needs if status[n] != "pass"), None)
         if blocker is not None:
             rep = Report(cid, "skipped", max_degree,
                          {"reason": f"requires {blocker}"})
         else:
             rep = fn(ctx)
         status[cid] = rep.status
-        reports.append(rep)
+        if cid in selected:
+            reports.append(rep)
     return reports
 
 
@@ -693,7 +696,7 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
         raise ValueError(f"max degree must be positive, got {max_degree}")
     alg = Algebra(pres)
     require_confluence(alg)
-    psi = psi_functional(alg, psi or {})
+    psi = table_functional(alg, {(w,): c for w, c in (psi or {}).items()}, 1)
     basis = alg.basis(max_degree)
 
     # hypothesis gates, in order: hermitian, braiding-invariant, psi(1) = 0

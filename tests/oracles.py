@@ -356,6 +356,37 @@ def hand_sigma_word(L, w):
     return tot
 
 
+# -- the conjugation paths, one term at a time ------------------------------
+#
+# The convolution of two sesquilinear forms and the involution of the tensor
+# square as sums over basis terms in TPoly arithmetic, braided by the
+# closed-form coefficient.  The bundled fixtures have real coefficients, so
+# these matter only on presentations with non-real ones.
+
+
+def hand_conv_sesqui(P, Q, a, b):
+    """sum of conj(v') v'' P(a', b') Q(a'', b'') over the terms
+    v' a' (x) a'' of comul(a) and v'' b' (x) b'' of comul(b)."""
+    tot = T_ZERO
+    for (a1, a2), va in comul_word(P.alg, a):
+        for (b1, b2), vb in comul_word(P.alg, b):
+            tot = tot + (va.conj() * vb * P.on_key((a1, b1))
+                         * Q.on_key((a2, b2)))
+    return tot
+
+
+def hand_star_tensor(alg, u):
+    """braid . (* (x) *) . swap on a rank-2 tensor: m (x) n goes to
+    n* (x) m*, then each term a (x) b of it to c(a, b) b (x) a."""
+    out = Tensor(2)
+    for (m, n), c in u:
+        for (a,), ca in alg.involution_word(n):
+            for (b,), cb in alg.involution_word(m):
+                k = closed_form_braid_coeff(alg.pres, a, b)
+                out.add_term((b, a), (c.conj() * ca * cb * k).abds)
+    return out
+
+
 # -- the state Gram matrix, one sample point at a time ----------------------
 #
 # mu_t is evaluated at t0 first and phi_t0 = e*^{t0 psi} is then applied word

@@ -2,10 +2,14 @@
 package, with exact arithmetic and zero tolerance everywhere."""
 
 import random
+import re
 import time
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 from braidhopf import (CHECK_IDS, Algebra, Deformation, HermitianMatrix,
-                       Scalar, Tensor, cocycle_functional, parse_presentation,
+                       Scalar, Tensor, parse_presentation,
                        psd_exact, run_catalog, schoenberg_check,
                        tensor_product)
 from braidhopf.braidtensor import comul_word
@@ -151,7 +155,7 @@ def test_psd_and_exponential_match_independent_oracles():
 
     # the convolution exponential against the naive series
     alg = Algebra(load("car.alg"))
-    L = cocycle_functional(alg)
+    L = Deformation(alg).L
     fn = lambda a, b: L.on_key((a, b))
     for a in alg.basis(3):
         for b in alg.basis(3):
@@ -159,3 +163,14 @@ def test_psd_and_exponential_match_independent_oracles():
             if d <= 3:
                 assert conv_exp_key(L, (a, b)) == \
                     naive_exp2(alg, fn, a, b, d)
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(example, {})
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == ["- x xs + t", "- x xs", "- x xs + 1/2"]
+    assert lines[3:] == [f"{cid} pass" for cid in CHECK_IDS]

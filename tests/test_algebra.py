@@ -102,7 +102,7 @@ def test_mul_is_bilinear(da, db):
 
 def test_car_relation_holds_in_quotient(car):
     # x xs + xs x = 0 in the undeformed algebra
-    x, xs = car.generator("x"), car.generator("xs")
+    x, xs = car.parse_element("x"), car.parse_element("xs")
     assert (braided_product(car, x, xs) + braided_product(car, xs, x)
             == Tensor(1))
 
@@ -216,7 +216,7 @@ def test_format_spot_values(car):
 
 
 def test_format_rank2(car):
-    u = tensor_product(car.generator("x"), car.generator("xs"))
+    u = tensor_product(car.parse_element("x"), car.parse_element("xs"))
     assert car.format(u) == "x (x) xs"
 
 

@@ -155,7 +155,7 @@ def test_comul_iter_spot_value():
 
 def test_counit_laws():
     assert counit(CAR.one()) == T_ONE
-    assert counit(CAR.generator("x")) == T_ZERO
+    assert counit(CAR.parse_element("x")) == T_ZERO
     for w in CAR.basis(3):
         # (counit (x) id) . comul = id
         back = Tensor(1)

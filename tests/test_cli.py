@@ -1,14 +1,15 @@
 import inspect
 import json
+import random
 import sys
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from braidhopf import Algebra, Tensor, parse_presentation
+from braidhopf import CHECK_IDS, Algebra, Tensor, parse_presentation
 from braidhopf.cli import main
-from braidhopf.verify import fixture_path
+from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,14 +58,24 @@ def test_verify_failure_and_skip_lines(capsys):
 def test_an_imaginary_generator_fails_the_hermiticity_checks(
         capsys, tmp_path, check, witness):
     # L(xs (x) x) = i breaks L's hermiticity, which each of these checks
-    # sees in its own identity
+    # sees in its own identity when run past its gates
+    text = fixture_path("car.alg").read_text().replace(
+        "xs | x = 1", "xs | x = i")
+    run_check = next(fn for cid, _, fn in CATALOG if cid == check)
+    rep = run_check(VerifyContext(parse_presentation(text), 2))
+    assert rep.status == "fail"
+    assert "; ".join(f"{k}: {v}" for k, v in rep.witness.items()) == witness
+    # verify prints the full run's line: the deformation checks are
+    # skipped behind gen-hermitian, which runs silently
     path = tmp_path / "car-imagL.alg"
-    path.write_text(fixture_path("car.alg").read_text().replace(
-        "xs | x = 1", "xs | x = i"))
+    path.write_text(text)
     rc, out, err = run(capsys, "verify", str(path), "--checks", check,
                        "--max-degree", "2")
     assert (rc, err) == (1, "")
-    assert out == f"[FAIL] {check} (degree 2) -- {witness}\n"
+    assert out == (f"[FAIL] {check} (degree 2) -- {witness}\n"
+                   if check == "gen-hermitian" else
+                   f"[skip] {check} (degree 2) -- reason: requires "
+                   "gen-hermitian\n")
 
 
 def test_verify_reports_inconsistent_rules_with_a_composite_coefficient(
@@ -120,6 +131,53 @@ def test_only_verify_runs_on_non_confluent_relations(capsys, tmp_path):
                  ("eval", "--op", "comul", "--lhs", "a"),
                  ("schoenberg", "--max-degree", "2")):
         assert run(capsys, argv[0], str(path), *argv[1:]) == refusal
+
+
+# confluent, but c a = a c + b b is not a coideal relation
+COIDEAL = ("[algebra]\nname = coideal\ngenerators = a b c\n"
+           "involution = a:a b:b c:c\ngrade = a:1 b:1 c:1\n\n"
+           "[braiding]\nkind = graded-sign\n\n"
+           "[relations]\nb a = - a b\nc b = - b c\nc a = a c + b b\n")
+
+
+@pytest.mark.parametrize("text, checks, degree, reason", (
+    (COEFF, "assoc-mul,bialgebra,coassoc", "3", "confluence"),
+    (COIDEAL, "coassoc", "2", "quotient-compat"),
+    (fixture_path("q2.alg").read_text(), "antipode-squared,st-inverse", "2",
+     "cocommutative"),
+), ids=["non-confluent", "not-a-coideal", "q2-not-cocommutative"])
+def test_a_subset_run_checks_its_unselected_prerequisites(
+        capsys, tmp_path, text, checks, degree, reason):
+    # each of these checks passed or failed on its own while a prerequisite
+    # that was not selected failed
+    path = tmp_path / "p.alg"
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", str(path), "--checks", checks,
+                       "--max-degree", degree)
+    assert (rc, err) == (1, "")
+    assert out == "".join(
+        f"[skip] {cid} (degree {degree}) -- reason: requires {reason}\n"
+        for cid in checks.split(","))
+
+
+def bundled_presentations():
+    return sorted(p.name for p in fixture_path("").iterdir()
+                  if p.name.endswith(".alg"))
+
+
+@pytest.mark.parametrize("name", bundled_presentations())
+def test_a_subset_run_prints_the_full_run_lines(capsys, name):
+    _, out, _ = run(capsys, "verify", alg(name), "--max-degree", "2")
+    full = dict(zip(CHECK_IDS, out.splitlines()))
+    rng = random.Random(name)
+    for _ in range(4):
+        ids = rng.sample(CHECK_IDS, rng.randint(1, 8))
+        rc, out, err = run(capsys, "verify", alg(name), "--max-degree", "2",
+                           "--checks", ",".join(ids))
+        lines = [full[cid] for cid in CHECK_IDS if cid in ids]
+        assert (out, err) == ("".join(line + "\n" for line in lines), "")
+        assert rc == (0 if all(line.startswith("[pass]") for line in lines)
+                      else 1)
 
 
 def test_verify_json_matches_golden(capsys):

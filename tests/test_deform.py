@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhopf import (Algebra, Deformation, Scalar, Tensor,
-                       cocycle_functional, conv_exp, parse_presentation,
-                       psi_functional, table_functional, tensor_product)
+from braidhopf import (Algebra, Deformation, Scalar, Tensor, conv_exp,
+                       parse_presentation, table_functional, tensor_product)
 from braidhopf.cli import main
 from braidhopf.deform import (Functional, cocycle_defect, conv_exp_key,
                               conv_power, conv_sesqui, convolve_fn,
@@ -30,8 +29,8 @@ def make(name):
 
 
 CAR = make("car.alg")
-L = cocycle_functional(CAR)
 DEF = Deformation(CAR)
+L = DEF.L
 
 X, XS = (0,), (1,)
 
@@ -99,7 +98,7 @@ def test_convolution_rejects_mismatches():
     with pytest.raises(ValueError):
         convolve_fn(L, DELTA1)
     with pytest.raises(ValueError):
-        convolve_fn(L, cocycle_functional(make("car.alg")))
+        convolve_fn(L, Deformation(make("car.alg")).L)
     with pytest.raises(ValueError):
         L(Tensor.basis((X,)))
 
@@ -192,14 +191,14 @@ def test_pruned_mu_t_and_exponential_match_the_full_walk(case):
         for k in (2, 3):
             assert conv_power(L, k).on_key(key) == unpruned_conv_power(
                 L, k, key, powers)
-        assert defm.expL_key(key) == unpruned_conv_exp_key(L, key, powers)
+        assert conv_exp_key(L, key) == unpruned_conv_exp_key(L, key, powers)
         assert defm.mu_t_key(key) == unpruned_mu_t_key(L, key, powers)
     # the deformed antipode's exponential e*^{t sigma}, against the same
     # walk over a sigma that carries no support
     sigma = Functional(alg, 1, defm.sigma.on_key)
     sigma_powers = {}
     for key in pairs:
-        assert defm.ft_key(key[0]) == unpruned_conv_exp_key(
+        assert conv_exp_key(defm.sigma, key[:1]) == unpruned_conv_exp_key(
             sigma, (key[0],), sigma_powers)
 
 
@@ -224,7 +223,7 @@ xs | x = 1
 def _unit_term_case():
     alg = Algebra(parse_presentation(CAR_UNIT))
     assert not alg.homogeneous
-    return alg, cocycle_functional(alg)
+    return alg, Deformation(alg).L
 
 
 def test_a_table_records_its_support_only_where_it_prunes():
@@ -240,7 +239,7 @@ def test_a_table_records_its_support_only_where_it_prunes():
 
 def _bare_function_case():
     # the cocycle of car.alg behind a bare function: its support is unknown
-    L = Functional(CAR, 2, lambda key: cocycle_functional(CAR).on_key(key))
+    L = Functional(CAR, 2, DEF.L.on_key)
     assert CAR.homogeneous and L.support is None
     return CAR, L
 
@@ -254,7 +253,7 @@ def test_full_walk_fallback_matches_the_oracle(case):
     powers = {}
     for a in alg.basis(2):
         for b in alg.basis(2):
-            assert defm.expL_key((a, b)) == unpruned_conv_exp_key(
+            assert conv_exp_key(L, (a, b)) == unpruned_conv_exp_key(
                 L, (a, b), powers)
             assert defm.mu_t_key((a, b)) == unpruned_mu_t_key(
                 L, (a, b), powers)
@@ -294,7 +293,7 @@ def test_mu_t_at_time_zero_is_mul():
 
 
 def test_mu_t_pair_form_and_negative_time():
-    x, xs = CAR.generator("x"), CAR.generator("xs")
+    x, xs = CAR.parse_element("x"), CAR.parse_element("xs")
     u = tensor_product(xs, x)
     neg = DEF.mu_t(u, time_sign=-1)
     want = Tensor(1, {((0, 1),): as_tpoly(-1), ((),): T_T.flip_sign()})
@@ -366,9 +365,8 @@ def test_deformed_antipode_inverts_at_negative_time():
 
 
 def test_ft_is_the_exponential_of_sigma():
-    assert DEF.ft_key((0, 1)) == T_T
-    assert DEF.ft_key((0, 1), time_sign=-1) == T_T.flip_sign()
-    assert DEF.ft_key(()) == T_ONE
+    assert conv_exp_key(DEF.sigma, ((0, 1),)) == T_T
+    assert conv_exp_key(DEF.sigma, ((),)) == T_ONE
 
 
 # -- sesquilinear forms ----------------------------------------------------
@@ -390,7 +388,7 @@ def test_conv_sesqui_unit_law():
         for b in CAR.basis(2):
             assert conv.on_key((a, b)) == K.on_key((a, b))
     with pytest.raises(ValueError):
-        conv_sesqui(K, sesquilinearize(cocycle_functional(make("car.alg"))))
+        conv_sesqui(K, sesquilinearize(Deformation(make("car.alg")).L))
 
 
 # -- the coboundary --------------------------------------------------------
@@ -405,11 +403,11 @@ def test_cocycle_defect_vanishes_for_the_generating_cocycle():
 
 def test_cocycle_defect_detects_a_non_cocycle():
     bad = Algebra(parse_presentation(fixture_path("car-badL.alg").read_text()))
-    Lb = cocycle_functional(bad)
+    Lb = Deformation(bad).L
     assert cocycle_defect(Lb, X, X, (1, 1)) == T_ONE
 
 
 def test_psi_functional_table():
-    psi = psi_functional(CAR, {(0, 1): Scalar(2)})
+    psi = table_functional(CAR, {((0, 1),): Scalar(2)}, 1)
     assert psi.on_key(((0, 1),)) == as_tpoly(2)
     assert psi.on_key((X,)) == T_ZERO

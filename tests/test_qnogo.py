@@ -2,10 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidhopf import (Algebra, Scalar, Tensor, parse_presentation,
-                       q_presentation, qnogo_eval)
+from braidhopf import Algebra, Scalar, Tensor, q_presentation, qnogo_eval
 from braidhopf.scalars import T_T, TPoly
-from braidhopf.verify import fixture_path
 
 
 def side(c):
@@ -65,18 +63,3 @@ def test_q_presentation_structure():
     alg = Algebra(pres)
     nf = alg.normal_form_word((1, 0))
     assert nf.coefficient(((0, 1),)) == TPoly((Scalar(Fraction(1, 2)),))
-
-
-def test_template_instantiation_matches_the_builder():
-    text = fixture_path("q.alg.in").read_text()
-    text = text.replace("{qinv}", "1/2").replace("{q}", "2")
-    pres = parse_presentation(text)
-    built = q_presentation(Scalar(2))
-    assert pres.generators == built.generators
-    assert pres.grades == built.grades
-    assert pres.star == built.star
-    assert pres.braiding_kind == built.braiding_kind
-    assert pres.braiding_table == built.braiding_table
-    assert pres.rules == built.rules
-    assert pres.cocycle == built.cocycle
-    assert pres.antipode == built.antipode

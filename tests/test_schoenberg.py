@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
                        SchoenbergError, parse_presentation, parse_psi,
-                       psi_functional, schoenberg_check)
+                       schoenberg_check, table_functional)
 from braidhopf.verify import fixture_path, state_gram
 
 from oracles import state_gram_at
@@ -94,7 +94,8 @@ def gram_cases(draw):
                                  st.builds(Scalar, rationals, rationals),
                                  max_size=3))
     basis = defm.alg.basis(draw(st.integers(0, 3)))
-    return defm, psi_functional(defm.alg, table), basis, draw(rationals)
+    psi = table_functional(defm.alg, {(w,): c for w, c in table.items()}, 1)
+    return defm, psi, basis, draw(rationals)
 
 
 @settings(deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from braidhopf import (CHECK_IDS, Deformation, Functional, HermitianMatrix,
                        Scalar, Tensor, parse_presentation, psd_exact,
                        run_catalog)
+from braidhopf.deform import conv_exp_key
 from braidhopf.scalars import TPoly, T_ONE
 from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
@@ -154,9 +155,13 @@ def test_catalog_selection_keeps_order():
     assert all(r.ok() for r in reps)
 
 
-def test_unselected_prerequisites_count_as_satisfied():
+def test_unselected_prerequisites_run_silently():
     reps = run_catalog(load("car.alg"), ids=["assoc-mul"], max_degree=2)
     assert as_tuples(reps) == [("assoc-mul", "pass", 2, None)]
+    reps = run_catalog(load("car-wrongsign.alg"), ids=["assoc-mul"],
+                       max_degree=2)
+    assert as_tuples(reps) == [("assoc-mul", "skipped", 2,
+                                {"reason": "requires quotient-compat"})]
 
 
 def test_report_to_dict_shape():
@@ -252,7 +257,7 @@ def perturb_mu_t(ctx):
 
 def perturb_exp_by(p):
     def perturb(ctx):
-        ctx.L.memo["conv_exp_key"][XS_X] = ctx.defm.expL_key(XS_X) + p
+        ctx.L.memo["conv_exp_key"][XS_X] = conv_exp_key(ctx.L, XS_X) + p
     return perturb
 
 
