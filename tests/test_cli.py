@@ -148,8 +148,8 @@ COIDEAL = ("[algebra]\nname = coideal\ngenerators = a b c\n"
 ), ids=["non-confluent", "not-a-coideal", "q2-not-cocommutative"])
 def test_a_subset_run_checks_its_unselected_prerequisites(
         capsys, tmp_path, text, checks, degree, reason):
-    # each of these checks passed or failed on its own while a prerequisite
-    # that was not selected failed
+    # each selected check rests on a prerequisite that was not selected and
+    # fails
     path = tmp_path / "p.alg"
     path.write_text(text)
     rc, out, err = run(capsys, "verify", str(path), "--checks", checks,
@@ -160,12 +160,8 @@ def test_a_subset_run_checks_its_unselected_prerequisites(
         for cid in checks.split(","))
 
 
-def bundled_presentations():
-    return sorted(p.name for p in fixture_path("").iterdir()
-                  if p.name.endswith(".alg"))
-
-
-@pytest.mark.parametrize("name", bundled_presentations())
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in fixture_path("").iterdir() if p.name.endswith(".alg")))
 def test_a_subset_run_prints_the_full_run_lines(capsys, name):
     _, out, _ = run(capsys, "verify", alg(name), "--max-degree", "2")
     full = dict(zip(CHECK_IDS, out.splitlines()))
