@@ -22,8 +22,8 @@ run of slots, linearly; scalar_map turns a word-tuple -> TPoly map into a
 word map into rank-0 tensors; memoized keeps an owner's per-basis-input
 caches (an algebra, a functional, a deformation) in its one memo table.
 Maps run once per word or element go through slot_map.  The per-input
-loops of the checks (braided_product, sesquilinearize, conv_sesqui,
-cocycle_defect, convolve_fn, mu_t_key) stay written out:
+loops of the checks (braided_product, conv_sesqui, cocycle_defect,
+convolve_fn, mu_t_key) stay written out:
 through slot_map's intermediate tensors a catalog run measured about 5 %
 slower, and cocycle_defect alone four to five times slower.
 """
@@ -84,12 +84,6 @@ class Tensor:
             out.add_term(key, c)
         return out
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "Tensor":
         c = as_tpoly(c).abds
         return self.map_coeffs(lambda v: poly_mul(v, c))
@@ -115,9 +109,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return self.rank == other.rank and self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("Tensor is not hashable")
 
     def __iter__(self):
         """The pairs (key, TPoly coefficient)."""

@@ -37,7 +37,7 @@ from operator import add
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_word, lambda2_walk, lambda_n_key
 from .scalars import (Scalar, TPoly, T_ZERO, as_tpoly, from_abds, poly_add,
-                      poly_conj, poly_flip, poly_mul, poly_neg)
+                      poly_conj, poly_mul, poly_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +220,11 @@ class Deformation:
                 out.add_term((pw,), poly_mul(pc, v))
         return out
 
-    def mu_t(self, u: Tensor, time_sign: int = 1) -> Tensor:
-        """mu_t (or mu_{-t}) of a rank-2 tensor."""
+    def mu_t(self, u: Tensor) -> Tensor:
+        """mu_t of a rank-2 tensor."""
         if u.rank != 2:
             raise ValueError("mu_t consumes rank-2 tensors")
-        return slot_map(u, 0, 2, _at_time(
-            lambda a, b: self.mu_t_key((a, b)), time_sign), 1)
+        return slot_map(u, 0, 2, lambda a, b: self.mu_t_key((a, b)), 1)
 
     # -- the deformed antipode ------------------------------------------------
 
@@ -236,18 +235,11 @@ class Deformation:
         return slot_map(slot_map(comul_word(self.alg, w), 1, 1, f_neg_t, 0),
                         0, 1, self.alg.antipode_word, 1)
 
-    def st(self, u: Tensor, time_sign: int = 1) -> Tensor:
-        """S_t (or S_{-t}) extended linearly."""
+    def st(self, u: Tensor) -> Tensor:
+        """S_t extended linearly."""
         if u.rank != 1:
             raise ValueError("the deformed antipode acts on rank-1 tensors")
-        return slot_map(u, 0, 1, _at_time(self.st_word, time_sign), 1)
-
-
-def _at_time(fn, time_sign: int):
-    """The word map fn, or fn with t -> -t in its values for time_sign < 0."""
-    if time_sign > 0:
-        return fn
-    return lambda *words: fn(*words).map_coeffs(poly_flip)
+        return slot_map(u, 0, 1, self.st_word, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +252,8 @@ def sesquilinearize(K: Functional) -> Functional:
     if K.arity != 2:
         raise ValueError("sesquilinearize takes an arity-2 functional")
     alg = K.alg
-
-    def fn(key):
-        tot = ()
-        for (iw,), ic in alg.involution_word(key[0]).terms.items():
-            lv = K.on_key((iw, key[1])).abds
-            if lv:
-                tot = poly_add(tot, poly_mul(ic, lv))
-        return from_abds(tot)
-
-    return Functional(alg, 2, fn)
+    return Functional(alg, 2, lambda key: _extend(
+        1, lambda k: K.on_key((k[0], key[1])), alg.involution_word(key[0])))
 
 
 def conv_sesqui(P: Functional, Q: Functional) -> Functional:

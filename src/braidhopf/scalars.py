@@ -322,7 +322,6 @@ def as_scalar(x) -> Scalar:
 S_ZERO = Scalar(0)
 S_ONE = Scalar(1)
 S_MINUS_ONE = Scalar(-1)
-S_I = Scalar(0, 1)
 
 
 class TPoly:

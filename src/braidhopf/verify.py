@@ -27,8 +27,8 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
-                      T_ZERO, as_scalar, from_abds, poly_add, poly_mul,
-                      poly_part, poly_shift)
+                      T_ZERO, as_scalar, from_abds, poly_add, poly_flip,
+                      poly_mul, poly_part, poly_shift)
 
 
 def fixture_path(name: str):
@@ -450,9 +450,8 @@ def _st_unit(ctx, w):
 @check("st-mu", _DEFORM, pairs)
 def _st_mu(ctx, a, b):
     defm = ctx.defm
-    pair = Tensor.basis((a, b))
     swapped = tensor_product(defm.st_word(b), defm.st_word(a))
-    yield (defm.st(defm.mu_t(pair, time_sign=-1)),
+    yield (defm.st(defm.mu_t_key((a, b)).map_coeffs(poly_flip)),
            defm.mu_t(swapped.scale(ctx.alg.braid_coeff((a, b)))))
 
 
@@ -473,14 +472,17 @@ def _st_comul(ctx, w):
 
 @check("st-inverse", _DEFORM + ("cocommutative",), words)
 def _st_inverse(ctx, w):
-    inner = ctx.defm.st(Tensor.basis((w,)), time_sign=-1)
+    inner = ctx.defm.st_word(w).map_coeffs(poly_flip)
     yield ctx.defm.st(inner), Tensor.basis((w,))
 
 
 @check("st-star", _DEFORM, words)
 def _st_star(ctx, w):
+    def flip(u):
+        return u.map_coeffs(poly_flip)
+
     step = ctx.alg.involution(ctx.defm.st(ctx.alg.involution_word(w)))
-    yield ctx.defm.st(step, time_sign=-1), Tensor.basis((w,))
+    yield flip(ctx.defm.st(flip(step))), Tensor.basis((w,))
 
 
 # -- sesquilinear checks ----------------------------------------------------
@@ -566,9 +568,6 @@ class HermitianMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     def quadratic_form(self, v) -> Scalar:
         """v* G v for a vector of Scalars; zero coordinates are skipped."""

@@ -2,12 +2,15 @@
 against.  Everything here is deliberately written the slow, obvious way,
 composing primitives differently from the library paths under test."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
-from braidhopf.algebra import Tensor
-from braidhopf.braidtensor import comul_word, lambda_n_key
+from braidhopf.algebra import Algebra, Tensor, slot_map, tensor_product
+from braidhopf.braidtensor import (braid_at, comul, comul_word,
+                                   lambda_n_key)
 from braidhopf.deform import conv_exp_key
+from braidhopf.presentation import Report
 from braidhopf.scalars import Scalar, TPoly, T_ONE, T_ZERO
 
 
@@ -335,6 +338,69 @@ def unpruned_mu_t_key(L, key, powers):
         if e:
             for (pw,), pc in alg.mul_words(k2[0], k2[1]):
                 out.add_term((pw,), (pc * v * e).abds)
+    return out
+
+
+# -- the ideal checks in the rule-free twin ----------------------------------
+#
+# quotient-compat as it was computed before it ran on the quotient itself:
+# lhs - rhs is expanded in the free algebra on the same alphabet and
+# braiding, and every slot of each image is normal-formed afterwards.
+
+
+def twin_quotient_compat(alg, max_degree):
+    """The quotient-compat Report of alg, with the comultiplication and
+    the antipode of each relation taken in the rule-free twin."""
+    pres = alg.pres
+    free = Algebra(replace(pres, rules=()))
+
+    def nf_slots(tensor):
+        for i in range(tensor.rank):
+            tensor = slot_map(tensor, i, 1, alg.normal_form_word, 1)
+        return tensor
+
+    def defect(subcheck, rhs, where):
+        return Report("quotient-compat", "fail", max_degree, {
+            "input": where, "subcheck": subcheck, "lhs": "0", "rhs": rhs})
+
+    for rule in pres.rules:
+        rel = free.element({rule.lhs: Scalar(1)})
+        for w, coeff in rule.rhs:
+            rel = rel + free.element({w: -coeff})
+        where = pres.word_str(rule.lhs)
+
+        eps = rel.coefficient(((),))
+        if eps:
+            return defect("b", str(eps), where)
+        out = nf_slots(comul(free, rel))
+        if out.terms:
+            return defect("a", alg.format(out), where)
+        out = nf_slots(free.antipode(rel))
+        if out.terms:
+            return defect("d", alg.format(out), where)
+        for m in alg.basis(max_degree):
+            m1 = Tensor.basis((m,))
+            for u in (tensor_product(m1, rel), tensor_product(rel, m1)):
+                out = nf_slots(braid_at(alg, u, 0, 1, 1))
+                if out.terms:
+                    return defect("c", alg.format(out),
+                                  f"{pres.word_str(m)} across {where}")
+    return Report("quotient-compat", "pass", max_degree)
+
+
+# -- negative time word by word ---------------------------------------------
+#
+# S_{-t} extended linearly as the engine did before it flipped whole
+# tensors: each word's S_t with t -> -t in its values, times the word's
+# coefficient.
+
+
+def neg_time_st(defm, u):
+    """sum of c flip(S_t(w)) over the terms c w of u."""
+    out = Tensor(1)
+    for (w,), c in u:
+        for key, v in defm.st_word(w):
+            out.add_term(key, (c * v.flip_sign()).abds)
     return out
 
 

@@ -12,11 +12,14 @@ from braidhopf.cli import main
 from braidhopf.deform import (Functional, cocycle_defect, conv_exp_key,
                               conv_power, conv_sesqui, convolve_fn,
                               sesquilinearize)
-from braidhopf.scalars import T_ONE, T_T, T_ZERO, as_tpoly
+from braidhopf.presentation import (check_confluence,
+                                    check_quotient_compatibility)
+from braidhopf.scalars import T_ONE, T_T, T_ZERO, as_tpoly, poly_flip
 from braidhopf.verify import fixture_path
 
-from oracles import (hand_sigma_word, naive_exp2, unpruned_conv_exp_key,
-                     unpruned_conv_power, unpruned_mu_t_key)
+from oracles import (hand_sigma_word, naive_exp2, neg_time_st,
+                     unpruned_conv_exp_key, unpruned_conv_power,
+                     unpruned_mu_t_key)
 
 # the benchmark's presentation generators
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -71,7 +74,7 @@ def test_conv_exp_time_sign():
     assert conv_exp(L, u) == T_T
     # negative time is t -> -t on the formal value: e*^{-tL}(xs (x) x) is
     # the unit coefficient of mu_{-t}(xs (x) x)
-    neg = DEF.mu_t(u, time_sign=-1).coefficient(((),))
+    neg = DEF.mu_t(u).map_coeffs(poly_flip).coefficient(((),))
     assert neg == conv_exp(L, u).flip_sign() == T_T.flip_sign()
 
 
@@ -244,8 +247,23 @@ def _bare_function_case():
     return CAR, L
 
 
-@pytest.mark.parametrize("case", [_unit_term_case, _bare_function_case],
-                         ids=["unit-term-rule", "bare-function-L"])
+def _nonletter_antipode_case():
+    # passes both ideal checks, yet an antipode off the letters makes the
+    # algebra inhomogeneous
+    alg = Algebra(parse_presentation(fixture_path("freec.alg").read_text()
+                                     + "\n[antipode]\nx = - x + x x\n"))
+    assert check_confluence(alg).ok()
+    assert check_quotient_compatibility(alg, 3).ok()
+    assert not alg.homogeneous
+    L = Deformation(alg).L
+    assert L.support is None
+    return alg, L
+
+
+@pytest.mark.parametrize("case", [_unit_term_case, _bare_function_case,
+                                  _nonletter_antipode_case],
+                         ids=["unit-term-rule", "bare-function-L",
+                              "nonletter-antipode"])
 def test_full_walk_fallback_matches_the_oracle(case):
     alg, L = case()
     defm = Deformation(alg, L)
@@ -295,7 +313,7 @@ def test_mu_t_at_time_zero_is_mul():
 def test_mu_t_pair_form_and_negative_time():
     x, xs = CAR.parse_element("x"), CAR.parse_element("xs")
     u = tensor_product(xs, x)
-    neg = DEF.mu_t(u, time_sign=-1)
+    neg = DEF.mu_t(u).map_coeffs(poly_flip)
     want = Tensor(1, {((0, 1),): as_tpoly(-1), ((),): T_T.flip_sign()})
     assert neg == want
     with pytest.raises(ValueError):
@@ -357,11 +375,29 @@ def test_deformed_antipode_spot_values():
 
 def test_deformed_antipode_inverts_at_negative_time():
     # the undeformed coproduct is cocommutative here, so S_{-t} . S_t = id
+    # with S_{-t}(u) = flip(S_t(flip(u))), flip sending t to -t
     for w in CAR.basis(3):
-        back = DEF.st(DEF.st_word(w), time_sign=-1)
+        back = DEF.st(DEF.st_word(w).map_coeffs(poly_flip)).map_coeffs(
+            poly_flip)
         assert back == Tensor.basis((w,))
     with pytest.raises(ValueError):
         DEF.st(Tensor.basis((X, XS)))
+
+
+@pytest.mark.parametrize("name", [
+    "car.alg", "car-badL.alg", "car-negL.alg", "car-wrongsign.alg",
+    "free2.alg", "freec.alg", "q2.alg"])
+def test_negative_time_by_flipping_matches_the_word_by_word_oracle(name):
+    # S_{-t}(u) = flip(S_t(flip(u))) on each input u of the st-star check
+    alg = make(name)
+    defm = Deformation(alg)
+
+    def flip(u):
+        return u.map_coeffs(poly_flip)
+
+    for w in alg.basis(3):
+        u = alg.involution(defm.st(alg.involution_word(w)))
+        assert flip(defm.st(flip(u))) == neg_time_st(defm, u)
 
 
 def test_ft_is_the_exponential_of_sigma():

@@ -3,8 +3,8 @@ from a module its file already imports at module level, every private
 module-level function of the package is named somewhere in its module, no
 package module imports another module's private name, every name the
 package exports is bound by it and exported once, and every public
-module-level function or class of the package is read by some package
-module or named in README.md.
+module-level function, class or constant of the package is read by some
+package module or named in README.md.
 
 No linter is a dependency of the project, so this walks the syntax tree of
 every module under src/ and tests/ with the standard library's ast.
@@ -211,25 +211,41 @@ def test_every_export_is_bound_and_listed_once():
     assert export_faults(init.read_text("utf-8")) == []
 
 
+def module_level_names(tree) -> list:
+    """The functions, classes and plain names that the module-level
+    statements of tree define or assign, in order."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found.extend(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            found.append(node.target.id)
+    return found
+
+
 def unreached_public_names(sources: dict, readme: str) -> list:
-    """'module: name' for each public module-level function or class of the
-    modules sources (module name -> source) that no module reads and readme
-    does not name.  A read is a name or an attribute looked up in code; an
-    import alone, such as a re-export, is not one."""
+    """'module: name' for each public module-level function, class or
+    assigned name of the modules sources (module name -> source) that no
+    module reads and readme does not name.  A read is a name loaded or an
+    attribute looked up in code; an import alone, such as a re-export, or
+    an assignment is not one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{mod}: {node.name}" for mod, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in read
-            and not re.search(rf"\b{node.name}\b", readme)]
+    return [f"{mod}: {name}" for mod, tree in trees.items()
+            for name in module_level_names(tree)
+            if not name.startswith("_") and name not in read
+            and not re.search(rf"\b{name}\b", readme)]
 
 
 def test_unreached_public_names_are_found():
@@ -237,13 +253,19 @@ def test_unreached_public_names_are_found():
                      "def documented():\n    pass\n"
                      "def dead():\n    return used\n"
                      "class Dead:\n    pass\n"
-                     "def _private():\n    pass\n"),
-               "b": ("from .a import Dead, dead, used\n"
-                     "__all__ = ['dead']\n"
+                     "def _private():\n    pass\n"
+                     "LIMIT = 3\n"
+                     "UNREAD: int = 4\n"
+                     "OVERWRITTEN = 5\n"
+                     "OVERWRITTEN = LIMIT\n"
+                     "_HIDDEN = 6\n"),
+               "b": ("from .a import Dead, dead, used, UNREAD\n"
+                     "__all__ = ['dead', 'UNREAD']\n"
                      "def by_attribute():\n    pass\n"
                      "x = sys.modules[__name__].by_attribute\n")}
-    readme = "Call `documented()`, not `dead_end`.\n"
-    assert unreached_public_names(sources, readme) == ["a: dead", "a: Dead"]
+    readme = "Call `documented()`, not `dead_end`; `x` is internal.\n"
+    assert unreached_public_names(sources, readme) == [
+        "a: dead", "a: Dead", "a: UNREAD", "a: OVERWRITTEN", "a: OVERWRITTEN"]
 
 
 def test_every_public_name_is_read_or_documented():

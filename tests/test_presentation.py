@@ -22,7 +22,7 @@ def load(name):
     return parse_presentation(fixture_path(name).read_text())
 
 
-from oracles import all_words, exhaustive_normal_forms
+from oracles import all_words, exhaustive_normal_forms, twin_quotient_compat
 
 
 @pytest.mark.parametrize("name", ("car.alg", "q2.alg", "car-wrongsign.alg"))
@@ -286,6 +286,152 @@ def test_quotient_compat_badL_still_passes():
     # a broken cocycle is not an ideal problem; it fails later, in the
     # cocycle check
     assert check_quotient_compatibility(Algebra(load("car-badL.alg")), 4).ok()
+
+
+BUNDLED = FIXTURES + ("freec.alg",)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_quotient_compat_matches_the_twin_oracle_on_the_fixtures(name):
+    for d in (1, 2, 3):
+        got = check_quotient_compatibility(Algebra(load(name)), d)
+        assert got.to_dict() == twin_quotient_compat(Algebra(load(name)),
+                                                     d).to_dict()
+
+
+BRAID_ENTRIES = ("1", "- 1", "2", "- 2", "1/2", "i", "- i", "3")
+BRAID_COEFFS = ("", "- ", "2 ", "- 2 ", "1/2 ", "i ", "- i ", "3 ")
+
+
+def random_braided_presentation(rng):
+    """Two or three self-adjoint generators of grade 0-2 under the sign or a
+    random diagonal braiding; random normal-ordering rules, some with a
+    unit term and some the commutation y x = c x y with c the braid
+    coefficient of y across x; and, for some generators, an antipode with
+    a two-letter term."""
+    names = "abc"[:rng.choice((2, 3))]
+    n = len(names)
+    grades = [rng.randint(0, 2) for _ in names]
+    table = None
+    braiding = "kind = graded-sign\n"
+    if rng.random() < 0.5:
+        table = [[rng.choice(BRAID_ENTRIES) for _ in names] for _ in names]
+        braiding = "kind = diagonal\n" + "".join(
+            f"{g} {h} = {table[x][y]}\n"
+            for x, g in enumerate(names) for y, h in enumerate(names))
+    relations = []
+    for x in range(1, n):
+        for y in range(x):
+            if rng.random() < 0.4:
+                continue
+            if rng.random() < 0.4:
+                c = (table[x][y] if table else
+                     "- 1" if grades[x] * grades[y] % 2 else "1")
+                relations.append(f"{names[x]} {names[y]} = "
+                                 f"{c} {names[y]} {names[x]}")
+                continue
+            below = [(u, v) for u in range(x) for v in range(u, n)]
+            terms = [f"{rng.choice(BRAID_COEFFS)}{names[u]} {names[v]}"
+                     for u, v in rng.sample(below, rng.randint(0, 2))]
+            if rng.random() < 0.15:
+                terms.append(rng.choice(("1", "- 1", "i")))
+            relations.append(f"{names[x]} {names[y]} = "
+                             + (" + ".join(terms) or "0"))
+    antipode = [f"{g} = - {g} + {rng.choice(BRAID_COEFFS)}"
+                f"{rng.choice(names)} {rng.choice(names)}"
+                for g in names if rng.random() < 0.3]
+    return parse_presentation(
+        f"[algebra]\nname = random\ngenerators = {' '.join(names)}\n"
+        f"involution = {' '.join(f'{g}:{g}' for g in names)}\n"
+        f"grade = {' '.join(f'{g}:{k}' for g, k in zip(names, grades))}\n\n"
+        f"[braiding]\n{braiding}\n[relations]\n" + "\n".join(relations)
+        + "\n\n[antipode]\n" + "\n".join(antipode) + "\n")
+
+
+def braiding_respects_the_rules(alg):
+    """Whether every letter crosses each rule's right-side words with the
+    coefficient of its left side, in both orders.  Then rewriting keeps
+    every braid coefficient, and quotient-compat's sub-check (c) holds."""
+    gens = [(g,) for g in range(len(alg.pres.generators))]
+    c = alg.braid_coeff
+    return all(c((g, w)) == c((g, rule.lhs)) and c((w, g)) == c((rule.lhs, g))
+               for rule in alg.pres.rules for w, _ in rule.rhs for g in gens)
+
+
+def test_quotient_compat_matches_the_twin_oracle_on_random_rules():
+    # Where the braiding does not respect the rules, the braid coefficients
+    # of the antipode depend on whether its words were normal-formed first,
+    # so the two may print different values of a failing sub-check; both
+    # fail there, as (c) fails on some letter.
+    rng = random.Random(18)
+    verdicts = set()
+    confluent = 0
+    while confluent < 300:
+        pres = random_braided_presentation(rng)
+        if not check_confluence(Algebra(pres)).ok():
+            continue
+        confluent += 1
+        respects = braiding_respects_the_rules(Algebra(pres))
+        for d in (1, 2, 3):
+            got = check_quotient_compatibility(Algebra(pres), d).to_dict()
+            want = twin_quotient_compat(Algebra(pres), d).to_dict()
+            if respects:
+                assert got == want, pres
+            else:
+                assert got["status"] == want["status"] == "fail", pres
+            verdicts.add(got.get("witness", {}).get("subcheck"))
+    assert verdicts >= {None, "a", "b", "d"}
+
+
+PINNED = """\
+[algebra]
+name = pinned
+generators = a b
+involution = a:a b:b
+grade = a:1 b:{b}
+
+[braiding]
+kind = graded-sign
+
+[relations]
+b a = {rule}
+
+[antipode]
+{antipode}
+"""
+
+
+@pytest.mark.parametrize("b, rule, antipode, subcheck, where, rhs", [
+    (2, "i a a + 1 a b", "", "c", "a across b a", "-2 i (a a (x) a)"),
+    (1, "-1 a b", "a = - a + a a", "d", "b a", "-2 a a b"),
+], ids=["c", "d"])
+def test_quotient_compat_pins_the_braid_and_antipode_subchecks(
+        b, rule, antipode, subcheck, where, rhs):
+    pres = parse_presentation(PINNED.format(b=b, rule=rule,
+                                            antipode=antipode))
+    assert check_confluence(Algebra(pres)).ok()
+    for d in (1, 2, 3):
+        got = check_quotient_compatibility(Algebra(pres), d)
+        assert got.witness == {"input": where, "subcheck": subcheck,
+                               "lhs": "0", "rhs": rhs}
+        assert got.to_dict() == twin_quotient_compat(Algebra(pres),
+                                                     d).to_dict()
+
+
+def test_quotient_compat_antipode_value_where_the_braiding_breaks_a_rule():
+    # b a = a a + a b mixes grades 3 and 2, so the sign of a letter crossing
+    # the relation depends on the side, and the antipode's braid
+    # coefficients on whether a a and a b stand for b a: the quotient and
+    # the twin print different values, under the same verdict and sub-check
+    pres = parse_presentation(PINNED.format(b=2, rule="a a + a b",
+                                            antipode="a = - a - b a"))
+    alg = Algebra(pres)
+    assert check_confluence(alg).ok() and not braiding_respects_the_rules(alg)
+    got = check_quotient_compatibility(alg, 2).witness
+    want = twin_quotient_compat(Algebra(pres), 2).witness
+    assert got == want | {
+        "rhs": "a a a a + a a a b + a a b b - a a a + a a b"}
+    assert want["rhs"] == "3 a a a a + 3 a a a b + a a b b + a a a + a a b"
 
 
 # -- fuzzing the parsers ---------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf.presentation import PresentationError, parse_scalar
-from braidhopf.scalars import (_UNIT, _Z, Scalar, TPoly, S_I, S_ONE, S_ZERO,
+from braidhopf.scalars import (_UNIT, _Z, Scalar, TPoly, S_ONE, S_ZERO,
                                T_ONE, T_T, T_ZERO, as_scalar, as_tpoly,
                                from_abds, poly_add, poly_conj, poly_flip,
                                poly_mul, poly_neg, poly_part, poly_shift)
@@ -43,7 +43,7 @@ def test_scalar_conj_and_inverse(a):
 
 
 def test_scalar_i_squared():
-    assert S_I * S_I == Scalar(-1)
+    assert Scalar(0, 1) * Scalar(0, 1) == Scalar(-1)
 
 
 @given(scalars)
@@ -53,7 +53,7 @@ def test_scalar_parse_str_round_trip(a):
 
 def test_scalar_parse_forms():
     assert parse_scalar("-3/4 + 2 i") == Scalar(Fraction(-3, 4), 2)
-    assert parse_scalar("i") == S_I
+    assert parse_scalar("i") == Scalar(0, 1)
     assert parse_scalar("-i") == Scalar(0, -1)
     assert parse_scalar("5") == Scalar(5)
     # a scalar is an element expression without generators

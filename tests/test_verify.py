@@ -122,7 +122,7 @@ def test_hermitian_matrix_validation():
     G = HermitianMatrix([[Scalar(2)]])
     assert G.quadratic_form((Scalar(1, 1),)) == Scalar(4)
     assert G.size == 1
-    assert G[0, 0] == Scalar(2)
+    assert G.entries[0][0] == Scalar(2)
 
 
 # -- the check catalog -----------------------------------------------------
