@@ -2,16 +2,20 @@
 
 Runs ``perfbench/run.py`` for each workload in two checkouts, alternating
 which side goes first, for the ``run_seconds`` that ``BENCHMARK.json``
-declares, and optionally times whole-catalog ``verify`` runs the same way.  For every metric it records both sides' runs, medians and
-quartiles, and how many pairs the change won (ties count for neither
-side), together with each side's git sha, Python version and ``src`` line
-count.  Only the standard library is used; each checkout builds what it
+declares, and optionally times whole ``verify`` catalog runs and whole
+``schoenberg`` runs the same way.  For every metric it records both
+sides' runs, medians and quartiles, and how many pairs the change won
+(ties count for neither side), together with each side's git sha, Python
+version and ``src`` line count.  Only the standard library is used; each checkout builds what it
 runs from its own ``src``.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
         --out BENCH.json
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload none \\
         --catalog freec.alg@3 --catalog free2.alg@4 --catalog-pairs 3 \\
+        --out BENCH.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload none \\
+        --schoenberg freec.alg@5 --schoenberg car.alg+xxs.psi@4 \\
         --out BENCH.json
 
 An existing output file is updated in place: rows from this run replace
@@ -99,12 +103,27 @@ def bench_workload(dirs: dict, workload: str, args) -> dict:
     }
 
 
-def time_catalog(root: Path, fixture: str, degree: int) -> tuple:
-    """Wall time of one ``verify --format json`` process, and its statuses."""
-    path = root / "src" / "braidhopf" / "fixtures" / fixture
+def parse_spec(spec: str) -> tuple:
+    """FIXTURE[+PSI]@DEGREE as (fixture, psi file or None, degree)."""
+    name, at, degree = spec.partition("@")
+    fixture, plus, psi = name.partition("+")
+    if not (at and fixture and degree.isdigit()) or (plus and not psi):
+        raise ValueError(f"expected FIXTURE[+PSI]@DEGREE, got {spec!r}")
+    return fixture, psi or None, int(degree)
+
+
+def time_cli(root: Path, command: str, spec: str) -> tuple:
+    """Wall time of one ``braidhopf COMMAND ... --format json`` process on
+    a bundled fixture, the counts of its report statuses, and its
+    output."""
+    fixture, psi, degree = parse_spec(spec)
+    fixtures = root / "src" / "braidhopf" / "fixtures"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    cmd = [sys.executable, "-m", "braidhopf.cli", "verify", str(path),
-           "--max-degree", str(degree), "--format", "json"]
+    cmd = [sys.executable, "-m", "braidhopf.cli", command,
+           str(fixtures / fixture)]
+    if psi:
+        cmd += ["--psi", str(fixtures / psi)]
+    cmd += ["--max-degree", str(degree), "--format", "json"]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
                           text=True)
@@ -112,25 +131,26 @@ def time_catalog(root: Path, fixture: str, degree: int) -> tuple:
     if proc.returncode not in (0, 1):
         sys.exit(f"{root}: {' '.join(cmd)} exited {proc.returncode}:\n"
                  f"{proc.stderr}")
-    statuses = [r["status"] for r in json.loads(proc.stdout)]
+    doc = json.loads(proc.stdout)
+    reports = (doc if command == "verify"
+               else [doc["conditional"], *doc["states"]])
+    statuses = [r["status"] for r in reports]
     return wall, {s: statuses.count(s) for s in sorted(set(statuses))}, \
         proc.stdout
 
 
-def bench_catalog(dirs: dict, spec: str, pairs: int) -> dict:
-    fixture, _, degree = spec.partition("@")
+def bench_cli(dirs: dict, command: str, spec: str, pairs: int) -> dict:
     walls = {side: [] for side in SIDES}
     statuses = {}
     outputs = set()
     for i in range(pairs):
         for side in pair_order(i):
-            wall, counts, stdout = time_catalog(dirs[side], fixture,
-                                                int(degree))
+            wall, counts, stdout = time_cli(dirs[side], command, spec)
             walls[side].append(wall)
             statuses.setdefault(side, counts)
             outputs.add(stdout)
-            print(f"{spec} pair {i + 1} {side}: {wall:.2f} s {counts}",
-                  file=sys.stderr)
+            print(f"{command} {spec} pair {i + 1} {side}: {wall:.2f} s "
+                  f"{counts}", file=sys.stderr)
     row = compare(walls["parent"], walls["change"], "lower")
     # statuses are each side's first run; identical_output says whether
     # every run on both sides printed the same report
@@ -147,15 +167,26 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable; default all; "
-                         "'none' for catalog rows only)")
+                         "'none' for --catalog and --schoenberg rows only)")
     ap.add_argument("--catalog", action="append", default=[],
                     metavar="FIXTURE@DEGREE",
                     help="time a whole verify catalog run (repeatable)")
-    ap.add_argument("--catalog-pairs", type=int, default=3)
+    ap.add_argument("--schoenberg", action="append", default=[],
+                    metavar="FIXTURE[+PSI]@DEGREE",
+                    help="time a whole schoenberg run (repeatable)")
+    ap.add_argument("--catalog-pairs", type=int, default=3,
+                    help="pairs per --catalog or --schoenberg row")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.catalog_pairs < 1:
         ap.error("--pairs and --catalog-pairs must be at least 1")
+    for spec in args.catalog + args.schoenberg:
+        try:
+            parse_spec(spec)
+        except ValueError as exc:
+            ap.error(str(exc))
+    if any(parse_spec(spec)[1] for spec in args.catalog):
+        ap.error("a --catalog row takes no psi file")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     args.end_to_end = declared["end_to_end"]
@@ -165,11 +196,12 @@ def main(argv=None) -> int:
 
     doc = (json.loads(args.out.read_text()) if args.out.exists() else {})
     doc.setdefault("workloads", {})
-    doc.setdefault("catalog", {})
     for workload in workloads:
         doc["workloads"][workload] = bench_workload(dirs, workload, args)
-    for spec in args.catalog:
-        doc["catalog"][spec] = bench_catalog(dirs, spec, args.catalog_pairs)
+    for key, command in (("catalog", "verify"), ("schoenberg", "schoenberg")):
+        for spec in getattr(args, key):
+            doc.setdefault(key, {})[spec] = bench_cli(
+                dirs, command, spec, args.catalog_pairs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -21,9 +21,11 @@ inductively, and everything here stays basis-to-basis:
 
 except that L_2 = Lambda_2 has one closed form, the bicharacter walk
 lambda2_walk: the split a' (x) a'' of a and b' (x) b'' of b gives the term
-a' (x) b' (x) a'' (x) b'' with coefficient c(a'', b').  The walk serves both
-the memoized rank-2 lambda_n_key and the deformed product mu_t; L_n is
-inductive for n >= 3 only.
+a' (x) b' (x) a'' (x) b'' with coefficient c(a'', b').  The walk yields each
+split's coefficient and visits only the right lengths it is given; its
+callers evaluate their own factor on it: the memoized rank-2 lambda_n_key
+(every split), the deformed product mu_t and the arity-2 convolutions of
+deform (the splits a support allows).  L_n is inductive for n >= 3 only.
 
 braid_at, tensor_product, _product_keys and _lambda_pair write each term
 once: their key maps are injective, and a product of nonzero coefficients
@@ -151,19 +153,17 @@ def lambda_n_key(alg: Algebra, key) -> Tensor:
 @memoized
 def _lambda_pair(alg: Algebra, key) -> Tensor:
     out = Tensor(4)
-    for a1, b1, a2, b2, v in lambda2_walk(alg, key, None,
-                                          lambda k: T_ONE.abds):
+    for a1, b1, a2, b2, v in lambda2_walk(alg, key, None):
         out.terms[(a1, b1, a2, b2)] = v
     return out
 
 
-def lambda2_walk(alg: Algebra, key, lengths, right):
+def lambda2_walk(alg: Algebra, key, lengths):
     """Walk the splits of Lambda_2(a (x) b), key = (a, b), whose right pair
     (a'', b'') has its lengths in lengths (every split when lengths is
-    None), and yield (a', b', a'', b'', v * right((a'', b''))) where that
-    value is nonzero.  v is the split's coefficient: the comultiplication
-    coefficients of a and b times the braid coefficient c(a'', b').  right
-    returns, and the walk yields, coefficient tuples."""
+    None), and yield (a', b', a'', b'', v), v the split's coefficient
+    tuple: the comultiplication coefficients of a and b times the braid
+    coefficient c(a'', b').  The caller evaluates its own factor."""
     a, b = key
     ba, bb = comul_buckets(alg, a), comul_buckets(alg, b)
     coeff = alg.braid_coeff
@@ -173,8 +173,5 @@ def lambda2_walk(alg: Algebra, key, lengths, right):
             continue
         for a1, a2, ca in ba.get(j, ()):
             for b1, b2, cb in tb:
-                r = right((a2, b2))
-                if r:
-                    yield a1, b1, a2, b2, poly_mul(poly_mul(
-                        poly_mul(ca, cb), (coeff((a2, b1)).abd,)), r)
-
+                yield a1, b1, a2, b2, poly_mul(
+                    poly_mul(ca, cb), (coeff((a2, b1)).abd,))

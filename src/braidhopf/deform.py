@@ -15,16 +15,19 @@ convolution exponential truncates by the total-degree bound (the k-th
 convolution power kills tuples of total degree < k once the functional
 vanishes on the unit tuple, which is enforced).
 
-A Functional may record its support, the length tuples where it may be
-nonzero, where that support also bounds its convolution powers: the k-th
-power then vanishes off the k-fold sums of the support, and e*^{tF} off
-the monoid M(S) those sums make up.  Tables (L, psi and the counit among
-them) and sigma record one on a length-homogeneous algebra
-(Algebra.homogeneous), an empty table on any algebra.  A convolution or a
-functional built from a bare function carries None.  Only the supports of
-L, sigma and psi are read: conv_exp_key returns zero off M(S) without
-building a power, and mu_t visits only the splits of Lambda_2 whose right
-pair has its lengths in M(S), or every split where the support is None.
+A Functional may record its support S, the length tuples where it may be
+nonzero, where S also bounds its convolution powers: the k-th power then
+vanishes off the k-fold sums of S, and e*^{tF} off the monoid M(S) those
+sums make up.  Tables (L, psi and the counit among them) and sigma record
+one on a length-homogeneous algebra (Algebra.homogeneous), an empty table
+on any algebra.  A convolution or a functional built from a bare function
+carries None.  Every convolution reads the support of its left factor and
+walks only the splits whose left part has its lengths in S; conv_exp_key
+returns zero off M(S) without building a power and builds the k-th power
+only when k times the least nonzero total of S is at most the key's total
+length; and mu_t visits only the splits of Lambda_2 whose right pair has
+its lengths in M(S).  Where the support is None each walks every split
+and every power up to the total length.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
-from operator import add
+from operator import add, sub
 
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
-from .braidtensor import comul_word, lambda2_walk, lambda_n_key
+from .braidtensor import comul_buckets, comul_word, lambda2_walk
 from .scalars import (Scalar, TPoly, T_ZERO, as_tpoly, from_abds, poly_add,
                       poly_conj, poly_mul, poly_neg)
 
@@ -102,26 +105,46 @@ def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
 
 
 def convolve_fn(F: Functional, G: Functional) -> Functional:
-    """Convolution w.r.t. the rank-n comultiplication Lambda_n."""
+    """Convolution w.r.t. comul (arity 1) or Lambda_2 (arity 2), over the
+    splits whose left part has its lengths in F.support (every split where
+    that is None); F is evaluated before G."""
     if F.alg is not G.alg:
         raise ValueError("functionals live over different algebras")
     if F.arity != G.arity:
         raise ValueError("convolution needs equal arities")
-    n = F.arity
-    alg = F.alg
+    if F.arity not in (1, 2):
+        raise ValueError("convolution takes arity 1 or 2")
+    alg, S = F.alg, F.support
+
+    def splits(key):
+        # (left, right, coefficient) over the splits with right lengths
+        # key - s, s in S
+        rights = None
+        if S is not None:
+            lengths = tuple(map(len, key))
+            rights = [r for r in (tuple(map(sub, lengths, s)) for s in S)
+                      if min(r) >= 0]
+        if len(key) == 2:
+            for a1, b1, a2, b2, v in lambda2_walk(alg, key, rights):
+                yield (a1, b1), (a2, b2), v
+            return
+        buckets = comul_buckets(alg, key[0])
+        for r in buckets if rights is None else (r for r, in rights):
+            for left, right, v in buckets.get(r, ()):
+                yield (left,), (right,), v
 
     def conv(key):
         tot = ()
-        for k2, v in lambda_n_key(alg, key).terms.items():
-            a = F.on_key(k2[:n]).abds
+        for left, right, v in splits(key):
+            a = F.on_key(left).abds
             if not a:
                 continue
-            b = G.on_key(k2[n:]).abds
+            b = G.on_key(right).abds
             if b:
                 tot = poly_add(tot, poly_mul(poly_mul(v, a), b))
         return from_abds(tot)
 
-    return Functional(alg, n, conv)
+    return Functional(alg, F.arity, conv)
 
 
 @memoized
@@ -154,15 +177,22 @@ def conv_power(F: Functional, k: int) -> Functional:
 
 @memoized
 def conv_exp_key(F: Functional, key) -> TPoly:
-    """e*^{tF} on a basis slot-tuple, formal in t; zero off M(F.support)."""
+    """e*^{tF} on a basis slot-tuple, formal in t; zero off M(F.support),
+    and summed over the powers k with k times the least nonzero total of
+    F.support at most the key's total length."""
     if F.on_key(((),) * F.arity):
         raise ValueError(
             "convolution exponential requires the functional to vanish on "
             "the unit tuple")
     lengths = tuple(map(len, key))
-    if F.support is not None and lengths not in support_monoid(F, lengths):
-        return T_ZERO
     d = sum(lengths)
+    if F.support is not None:
+        if lengths not in support_monoid(F, lengths):
+            return T_ZERO
+        # the k-th power splits key into k factors in the support, each of
+        # at least m letters
+        m = min(filter(None, map(sum, F.support)), default=0)
+        d = d // m if m else 0
     tot = ()
     for k in range(d + 1):
         pk = conv_power(F, k).on_key(key).abds
@@ -214,10 +244,12 @@ class Deformation:
         if self.L.support is not None:
             lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
         out = Tensor(1)
-        for a1, b1, _, _, v in lambda2_walk(
-                self.alg, key, lengths, lambda k: conv_exp_key(self.L, k).abds):
-            for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
-                out.add_term((pw,), poly_mul(pc, v))
+        for a1, b1, a2, b2, v in lambda2_walk(self.alg, key, lengths):
+            e = conv_exp_key(self.L, (a2, b2)).abds
+            if e:
+                v = poly_mul(v, e)
+                for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
+                    out.add_term((pw,), poly_mul(pc, v))
         return out
 
     def mu_t(self, u: Tensor) -> Tensor:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -38,3 +40,16 @@ def test_summary_quartiles():
 def test_pair_order_alternates_sides():
     orders = [bench_pairs.pair_order(i) for i in range(4)]
     assert orders == [("parent", "change"), ("change", "parent")] * 2
+
+
+def test_parse_spec_reads_fixture_psi_and_degree():
+    assert bench_pairs.parse_spec("freec.alg@5") == ("freec.alg", None, 5)
+    assert bench_pairs.parse_spec("car.alg+xxs.psi@4") == (
+        "car.alg", "xxs.psi", 4)
+
+
+@pytest.mark.parametrize("spec", ["freec.alg", "freec.alg@", "@4",
+                                  "car.alg+@4", "car.alg@-1", "car.alg@x"])
+def test_parse_spec_refuses_a_malformed_row(spec):
+    with pytest.raises(ValueError):
+        bench_pairs.parse_spec(spec)

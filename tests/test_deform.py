@@ -19,7 +19,7 @@ from braidhopf.verify import fixture_path
 
 from oracles import (hand_sigma_word, naive_exp2, neg_time_st,
                      unpruned_conv_exp_key, unpruned_conv_power,
-                     unpruned_mu_t_key)
+                     unpruned_convolve, unpruned_mu_t_key)
 
 # the benchmark's presentation generators
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -106,6 +106,12 @@ def test_convolution_rejects_mismatches():
         L(Tensor.basis((X,)))
 
 
+def test_convolution_takes_arity_one_or_two():
+    F = table_functional(CAR, {(X, XS, X): Scalar(1)}, 3)
+    with pytest.raises(ValueError, match="arity 1 or 2"):
+        convolve_fn(F, F)
+
+
 # -- supports ----------------------------------------------------------------
 
 
@@ -162,47 +168,83 @@ def pruned_algebras(draw):
     return parsed(text)
 
 
-@st.composite
-def pruning_cases(draw):
-    """An algebra, a generator table (a random part of the algebra's own
-    cocycle plus random entries on pairs of normal words of up to three
-    letters, never both empty, so that sums of two and three support
-    elements fit in the pairs) and a few basis pairs of total length at
-    most 4."""
-    alg = draw(pruned_algebras())
-    own = [((l, r), c) for l, r, c in alg.pres.cocycle]
-    table = dict(draw(st.lists(st.sampled_from(own), unique=True))
-                 if own else [])
+def short_words(alg):
+    """A normal word of up to three letters, its length drawn first, so
+    that short words and support elements of small total come often."""
     words = alg.basis(3)
-    table.update(draw(st.dictionaries(
-        st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
-            any), st.integers(-2, 2).filter(bool).map(Scalar), max_size=4)))
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(words), st.sampled_from(words)).filter(
-            lambda p: len(p[0]) + len(p[1]) <= 4), min_size=1, max_size=6))
-    return alg, table, pairs
+    return st.integers(0, 3).flatmap(
+        lambda n: st.sampled_from([w for w in words if len(w) == n]))
+
+
+def totals(table):
+    return {sum(map(len, key)) for key in table}
+
+
+@st.composite
+def pruning_cases(draw, arity):
+    """An algebra, two tables F and G of the arity and a few basis keys of
+    total length at most 4.  At arity 2, F holds a random part of the
+    algebra's own cocycle.  Both hold random entries on slot-tuples of
+    normal words of up to three letters, never the unit tuple, whose
+    supports have elements of at least two totals (as {(0, 1), (1, 1)}
+    does), so that the least total, not the largest, bounds the powers and
+    sums of two and three support elements fit in the keys."""
+    alg = draw(pruned_algebras())
+    word = short_words(alg)
+    tuples = st.tuples(*[word] * arity)
+
+    def table():
+        return draw(st.dictionaries(
+            tuples.filter(any), st.integers(-2, 2).filter(bool).map(Scalar),
+            min_size=2, max_size=4).filter(lambda t: len(totals(t)) > 1))
+
+    own = [((l, r), c) for l, r, c in alg.pres.cocycle] if arity == 2 else []
+    F = dict(draw(st.lists(st.sampled_from(own), unique=True))
+             if own else [])
+    F.update(table())
+    G = table()
+    keys = draw(st.lists(tuples.filter(lambda k: sum(map(len, k)) <= 4),
+                         min_size=1, max_size=6))
+    return (table_functional(alg, F, arity), table_functional(alg, G, arity),
+            keys)
+
+
+def assert_pruned_convolutions_match(F, G, keys):
+    """conv_power(F, k) for k = 2, 3, e*^{tF}, F * G and G * F against the
+    walk over every split; returns the oracle's powers of F."""
+    powers = {}
+    for key in keys:
+        for k in (2, 3):
+            assert conv_power(F, k).on_key(key) == unpruned_conv_power(
+                F, k, key, powers)
+        assert conv_exp_key(F, key) == unpruned_conv_exp_key(F, key, powers)
+        for A, B in ((F, G), (G, F)):
+            assert convolve_fn(A, B).on_key(key) == unpruned_convolve(
+                A.alg, A.on_key, B.on_key, key)
+    return powers
 
 
 @settings(deadline=None, max_examples=60)
-@given(pruning_cases())
+@given(pruning_cases(2))
 def test_pruned_mu_t_and_exponential_match_the_full_walk(case):
-    alg, table, pairs = case
-    L = table_functional(alg, table, 2)
-    defm = Deformation(alg, L)
-    powers = {}
+    L, G, pairs = case
+    powers = assert_pruned_convolutions_match(L, G, pairs)
+    defm = Deformation(L.alg, L)
     for key in pairs:
-        for k in (2, 3):
-            assert conv_power(L, k).on_key(key) == unpruned_conv_power(
-                L, k, key, powers)
-        assert conv_exp_key(L, key) == unpruned_conv_exp_key(L, key, powers)
         assert defm.mu_t_key(key) == unpruned_mu_t_key(L, key, powers)
     # the deformed antipode's exponential e*^{t sigma}, against the same
     # walk over a sigma that carries no support
-    sigma = Functional(alg, 1, defm.sigma.on_key)
+    sigma = Functional(L.alg, 1, defm.sigma.on_key)
     sigma_powers = {}
     for key in pairs:
         assert conv_exp_key(defm.sigma, key[:1]) == unpruned_conv_exp_key(
             sigma, (key[0],), sigma_powers)
+
+
+@settings(deadline=None, max_examples=60)
+@given(pruning_cases(1))
+def test_pruned_arity_one_powers_and_exponential_match_the_full_walk(case):
+    assert_pruned_convolutions_match(*case)
 
 
 CAR_UNIT = """\

@@ -359,10 +359,9 @@ def braiding_respects_the_rules(alg):
 
 
 def test_quotient_compat_matches_the_twin_oracle_on_random_rules():
-    # Where the braiding does not respect the rules, the braid coefficients
-    # of the antipode depend on whether its words were normal-formed first,
-    # so the two may print different values of a failing sub-check; both
-    # fail there, as (c) fails on some letter.
+    # (c) runs before (d), so where the braiding does not respect a rule
+    # the two report the same letter before the antipode's braid
+    # coefficients could depend on whether its words were normal-formed
     rng = random.Random(18)
     verdicts = set()
     confluent = 0
@@ -371,14 +370,10 @@ def test_quotient_compat_matches_the_twin_oracle_on_random_rules():
         if not check_confluence(Algebra(pres)).ok():
             continue
         confluent += 1
-        respects = braiding_respects_the_rules(Algebra(pres))
         for d in (1, 2, 3):
             got = check_quotient_compatibility(Algebra(pres), d).to_dict()
-            want = twin_quotient_compat(Algebra(pres), d).to_dict()
-            if respects:
-                assert got == want, pres
-            else:
-                assert got["status"] == want["status"] == "fail", pres
+            assert got == twin_quotient_compat(Algebra(pres), d).to_dict(), \
+                pres
             verdicts.add(got.get("witness", {}).get("subcheck"))
     assert verdicts >= {None, "a", "b", "d"}
 
@@ -421,17 +416,17 @@ def test_quotient_compat_pins_the_braid_and_antipode_subchecks(
 def test_quotient_compat_antipode_value_where_the_braiding_breaks_a_rule():
     # b a = a a + a b mixes grades 3 and 2, so the sign of a letter crossing
     # the relation depends on the side, and the antipode's braid
-    # coefficients on whether a a and a b stand for b a: the quotient and
-    # the twin print different values, under the same verdict and sub-check
+    # coefficients on whether a a and a b stand for b a.  (c) runs first
+    # and names the letter, so the quotient and the twin print one witness
+    # and no antipode value
     pres = parse_presentation(PINNED.format(b=2, rule="a a + a b",
                                             antipode="a = - a - b a"))
     alg = Algebra(pres)
     assert check_confluence(alg).ok() and not braiding_respects_the_rules(alg)
     got = check_quotient_compatibility(alg, 2).witness
-    want = twin_quotient_compat(Algebra(pres), 2).witness
-    assert got == want | {
-        "rhs": "a a a a + a a a b + a a b b - a a a + a a b"}
-    assert want["rhs"] == "3 a a a a + 3 a a a b + a a b b + a a a + a a b"
+    assert got == {"input": "a across b a", "subcheck": "c", "lhs": "0",
+                   "rhs": "-2 (a a (x) a)"}
+    assert got == twin_quotient_compat(Algebra(pres), 2).witness
 
 
 # -- fuzzing the parsers ---------------------------------------------------

@@ -8,7 +8,7 @@ from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
                        schoenberg_check, table_functional)
 from braidhopf.verify import fixture_path, state_gram
 
-from oracles import state_gram_at
+from oracles import state_gram_at, unpruned_state_gram
 
 
 def load(name):
@@ -105,6 +105,23 @@ def test_state_gram_evaluates_to_the_per_sample_matrix(case):
     G = state_gram(defm, psi, basis)
     assert ([[p.eval(t0) for p in row] for row in G]
             == state_gram_at(defm, psi, basis, t0))
+
+
+@pytest.mark.parametrize("name, psi_name", [("car.alg", "xxs.psi"),
+                                             ("freec.alg", None)])
+def test_state_gram_matches_the_walk_over_every_split(name, psi_name):
+    pres = load(name)
+    alg = Algebra(pres)
+    table = read_psi(psi_name, pres) if psi_name else {}
+    psi = table_functional(alg, {(w,): c for w, c in table.items()}, 1)
+    defm = Deformation(alg)
+    basis = alg.basis(3)
+    G = state_gram(defm, psi, basis)
+    assert any(p.degree() > 0 for row in G for p in row)
+    want = unpruned_state_gram(defm.L, psi, basis)
+    for a, row, want_row in zip(basis, G, want):
+        for b, p, q in zip(basis, row, want_row):
+            assert p == q, (a, b)
 
 
 # -- hypothesis gates ------------------------------------------------------
