@@ -6,8 +6,8 @@ declares, and optionally times whole ``verify`` catalog runs and whole
 ``schoenberg`` runs the same way.  For every metric it records both
 sides' runs, medians and quartiles, and how many pairs the change won
 (ties count for neither side), together with each side's git sha, Python
-version and ``src`` line count.  Only the standard library is used; each checkout builds what it
-runs from its own ``src``.
+version and ``src`` line count.  Only the standard library is used; each
+checkout builds what it runs from its own ``src``.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
         --out BENCH.json

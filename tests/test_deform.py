@@ -176,10 +176,6 @@ def short_words(alg):
         lambda n: st.sampled_from([w for w in words if len(w) == n]))
 
 
-def totals(table):
-    return {sum(map(len, key)) for key in table}
-
-
 @st.composite
 def pruning_cases(draw, arity):
     """An algebra, two tables F and G of the arity and a few basis keys of
@@ -196,7 +192,8 @@ def pruning_cases(draw, arity):
     def table():
         return draw(st.dictionaries(
             tuples.filter(any), st.integers(-2, 2).filter(bool).map(Scalar),
-            min_size=2, max_size=4).filter(lambda t: len(totals(t)) > 1))
+            min_size=2, max_size=4).filter(
+                lambda t: len({sum(map(len, k)) for k in t}) > 1))
 
     own = [((l, r), c) for l, r, c in alg.pres.cocycle] if arity == 2 else []
     F = dict(draw(st.lists(st.sampled_from(own), unique=True))
