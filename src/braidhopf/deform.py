@@ -10,10 +10,12 @@ builds sigma = L . (S (x) id) . comul, an arity-1 Functional that computes
 and memoizes its value on each word itself, the deformed antipode
 S_t = S * e*^{-t sigma}, and the sesquilinear forms used by the
 positivity checks (arity-2 functionals keyed on word pairs).  Everything
-evaluates to exact TPoly values, summed as coefficient tuples; the
-convolution exponential truncates by the total-degree bound (the k-th
-convolution power kills tuples of total degree < k once the functional
-vanishes on the unit tuple, which is enforced).
+evaluates to exact TPoly values, summed as coefficient tuples.  The
+convolution exponential E = e*^{tF} is the one solution of the generator
+equation dE/dt = F * E with E = counit at t = 0: on each key it is the
+counit plus the integral of (F * E)(key), memoized key by key.  F must
+vanish on the unit tuple (this is enforced), so every split read has a
+right part with fewer letters than the key, and the recursion ends.
 
 A Functional may record its support S, the length tuples where it may be
 nonzero, where S also bounds its convolution powers: the k-th power then
@@ -23,24 +25,20 @@ one on a length-homogeneous algebra (Algebra.homogeneous), an empty table
 on any algebra.  A convolution or a functional built from a bare function
 carries None.  Every convolution reads the support of its left factor and
 walks only the splits whose left part has its lengths in S; conv_exp_key
-returns zero off M(S) without building a power and builds the k-th power
-only when k times the least nonzero total of S is at most the key's total
-length; and mu_t visits only the splits of Lambda_2 whose right pair has
-its lengths in M(S).  Where the support is None each walks every split
-and every power up to the total length.
+returns zero off M(S) without a convolution, and mu_t visits only the
+splits of Lambda_2 whose right pair has its lengths in M(S).  Where the
+support is None each walks every split.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
-from math import factorial
 from operator import add, sub
 
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_buckets, comul_word, lambda2_walk
-from .scalars import (Scalar, TPoly, T_ZERO, as_tpoly, from_abds, poly_add,
-                      poly_conj, poly_mul, poly_neg)
+from .scalars import (TPoly, T_ONE, T_ZERO, as_tpoly, from_abds, poly_add,
+                      poly_conj, poly_integrate, poly_mul, poly_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +102,37 @@ def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
                       support=support if alg.homogeneous or not tab else None)
 
 
+def _conv_key(F: Functional, g, key):
+    """(F * g)(key) as a coefficient tuple, w.r.t. comul (arity 1) or
+    Lambda_2 (arity 2), over the splits whose left part has its lengths in
+    F.support (every split where that is None); g maps a basis slot-tuple
+    to its TPoly value and is evaluated only where F is nonzero."""
+    alg, S = F.alg, F.support
+    rights = None
+    if S is not None:
+        # the splits with right lengths key - s, s in S
+        lengths = tuple(map(len, key))
+        rights = [r for r in (tuple(map(sub, lengths, s)) for s in S)
+                  if min(r) >= 0]
+    if len(key) == 2:
+        splits = (((a1, b1), (a2, b2), v) for a1, b1, a2, b2, v
+                  in lambda2_walk(alg, key, rights))
+    else:
+        buckets = comul_buckets(alg, key[0])
+        lens = buckets if rights is None else [r for r, in rights]
+        splits = (((left,), (right,), v) for r in lens
+                  for left, right, v in buckets.get(r, ()))
+    tot = ()
+    for left, right, v in splits:
+        a = F.on_key(left).abds
+        if not a:
+            continue
+        b = g(right).abds
+        if b:
+            tot = poly_add(tot, poly_mul(poly_mul(v, a), b))
+    return tot
+
+
 def convolve_fn(F: Functional, G: Functional) -> Functional:
     """Convolution w.r.t. comul (arity 1) or Lambda_2 (arity 2), over the
     splits whose left part has its lengths in F.support (every split where
@@ -114,37 +143,8 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
         raise ValueError("convolution needs equal arities")
     if F.arity not in (1, 2):
         raise ValueError("convolution takes arity 1 or 2")
-    alg, S = F.alg, F.support
-
-    def splits(key):
-        # (left, right, coefficient) over the splits with right lengths
-        # key - s, s in S
-        rights = None
-        if S is not None:
-            lengths = tuple(map(len, key))
-            rights = [r for r in (tuple(map(sub, lengths, s)) for s in S)
-                      if min(r) >= 0]
-        if len(key) == 2:
-            for a1, b1, a2, b2, v in lambda2_walk(alg, key, rights):
-                yield (a1, b1), (a2, b2), v
-            return
-        buckets = comul_buckets(alg, key[0])
-        for r in buckets if rights is None else (r for r, in rights):
-            for left, right, v in buckets.get(r, ()):
-                yield (left,), (right,), v
-
-    def conv(key):
-        tot = ()
-        for left, right, v in splits(key):
-            a = F.on_key(left).abds
-            if not a:
-                continue
-            b = G.on_key(right).abds
-            if b:
-                tot = poly_add(tot, poly_mul(poly_mul(v, a), b))
-        return from_abds(tot)
-
-    return Functional(alg, F.arity, conv)
+    return Functional(F.alg, F.arity,
+                      lambda key: from_abds(_conv_key(F, G.on_key, key)))
 
 
 @memoized
@@ -177,29 +177,26 @@ def conv_power(F: Functional, k: int) -> Functional:
 
 @memoized
 def conv_exp_key(F: Functional, key) -> TPoly:
-    """e*^{tF} on a basis slot-tuple, formal in t; zero off M(F.support),
-    and summed over the powers k with k times the least nonzero total of
-    F.support at most the key's total length."""
-    if F.on_key(((),) * F.arity):
+    """e*^{tF} on a basis slot-tuple, formal in t: the solution E of
+    dE/dt = F * E with E = counit at t = 0, so E(key) is the counit plus
+    the integral from 0 to t of (F * E)(key); zero off M(F.support)."""
+    if F.arity not in (1, 2):
+        raise ValueError("convolution takes arity 1 or 2")
+    unit = ((),) * F.arity
+    if F.on_key(unit):
         raise ValueError(
             "convolution exponential requires the functional to vanish on "
             "the unit tuple")
-    lengths = tuple(map(len, key))
-    d = sum(lengths)
+    if key == unit:
+        return T_ONE
     if F.support is not None:
+        lengths = tuple(map(len, key))
         if lengths not in support_monoid(F, lengths):
             return T_ZERO
-        # the k-th power splits key into k factors in the support, each of
-        # at least m letters
-        m = min(filter(None, map(sum, F.support)), default=0)
-        d = d // m if m else 0
-    tot = ()
-    for k in range(d + 1):
-        pk = conv_power(F, k).on_key(key).abds
-        if pk:
-            tot = poly_add(tot, poly_mul(
-                TPoly.term(Scalar(Fraction(1, factorial(k))), k).abds, pk))
-    return from_abds(tot)
+    # F vanishes on the unit tuple, so every split read has a right part
+    # with fewer letters than key: the recursion ends
+    return from_abds(poly_integrate(
+        _conv_key(F, lambda k: conv_exp_key(F, k), key)))
 
 
 def conv_exp(F: Functional, u: Tensor) -> TPoly:

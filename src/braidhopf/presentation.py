@@ -514,7 +514,7 @@ def check_confluence(alg) -> Report:
     return Report("confluence", "pass", 3)
 
 
-def check_quotient_compatibility(alg, max_degree: int = 4) -> Report:
+def check_quotient_compatibility(alg, max_degree: int) -> Report:
     """Verify the ideal spanned by the relations is stable under the
     structure maps, so comultiplication, counit, braiding and antipode
     descend to the quotient.  Four sub-checks per rule:

@@ -179,6 +179,13 @@ def poly_shift(a, j: int):
                   for i, c in enumerate(a[j:])])
 
 
+def poly_integrate(a):
+    """The antiderivative vanishing at t = 0: sum_k p_k t^{k+1}/(k+1)."""
+    if not a:
+        return ()
+    return (_Z,) + tuple([_mul(c, (1, 0, k)) for k, c in enumerate(a, 1)])
+
+
 def poly_part(a, j: int):
     """The coefficient of t^j as a constant polynomial."""
     c = a[j:j + 1]
@@ -350,13 +357,6 @@ class TPoly:
     @property
     def coeffs(self) -> tuple:
         return tuple(map(_scalar, self.abds))
-
-    @classmethod
-    def term(cls, c, power: int) -> TPoly:
-        c = as_scalar(c)
-        if not c:
-            return T_ZERO
-        return from_abds((_Z,) * power + (c.abd,))
 
     # -- arithmetic -------------------------------------------------------
 

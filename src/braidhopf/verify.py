@@ -43,7 +43,7 @@ def fixture_path(name: str):
 class VerifyContext:
     """Shared state for one catalog run: algebra, generator, memo tables."""
 
-    def __init__(self, pres: AlgebraPresentation, max_degree: int = 4):
+    def __init__(self, pres: AlgebraPresentation, max_degree: int):
         self.pres = pres
         self.max_degree = max_degree
         self.alg = Algebra(pres)

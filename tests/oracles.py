@@ -283,7 +283,7 @@ def naive_exp2(alg, F, a, b, cutoff):
     for n in range(cutoff + 1):
         v = naive_power2(alg, F, n)(a, b)
         if v:
-            tot = tot + TPoly.term(Scalar(Fraction(1, factorial(n))), n) * v
+            tot = tot + TPoly((0,) * n + (Fraction(1, factorial(n)),)) * v
     return tot
 
 
@@ -335,7 +335,7 @@ def unpruned_conv_exp_key(F, key, powers):
     for k in range(sum(len(w) for w in key) + 1):
         v = unpruned_conv_power(F, k, key, powers)
         if v:
-            tot = tot + TPoly.term(Scalar(Fraction(1, factorial(k))), k) * v
+            tot = tot + TPoly((0,) * k + (Fraction(1, factorial(k)),)) * v
     return tot
 
 

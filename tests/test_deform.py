@@ -110,6 +110,8 @@ def test_convolution_takes_arity_one_or_two():
     F = table_functional(CAR, {(X, XS, X): Scalar(1)}, 3)
     with pytest.raises(ValueError, match="arity 1 or 2"):
         convolve_fn(F, F)
+    with pytest.raises(ValueError, match="arity 1 or 2"):
+        conv_exp_key(F, (X, XS, X))
 
 
 # -- supports ----------------------------------------------------------------
@@ -314,6 +316,19 @@ def test_full_walk_fallback_matches_the_oracle(case):
                 L, (a, b), powers)
             assert defm.mu_t_key((a, b)) == unpruned_mu_t_key(
                 L, (a, b), powers)
+    # arity 1: sigma's exponential, and off a length-homogeneous algebra
+    # that of a psi table, which records no support there either
+    fns = [defm.sigma]
+    if not alg.homogeneous:
+        psi = table_functional(alg, {((0,),): 1, ((0, 0),): Fraction(1, 2)},
+                               1)
+        assert psi.support is None
+        fns.append(psi)
+    for F in fns:
+        powers = {}
+        for w in alg.basis(3):
+            assert conv_exp_key(F, (w,)) == unpruned_conv_exp_key(
+                F, (w,), powers)
 
 
 @pytest.mark.parametrize("lhs, rhs, key", [

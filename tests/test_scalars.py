@@ -148,7 +148,7 @@ def test_tpoly_spot_values():
     assert p.eval(Fraction(2)) == Scalar(11)
     assert p.constant_term() == S_ONE
     assert p.degree() == 2
-    assert TPoly.term(5, 3).eval(Fraction(1, 2)) == Scalar(Fraction(5, 8))
+    assert TPoly((0, 0, 0, 5)).eval(Fraction(1, 2)) == Scalar(Fraction(5, 8))
 
 
 def test_tpoly_str_uses_t():
