@@ -130,6 +130,11 @@ class RefTPoly:
         return RefTPoly(c * RefScalar(comb(i + j, j))
                         for i, c in enumerate(self.coeffs[j:]))
 
+    def integrate(self):
+        """The antiderivative vanishing at t = 0."""
+        return RefTPoly([RefScalar()] + [c / RefScalar(k) for k, c in
+                                         enumerate(self.coeffs, 1)])
+
 
 # -- exhaustive rewriting ---------------------------------------------------
 #

@@ -11,7 +11,8 @@ from braidhopf.presentation import PresentationError, parse_scalar
 from braidhopf.scalars import (_UNIT, _Z, Scalar, TPoly, S_ONE, S_ZERO,
                                T_ONE, T_T, T_ZERO, as_scalar, as_tpoly,
                                from_abds, poly_add, poly_conj, poly_flip,
-                               poly_mul, poly_neg, poly_part, poly_shift)
+                               poly_integrate, poly_mul, poly_neg, poly_part,
+                               poly_shift)
 from oracles import RefScalar, RefTPoly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -288,4 +289,5 @@ def test_poly_kernel_matches_fraction_pair_oracle(ps, qs, j, cancel):
     assert _abds_agree(poly_conj(p), rp.conj())
     assert _abds_agree(poly_flip(p), rp.flip())
     assert _abds_agree(poly_shift(p, j), rp.shift(j))
+    assert _abds_agree(poly_integrate(p), rp.integrate())
     assert _abds_agree(poly_part(p, j), RefTPoly(rp.coeffs[j:j + 1]))
