@@ -3,7 +3,8 @@
 Runs ``perfbench/run.py`` for each workload in two checkouts, alternating
 which side goes first, for the ``run_seconds`` that ``BENCHMARK.json``
 declares, and optionally times whole ``verify`` catalog runs and whole
-``schoenberg`` runs the same way.  For every metric it records both
+``schoenberg`` runs the same way, by wall clock and by the CPU time of the
+child process.  For every metric it records both
 sides' runs, medians and quartiles, and how many pairs the change won
 (ties count for neither side), together with each side's git sha, Python
 version and ``src`` line count.  Only the standard library is used; each
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -112,10 +114,16 @@ def parse_spec(spec: str) -> tuple:
     return fixture, psi or None, int(degree)
 
 
+def child_cpu() -> float:
+    """User plus system CPU seconds of the waited-for child processes."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def time_cli(root: Path, command: str, spec: str) -> tuple:
-    """Wall time of one ``braidhopf COMMAND ... --format json`` process on
-    a bundled fixture, the counts of its report statuses, and its
-    output."""
+    """Wall time and CPU time of one ``braidhopf COMMAND ... --format
+    json`` process on a bundled fixture, the counts of its report
+    statuses, and its output."""
     fixture, psi, degree = parse_spec(spec)
     fixtures = root / "src" / "braidhopf" / "fixtures"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -124,10 +132,12 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
     if psi:
         cmd += ["--psi", str(fixtures / psi)]
     cmd += ["--max-degree", str(degree), "--format", "json"]
+    cpu = child_cpu()
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
                           text=True)
     wall = time.perf_counter() - start
+    cpu = child_cpu() - cpu
     if proc.returncode not in (0, 1):
         sys.exit(f"{root}: {' '.join(cmd)} exited {proc.returncode}:\n"
                  f"{proc.stderr}")
@@ -135,26 +145,30 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
     reports = (doc if command == "verify"
                else [doc["conditional"], *doc["states"]])
     statuses = [r["status"] for r in reports]
-    return wall, {s: statuses.count(s) for s in sorted(set(statuses))}, \
+    return wall, cpu, {s: statuses.count(s) for s in sorted(set(statuses))}, \
         proc.stdout
 
 
 def bench_cli(dirs: dict, command: str, spec: str, pairs: int) -> dict:
     walls = {side: [] for side in SIDES}
+    cpus = {side: [] for side in SIDES}
     statuses = {}
     outputs = set()
     for i in range(pairs):
         for side in pair_order(i):
-            wall, counts, stdout = time_cli(dirs[side], command, spec)
+            wall, cpu, counts, stdout = time_cli(dirs[side], command, spec)
             walls[side].append(wall)
+            cpus[side].append(cpu)
             statuses.setdefault(side, counts)
             outputs.add(stdout)
             print(f"{command} {spec} pair {i + 1} {side}: {wall:.2f} s "
-                  f"{counts}", file=sys.stderr)
+                  f"wall {cpu:.2f} s cpu {counts}", file=sys.stderr)
+    # the row's own fields are wall time; cpu compares the child's CPU time
     row = compare(walls["parent"], walls["change"], "lower")
     # statuses are each side's first run; identical_output says whether
     # every run on both sides printed the same report
-    row.update(unit="s", statuses=statuses, identical_output=len(outputs) == 1)
+    row.update(unit="s", cpu=compare(cpus["parent"], cpus["change"], "lower"),
+               statuses=statuses, identical_output=len(outputs) == 1)
     return row
 
 

@@ -179,6 +179,12 @@ class Algebra:
         self.homogeneous = (
             all(len(w) == 2 for rhs in self._rules.values() for w, _ in rhs)
             and all(len(w) == 1 for img in pres.antipode for w, _ in img))
+        # they keep each letter's count too when every rule reorders its
+        # letters and every generator's antipode is a multiple of itself
+        self._counts = self.homogeneous and all(
+            sorted(w) == sorted(lhs)
+            for lhs, rhs in self._rules.items() for w, _ in rhs) and all(
+            w == (g,) for g, img in enumerate(pres.antipode) for w, _ in img)
         self.memo = defaultdict(dict)
 
     # -- construction -----------------------------------------------------
@@ -256,6 +262,17 @@ class Algebra:
 
     def mul_words(self, w1, w2) -> Tensor:
         return self.normal_form_word(w1 + w2)
+
+    @memoized
+    def grade(self, w) -> tuple:
+        """The grade of w that rewriting, the comultiplication and the
+        antipode keep, as fine as the presentation allows: the count of
+        each generator in w on a length-homogeneous algebra whose rules
+        reorder their letters and whose antipodes take each generator to a
+        multiple of itself, else the length (|w|,)."""
+        if self._counts:
+            return tuple(map(w.count, range(len(self.pres.generators))))
+        return (len(w),)
 
     # -- involution -------------------------------------------------------
 

@@ -22,7 +22,7 @@ inductively, and everything here stays basis-to-basis:
 except that L_2 = Lambda_2 has one closed form, the bicharacter walk
 lambda2_walk: the split a' (x) a'' of a and b' (x) b'' of b gives the term
 a' (x) b' (x) a'' (x) b'' with coefficient c(a'', b').  The walk yields each
-split's coefficient and visits only the right lengths it is given; its
+split's coefficient and visits only the right grades it is given; its
 callers evaluate their own factor on it: the memoized rank-2 lambda_n_key
 (every split), the deformed product mu_t and the arity-2 convolutions of
 deform (the splits a support allows).  L_n is inductive for n >= 3 only.
@@ -33,8 +33,6 @@ is nonzero (the parser and q_presentation refuse a zero braid entry).
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
 from .scalars import TPoly, T_ONE, poly_conj, poly_mul
@@ -102,10 +100,10 @@ def comul_word(alg: Algebra, w) -> Tensor:
 @memoized
 def comul_buckets(alg: Algebra, w) -> dict:
     """The terms (w', w'', c) of comul(w), c a coefficient tuple, grouped
-    by the length of the right factor w''."""
+    by the grade (Algebra.grade) of the right factor w''."""
     out = {}
     for (left, right), c in comul_word(alg, w).terms.items():
-        out.setdefault(len(right), []).append((left, right, c))
+        out.setdefault(alg.grade(right), []).append((left, right, c))
     return out
 
 
@@ -158,20 +156,20 @@ def _lambda_pair(alg: Algebra, key) -> Tensor:
     return out
 
 
-def lambda2_walk(alg: Algebra, key, lengths):
+def lambda2_walk(alg: Algebra, key, rights):
     """Walk the splits of Lambda_2(a (x) b), key = (a, b), whose right pair
-    (a'', b'') has its lengths in lengths (every split when lengths is
-    None), and yield (a', b', a'', b'', v), v the split's coefficient
-    tuple: the comultiplication coefficients of a and b times the braid
-    coefficient c(a'', b').  The caller evaluates its own factor."""
-    a, b = key
-    ba, bb = comul_buckets(alg, a), comul_buckets(alg, b)
+    (a'', b'') has grades (j, k) with k in rights[j], rights a dict (every
+    split when rights is None), and yield (a', b', a'', b'', v), v the
+    split's coefficient tuple: the comultiplication coefficients of a and
+    b times the braid coefficient c(a'', b').  The caller evaluates its own
+    factor."""
+    ba, bb = comul_buckets(alg, key[0]), comul_buckets(alg, key[1])
     coeff = alg.braid_coeff
-    for j, k in product(ba, bb) if lengths is None else lengths:
-        tb = bb.get(k)
-        if not tb:
-            continue
-        for a1, a2, ca in ba.get(j, ()):
-            for b1, b2, cb in tb:
-                yield a1, b1, a2, b2, poly_mul(
-                    poly_mul(ca, cb), (coeff((a2, b1)).abd,))
+    for j, ta in ba.items():
+        for k in bb if rights is None else rights.get(j, ()):
+            tb = bb.get(k)
+            if tb:
+                for a1, a2, ca in ta:
+                    for b1, b2, cb in tb:
+                        yield a1, b1, a2, b2, poly_mul(
+                            poly_mul(ca, cb), (coeff((a2, b1)).abd,))

@@ -54,7 +54,7 @@ def cmd_verify(args) -> int:
     ids = None
     if args.checks is not None:
         ids = [s.strip() for s in args.checks.split(",") if s.strip()]
-    reports = run_catalog(pres, ids, args.max_degree)
+    reports = run_catalog(pres, ids, max_degree=args.max_degree)
     _print_reports(reports, args.format)
     return EXIT_OK if all(r.ok() for r in reports) else EXIT_FAIL
 
@@ -101,7 +101,8 @@ def cmd_schoenberg(args) -> int:
         with open(args.psi, "r", encoding="utf-8") as fh:
             psi = parse_psi(fh.read(), pres)
     t_samples = [_t_value(s) for s in args.t.split(",") if s.strip()]
-    result = schoenberg_check(pres, psi, args.max_degree, t_samples)
+    result = schoenberg_check(pres, psi, max_degree=args.max_degree,
+                              t_samples=t_samples)
     if args.format == "json":
         print(json.dumps({
             "conditional": result.conditional.to_dict(),

@@ -17,17 +17,20 @@ counit plus the integral of (F * E)(key), memoized key by key.  F must
 vanish on the unit tuple (this is enforced), so every split read has a
 right part with fewer letters than the key, and the recursion ends.
 
-A Functional may record its support S, the length tuples where it may be
+A Functional may record its support S, the grade tuples where it may be
 nonzero, where S also bounds its convolution powers: the k-th power then
 vanishes off the k-fold sums of S, and e*^{tF} off the monoid M(S) those
-sums make up.  Tables (L, psi and the counit among them) and sigma record
-one on a length-homogeneous algebra (Algebra.homogeneous), an empty table
-on any algebra.  A convolution or a functional built from a bare function
-carries None.  Every convolution reads the support of its left factor and
-walks only the splits whose left part has its lengths in S; conv_exp_key
-returns zero off M(S) without a convolution, and mu_t visits only the
-splits of Lambda_2 whose right pair has its lengths in M(S).  Where the
-support is None each walks every split.
+sums make up.  The grade of a slot-tuple is the grades (Algebra.grade) of
+its words concatenated: their letter counts where the relations and the
+antipode keep them, else their lengths.  Tables (L, psi and the counit
+among them) and sigma record one on a length-homogeneous algebra
+(Algebra.homogeneous), an empty table on any algebra.  A convolution or a
+functional built from a bare function carries None.  Every convolution
+reads the support of its left factor and walks only the splits whose left
+part has its grades in S; conv_exp_key returns zero off M(S) without a
+convolution, and mu_t visits only the splits of Lambda_2 whose right pair
+has its grades in M(S).  Where the support is None each walks every
+split.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ class Functional:
     """Linear functional on rank-n tensors, memoized on basis slot-tuples;
     fn maps a basis slot-tuple to its TPoly value.
 
-    support is a frozenset of length tuples (|w_1|, ..., |w_n|) off which
-    the functional vanishes on basis slot-tuples, given only where it also
-    bounds the convolution powers (see the module docstring); else None.
+    support is a frozenset of grade tuples, grade(w_1) + ... + grade(w_n)
+    concatenated (Algebra.grade), off which the functional vanishes on
+    basis slot-tuples, given only where it also bounds the convolution
+    powers (see the module docstring); else None.
     """
 
     __slots__ = ("alg", "arity", "support", "_fn", "memo")
@@ -87,8 +91,9 @@ def _extend(arity: int, fn, u: Tensor) -> TPoly:
 
 def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
     """Finite-support functional; keys are tuples of normal words.  It
-    records its support where that bounds the convolution powers: on a
-    length-homogeneous algebra, or for an all-zero table."""
+    records the grades of its keys as its support where that bounds the
+    convolution powers: on a length-homogeneous algebra, or for an all-zero
+    table."""
     tab = {}
     for key, val in table.items():
         key = tuple(tuple(w) for w in key)
@@ -97,30 +102,32 @@ def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
         val = as_tpoly(val)
         if val:
             tab[key] = val
-    support = frozenset(tuple(map(len, k)) for k in tab)
+    support = frozenset(sum(map(alg.grade, k), ()) for k in tab)
     return Functional(alg, arity, lambda k: tab.get(k, T_ZERO),
                       support=support if alg.homogeneous or not tab else None)
 
 
 def _conv_key(F: Functional, g, key):
     """(F * g)(key) as a coefficient tuple, w.r.t. comul (arity 1) or
-    Lambda_2 (arity 2), over the splits whose left part has its lengths in
+    Lambda_2 (arity 2), over the splits whose left part has its grades in
     F.support (every split where that is None); g maps a basis slot-tuple
     to its TPoly value and is evaluated only where F is nonzero."""
     alg, S = F.alg, F.support
     rights = None
     if S is not None:
-        # the splits with right lengths key - s, s in S
-        lengths = tuple(map(len, key))
-        rights = [r for r in (tuple(map(sub, lengths, s)) for s in S)
+        # the splits with right grades grade(key) - s, s in S
+        kg = sum(map(alg.grade, key), ())
+        rights = [r for r in (tuple(map(sub, kg, s)) for s in S)
                   if min(r) >= 0]
     if len(key) == 2:
+        if rights is not None:
+            rights = _split_pairs(rights, len(kg) // 2)
         splits = (((a1, b1), (a2, b2), v) for a1, b1, a2, b2, v
                   in lambda2_walk(alg, key, rights))
     else:
         buckets = comul_buckets(alg, key[0])
-        lens = buckets if rights is None else [r for r, in rights]
-        splits = (((left,), (right,), v) for r in lens
+        splits = (((left,), (right,), v) for r in (
+                      buckets if rights is None else rights)
                   for left, right, v in buckets.get(r, ()))
     tot = ()
     for left, right, v in splits:
@@ -135,7 +142,7 @@ def _conv_key(F: Functional, g, key):
 
 def convolve_fn(F: Functional, G: Functional) -> Functional:
     """Convolution w.r.t. comul (arity 1) or Lambda_2 (arity 2), over the
-    splits whose left part has its lengths in F.support (every split where
+    splits whose left part has its grades in F.support (every split where
     that is None); F is evaluated before G."""
     if F.alg is not G.alg:
         raise ValueError("functionals live over different algebras")
@@ -147,22 +154,37 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
                       lambda key: from_abds(_conv_key(F, G.on_key, key)))
 
 
-@memoized
-def support_monoid(F: Functional, box) -> frozenset:
-    """The elements of the monoid M(S) generated by S = F.support (sums of
-    any number of its elements, the zero tuple included) that fit in box,
-    slot by slot: where a convolution power of F can be nonzero.  Only
-    meaningful where F.support is not None."""
-    reach = {(0,) * len(box)}
-    todo = list(reach)
-    while todo:
-        p = todo.pop()
-        for s in F.support:
+def _split_pairs(grades, h: int) -> dict:
+    """Flat tuples of two slot grades, h coordinates each, as a map from
+    the first grade to the list of second ones: the form lambda2_walk
+    reads."""
+    out = {}
+    for r in grades:
+        out.setdefault(r[:h], []).append(r[h:])
+    return out
+
+
+def monoid(S, n: int, zero: tuple) -> frozenset:
+    """The elements of the monoid M(S) generated by S, a support (the sums
+    of any number of its elements, zero the empty sum), whose coordinates
+    add up to at most n: where a convolution power of a functional with
+    support S can be nonzero on a key of n letters."""
+    todo = [zero]
+    reach = set(todo)
+    for p in todo:
+        for s in S:
             q = tuple(map(add, p, s))
-            if q not in reach and all(x <= y for x, y in zip(q, box)):
+            if q not in reach and sum(q) <= n:
                 reach.add(q)
                 todo.append(q)
     return frozenset(reach)
+
+
+@memoized
+def support_monoid(F: Functional, n: int) -> frozenset:
+    """monoid(F.support, n), memoized on F.  Only meaningful where
+    F.support is not None."""
+    return monoid(F.support, n, sum(map(F.alg.grade, ((),) * F.arity), ()))
 
 
 @memoized
@@ -189,10 +211,9 @@ def conv_exp_key(F: Functional, key) -> TPoly:
             "the unit tuple")
     if key == unit:
         return T_ONE
-    if F.support is not None:
-        lengths = tuple(map(len, key))
-        if lengths not in support_monoid(F, lengths):
-            return T_ZERO
+    if F.support is not None and sum(map(F.alg.grade, key), ()) not in (
+            support_monoid(F, sum(map(len, key)))):
+        return T_ZERO
     # F vanishes on the unit tuple, so every split read has a right part
     # with fewer letters than key: the recursion ends
     return from_abds(poly_integrate(
@@ -224,30 +245,40 @@ class Deformation:
             raise ValueError("the generator must have arity 2")
         self.memo = defaultdict(dict)
         # sigma = L . (S (x) id) . comul as an arity-1 functional; S keeps
-        # lengths where L's support bounds its powers
+        # grades where L's support bounds its powers, so sigma's support is
+        # {p + q} over L's (p, q)
         S = self.L.support
         self.sigma = Functional(
             alg, 1, lambda key: self.L(slot_map(
                 comul_word(alg, key[0]), 0, 1, alg.antipode_word, 1)),
-            support=None if S is None else frozenset((p + q,) for p, q in S))
+            support=None if S is None else frozenset(
+                tuple(map(add, s[:len(s) // 2], s[len(s) // 2:])) for s in S))
 
     # -- the deformed product ---------------------------------------------
 
     @memoized
     def mu_t_key(self, key) -> Tensor:
         """mu_t on a basis pair, formal in t: the splits of Lambda_2 whose
-        right pair has its lengths in M(L.support)."""
-        lengths = None
+        right pair has its grades in M(L.support)."""
+        alg = self.alg
+        rights = None
         if self.L.support is not None:
-            lengths = support_monoid(self.L, (len(key[0]), len(key[1])))
+            rights = self._right_grades(len(key[0]) + len(key[1]))
         out = Tensor(1)
-        for a1, b1, a2, b2, v in lambda2_walk(self.alg, key, lengths):
+        for a1, b1, a2, b2, v in lambda2_walk(alg, key, rights):
             e = conv_exp_key(self.L, (a2, b2)).abds
             if e:
                 v = poly_mul(v, e)
-                for (pw,), pc in self.alg.mul_words(a1, b1).terms.items():
+                for (pw,), pc in alg.mul_words(a1, b1).terms.items():
                     out.add_term((pw,), poly_mul(pc, v))
         return out
+
+    @memoized
+    def _right_grades(self, n: int) -> dict:
+        """The elements of M(L.support) with at most n letters, as the
+        pairs of grades that lambda2_walk reads."""
+        return _split_pairs(support_monoid(self.L, n),
+                           len(self.alg.grade(())))
 
     def mu_t(self, u: Tensor) -> Tensor:
         """mu_t of a rank-2 tensor."""

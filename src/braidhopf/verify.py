@@ -17,13 +17,14 @@ from fractions import Fraction
 from functools import partial
 from importlib import resources
 from itertools import product
+from operator import add
 
 from .algebra import Algebra, Tensor, scalar_map, slot_map, tensor_product
 from .braidtensor import (braid_at, braided_product, comul, comul_word,
                           counit, counit_word, lambda_n_key, star_tensor)
 from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      conv_exp_key, conv_power, conv_sesqui, convolve_fn,
-                     sesquilinearize, table_functional)
+                     monoid, sesquilinearize, table_functional)
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
@@ -504,8 +505,8 @@ CATALOG = tuple(_DECLARED)
 CHECK_IDS = tuple(cid for cid, _, _ in CATALOG)
 
 
-def run_catalog(pres: AlgebraPresentation, ids=None,
-                max_degree: int = 4) -> list:
+def run_catalog(pres: AlgebraPresentation, ids=None, *,
+                max_degree: int) -> list:
     """Run the selected checks (all by default) in catalog order.
 
     A check is skipped when a prerequisite did not pass.  Unselected
@@ -664,11 +665,46 @@ def _gram(form: Functional, labels) -> list:
     return [[form.on_key((a, b)) for b in labels] for a in labels]
 
 
+def _grade_sum(alg: Algebra, key) -> tuple:
+    """grade(a) + grade(b) for key = (a, b): the grade of every word of the
+    product a b."""
+    return tuple(map(add, *map(alg.grade, key)))
+
+
 def state_gram(defm: Deformation, psi: Functional, labels) -> list:
     """G(t), the Gram matrix of phi_t = e*^{t psi} on the words, with
-    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t]."""
-    return _gram(sesquilinearize(Functional(
-        defm.alg, 2, lambda k: conv_exp(psi, defm.mu_t_key(k)))), labels)
+    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t].  On a length-homogeneous
+    algebra the words of mu_t(k (x) b) have the grades grade(k) + grade(b)
+    - (p + q), (p, q) in M(L.support), and phi_t vanishes off M(psi.support),
+    so an entry on (k, b) off M(psi.support | sigma.support) is zero
+    without mu_t."""
+    alg, M = defm.alg, None
+    if alg.homogeneous and None not in (psi.support, defm.sigma.support):
+        M = monoid(psi.support | defm.sigma.support,
+                   2 * max(map(len, labels), default=0), alg.grade(()))
+
+    def entry(k):
+        if M is None or _grade_sum(alg, k) in M:
+            return conv_exp(psi, defm.mu_t_key(k))
+        return T_ZERO
+
+    return _gram(sesquilinearize(Functional(alg, 2, entry)), labels)
+
+
+def conditional_gram(defm: Deformation, psi: Functional, labels) -> list:
+    """The Gram matrix of the sesquilinear form (psi.mul + L)~ on the
+    words, psi(a* b) + L(a* (x) b) in Q(i)[t].  Where psi records its
+    support, psi.mul vanishes on (k, b) unless grade(k) + grade(b) is in
+    it, and the product is not normal-ordered."""
+    alg = defm.alg
+
+    def entry(k):
+        v = defm.L.on_key(k)
+        if psi.support is None or _grade_sum(alg, k) in psi.support:
+            v = v + psi(alg.mul_words(*k))
+        return v
+
+    return _gram(sesquilinearize(Functional(alg, 2, entry)), labels)
 
 
 def _constant(p: TPoly) -> Scalar:
@@ -677,8 +713,8 @@ def _constant(p: TPoly) -> Scalar:
     return p.constant_term()
 
 
-def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
-                     max_degree: int = 4,
+def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
+                     max_degree: int,
                      t_samples=(Fraction(0), Fraction(1, 2), Fraction(1),
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
@@ -718,10 +754,9 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
     defm = Deformation(alg)
 
     # (a) conditional positivity of (psi.mul + L)~ over ker delta
-    form = sesquilinearize(Functional(
-        alg, 2, lambda k: defm.L.on_key(k) + psi(alg.mul_words(*k))))
     kerdelta = [w for w in basis if w]
-    rows = [[_constant(p) for p in row] for row in _gram(form, kerdelta)]
+    rows = [[_constant(p) for p in row]
+            for row in conditional_gram(defm, psi, kerdelta)]
 
     def blame(exc):
         # psi passed its hermitian gate, so blame L where its own form is
@@ -743,8 +778,9 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None,
     G = state_gram(defm, psi, basis)
     states = []
     for t0 in t_samples:
+        r = as_scalar(t0)
         states.append(_psd_report(
-            "schoenberg-state", [[p.eval(t0) for p in row] for row in G],
+            "schoenberg-state", [[p.eval(r) for p in row] for row in G],
             alg, basis, max_degree,
             lambda exc: SchoenbergError(
                 f"state Gram matrix is not hermitian ({exc})", "hermitian"),

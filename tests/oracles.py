@@ -374,6 +374,22 @@ def unpruned_state_gram(L, psi, labels):
     return [[entry(a, b) for b in labels] for a in labels]
 
 
+def unpruned_conditional_gram(L, psi, labels):
+    """psi(a* b) + L(a* (x) b) in Q(i)[t] for the words a, b of labels,
+    with psi read on every word of every product."""
+    alg = L.alg
+
+    def entry(a, b):
+        tot = T_ZERO
+        for (w,), c in alg.involution_word(a):
+            tot = tot + c * L.on_key((w, b))
+            for (p,), pc in alg.mul_words(w, b):
+                tot = tot + c * pc * psi.on_key((p,))
+        return tot
+
+    return [[entry(a, b) for b in labels] for a in labels]
+
+
 # -- the ideal checks in the rule-free twin ----------------------------------
 #
 # quotient-compat as it was computed before it ran on the quotient itself:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -53,3 +54,18 @@ def test_parse_spec_reads_fixture_psi_and_degree():
 def test_parse_spec_refuses_a_malformed_row(spec):
     with pytest.raises(ValueError):
         bench_pairs.parse_spec(spec)
+
+
+@pytest.mark.parametrize("command, spec", [("verify", "car.alg@1"),
+                                           ("schoenberg", "car.alg+xxs.psi@1")])
+def test_a_cli_row_records_wall_and_child_cpu_time(command, spec):
+    # both sides are this checkout: one pair, so one run each
+    row = bench_pairs.bench_cli({"parent": ROOT, "change": ROOT}, command,
+                                spec, 1)
+    assert row["identical_output"] and row["pairs"] == 1
+    for side in ("parent", "change"):
+        wall, = row[side]["runs"]
+        cpu, = row["cpu"][side]["runs"]
+        assert 0 < cpu and 0 < wall
+    assert row["cpu"]["better"] == "lower" and row["cpu"]["pairs"] == 1
+    assert row["statuses"]["parent"] == row["statuses"]["change"]

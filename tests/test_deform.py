@@ -122,12 +122,14 @@ def test_trivial_flag_propagates():
     z = table_functional(CAR, {}, 2)
     assert z.support == frozenset()
     assert table_functional(CAR, {(X, XS): Scalar(0)}, 2).support == frozenset()
-    assert L.support == {(1, 1)}
+    # car.alg keeps letter counts: a support holds the (x, xs) counts of
+    # each slot, concatenated
+    assert L.support == {(0, 1, 1, 0)}
     M = table_functional(CAR, {(X, XS): Scalar(1), ((0, 1), X): Scalar(2),
                                ((), X): Scalar(3)}, 2)
-    assert M.support == {(1, 1), (2, 1), (0, 1)}
-    assert DELTA2.support == {(0, 0)}
-    assert DEF.sigma.support == {(2,)}
+    assert M.support == {(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 1, 0)}
+    assert DELTA2.support == {(0, 0, 0, 0)}
+    assert DEF.sigma.support == {(1, 1)}
     assert conv_exp_key(z, (X, XS)) == T_ZERO
     assert conv_exp_key(z, ((), ())) == T_ONE
 
@@ -301,6 +303,29 @@ def _nonletter_antipode_case():
     return alg, L
 
 
+def assert_matches_the_full_walk(defm, psi):
+    """e*^{tL} and mu_t on pairs of degree 2, and the exponentials of
+    sigma and of the psi table on words of degree 3, against the walk over
+    every split."""
+    alg, L = defm.alg, defm.L
+    powers = {}
+    for a in alg.basis(2):
+        for b in alg.basis(2):
+            assert conv_exp_key(L, (a, b)) == unpruned_conv_exp_key(
+                L, (a, b), powers)
+            assert defm.mu_t_key((a, b)) == unpruned_mu_t_key(
+                L, (a, b), powers)
+    for F in (defm.sigma, psi):
+        powers = {}
+        for w in alg.basis(3):
+            assert conv_exp_key(F, (w,)) == unpruned_conv_exp_key(
+                F, (w,), powers)
+
+
+def _psi(alg):
+    return table_functional(alg, {((0,),): 1, ((0, 0),): Fraction(1, 2)}, 1)
+
+
 @pytest.mark.parametrize("case", [_unit_term_case, _bare_function_case,
                                   _nonletter_antipode_case],
                          ids=["unit-term-rule", "bare-function-L",
@@ -309,26 +334,34 @@ def test_full_walk_fallback_matches_the_oracle(case):
     alg, L = case()
     defm = Deformation(alg, L)
     assert defm.sigma.support is None
-    powers = {}
-    for a in alg.basis(2):
-        for b in alg.basis(2):
-            assert conv_exp_key(L, (a, b)) == unpruned_conv_exp_key(
-                L, (a, b), powers)
-            assert defm.mu_t_key((a, b)) == unpruned_mu_t_key(
-                L, (a, b), powers)
-    # arity 1: sigma's exponential, and off a length-homogeneous algebra
-    # that of a psi table, which records no support there either
-    fns = [defm.sigma]
-    if not alg.homogeneous:
-        psi = table_functional(alg, {((0,),): 1, ((0, 0),): Fraction(1, 2)},
-                               1)
-        assert psi.support is None
-        fns.append(psi)
-    for F in fns:
-        powers = {}
-        for w in alg.basis(3):
-            assert conv_exp_key(F, (w,)) == unpruned_conv_exp_key(
-                F, (w,), powers)
+    # off a length-homogeneous algebra a psi table records no support
+    # either
+    psi = _psi(alg)
+    assert (psi.support is None) == (not alg.homogeneous)
+    assert_matches_the_full_walk(defm, psi)
+
+
+# length-homogeneous presentations whose rewriting or antipode moves a
+# letter to another one, so that only word lengths are kept
+LENGTH_ONLY = {
+    "antipode-off-its-generator": fixture_path("freec.alg").read_text()
+    + "\n[antipode]\nx = - xs\n",
+    "rule-changing-letters": fixture_path("car.alg").read_text().replace(
+        "xs x = - x xs", "xs x = - x x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_ONLY))
+def test_a_length_only_algebra_records_word_length_supports(name):
+    alg = Algebra(parse_presentation(LENGTH_ONLY[name]))
+    assert alg.homogeneous
+    assert alg.grade((0, 1, 1)) == (3,)
+    defm = Deformation(alg)
+    assert defm.L.support == {(1, 1)}
+    assert defm.sigma.support == {(2,)}
+    psi = _psi(alg)
+    assert psi.support == {(1,), (2,)}
+    assert_matches_the_full_walk(defm, psi)
 
 
 @pytest.mark.parametrize("lhs, rhs, key", [

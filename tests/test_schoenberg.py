@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,14 @@ from hypothesis import given, settings, strategies as st
 from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
                        SchoenbergError, parse_presentation, parse_psi,
                        schoenberg_check, table_functional)
-from braidhopf.verify import fixture_path, state_gram
+from braidhopf.verify import conditional_gram, fixture_path, state_gram
 
-from oracles import state_gram_at, unpruned_state_gram
+from oracles import (state_gram_at, unpruned_conditional_gram,
+                     unpruned_state_gram)
+
+# the benchmark's presentation generators
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import car_presentation, car_psi, mode_names
 
 
 def load(name):
@@ -107,21 +114,58 @@ def test_state_gram_evaluates_to_the_per_sample_matrix(case):
             == state_gram_at(defm, psi, basis, t0))
 
 
-@pytest.mark.parametrize("name, psi_name", [("car.alg", "xxs.psi"),
-                                             ("freec.alg", None)])
-def test_state_gram_matches_the_walk_over_every_split(name, psi_name):
-    pres = load(name)
+CAR2_ORDER = [g for pair in mode_names(2) for g in pair]
+
+# presentation text, psi text or None, and whether the algebra keeps letter
+# counts; car-unit has a unit term in its rule and neither cocycle nor psi,
+# so both supports are recorded (empty) on an algebra whose products do not
+# keep grades
+GRAM_CASES = {
+    "car+xxs": (fixture_path("car.alg").read_text(),
+                fixture_path("xxs.psi").read_text(), True),
+    "freec": (fixture_path("freec.alg").read_text(), None, True),
+    "car2+psi": (car_presentation(2, CAR2_ORDER, 2),
+                 car_psi(2, CAR2_ORDER, 1), True),
+    "car-unit": (fixture_path("car.alg").read_text().replace(
+        "xs x = - x xs", "xs x = - x xs + 1").replace("xs | x = 1", ""),
+        None, False),
+}
+
+
+def gram_case(name):
+    text, psi_text, counts = GRAM_CASES[name]
+    pres = parse_presentation(text)
     alg = Algebra(pres)
-    table = read_psi(psi_name, pres) if psi_name else {}
+    assert alg.homogeneous == counts
+    assert len(alg.grade(())) == (len(pres.generators) if counts else 1)
+    table = parse_psi(psi_text, pres) if psi_text else {}
     psi = table_functional(alg, {(w,): c for w, c in table.items()}, 1)
-    defm = Deformation(alg)
-    basis = alg.basis(3)
-    G = state_gram(defm, psi, basis)
-    assert any(p.degree() > 0 for row in G for p in row)
-    want = unpruned_state_gram(defm.L, psi, basis)
-    for a, row, want_row in zip(basis, G, want):
+    return Deformation(alg), psi, alg.basis(3)
+
+
+def assert_entrywise_equal(basis, got, want):
+    for a, row, want_row in zip(basis, got, want):
         for b, p, q in zip(basis, row, want_row):
             assert p == q, (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_state_gram_matches_the_walk_over_every_split(name):
+    defm, psi, basis = gram_case(name)
+    G = state_gram(defm, psi, basis)
+    assert any(p for row in G for p in row)
+    if name != "car-unit":
+        assert any(p.degree() > 0 for row in G for p in row)
+    assert_entrywise_equal(basis, G,
+                           unpruned_state_gram(defm.L, psi, basis))
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_conditional_gram_matches_the_form_read_on_every_product(name):
+    defm, psi, basis = gram_case(name)
+    kerdelta = [w for w in basis if w]
+    assert_entrywise_equal(kerdelta, conditional_gram(defm, psi, kerdelta),
+                           unpruned_conditional_gram(defm.L, psi, kerdelta))
 
 
 # -- hypothesis gates ------------------------------------------------------

@@ -140,12 +140,13 @@ def test_catalog_is_deterministic():
 
 def test_catalog_rejects_unknown_ids():
     with pytest.raises(ValueError, match="nosuch"):
-        run_catalog(load("car.alg"), ids=["confluence", "nosuch"])
+        run_catalog(load("car.alg"), ids=["confluence", "nosuch"],
+                    max_degree=2)
 
 
 def test_catalog_rejects_an_empty_selection():
     with pytest.raises(ValueError, match="no check"):
-        run_catalog(load("car.alg"), ids=[])
+        run_catalog(load("car.alg"), ids=[], max_degree=2)
 
 
 def test_catalog_selection_keeps_order():
