@@ -20,7 +20,9 @@ checkout builds what it runs from its own ``src``.
         --out BENCH.json
 
 An existing output file is updated in place: rows from this run replace
-the rows of the same name and the others are kept.
+the rows of the same name and the others are kept.  A workload row run at
+a seed other than 0 is named WORKLOAD@seedN, so one file can hold a
+workload's series at several seeds.
 """
 
 from __future__ import annotations
@@ -211,7 +213,8 @@ def main(argv=None) -> int:
     doc = (json.loads(args.out.read_text()) if args.out.exists() else {})
     doc.setdefault("workloads", {})
     for workload in workloads:
-        doc["workloads"][workload] = bench_workload(dirs, workload, args)
+        name = workload if args.seed == 0 else f"{workload}@seed{args.seed}"
+        doc["workloads"][name] = bench_workload(dirs, workload, args)
     for key, command in (("catalog", "verify"), ("schoenberg", "schoenberg")):
         for spec in getattr(args, key):
             doc.setdefault(key, {})[spec] = bench_cli(
