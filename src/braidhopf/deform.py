@@ -115,10 +115,10 @@ def _conv_key(F: Functional, g, key):
     alg, S = F.alg, F.support
     rights = None
     if S is not None:
-        # the splits with right grades grade(key) - s, s in S
+        # the splits with right grades grade(key) - s, s in S; no bucket
+        # has a negative grade
         kg = sum(map(alg.grade, key), ())
-        rights = [r for r in (tuple(map(sub, kg, s)) for s in S)
-                  if min(r) >= 0]
+        rights = [tuple(map(sub, kg, s)) for s in S]
     if len(key) == 2:
         if rights is not None:
             rights = _split_pairs(rights, len(kg) // 2)

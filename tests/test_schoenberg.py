@@ -117,16 +117,16 @@ def test_state_gram_evaluates_to_the_per_sample_matrix(case):
 CAR2_ORDER = [g for pair in mode_names(2) for g in pair]
 
 # presentation text, psi text or None, and whether the algebra keeps letter
-# counts; car-unit has a unit term in its rule and neither cocycle nor psi,
-# so both supports are recorded (empty) on an algebra whose products do not
-# keep grades
+# counts; car2 is the benchmark's 2-mode CAR and its psi, and car-unit has a
+# unit term in its rule and neither cocycle nor psi, so both supports are
+# recorded (empty) on an algebra whose products do not keep grades
 GRAM_CASES = {
-    "car+xxs": (fixture_path("car.alg").read_text(),
-                fixture_path("xxs.psi").read_text(), True),
-    "freec": (fixture_path("freec.alg").read_text(), None, True),
-    "car2+psi": (car_presentation(2, CAR2_ORDER, 2),
-                 car_psi(2, CAR2_ORDER, 1), True),
-    "car-unit": (fixture_path("car.alg").read_text().replace(
+    "car.alg-xxs.psi": (fixture_path("car.alg").read_text(),
+                        fixture_path("xxs.psi").read_text(), True),
+    "freec.alg-None": (fixture_path("freec.alg").read_text(), None, True),
+    "car2.alg-car2.psi": (car_presentation(2, CAR2_ORDER, 2),
+                          car_psi(2, CAR2_ORDER, 1), True),
+    "car-unit.alg-None": (fixture_path("car.alg").read_text().replace(
         "xs x = - x xs", "xs x = - x xs + 1").replace("xs | x = 1", ""),
         None, False),
 }
@@ -154,7 +154,7 @@ def test_state_gram_matches_the_walk_over_every_split(name):
     defm, psi, basis = gram_case(name)
     G = state_gram(defm, psi, basis)
     assert any(p for row in G for p in row)
-    if name != "car-unit":
+    if name != "car-unit.alg-None":
         assert any(p.degree() > 0 for row in G for p in row)
     assert_entrywise_equal(basis, G,
                            unpruned_state_gram(defm.L, psi, basis))
