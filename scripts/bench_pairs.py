@@ -4,10 +4,14 @@ Runs ``perfbench/run.py`` for each workload in two checkouts, alternating
 which side goes first, for the ``run_seconds`` that ``BENCHMARK.json``
 declares, and optionally times whole ``verify`` catalog runs and whole
 ``schoenberg`` runs the same way, by wall clock and by the CPU time of the
-child process.  For every metric it records both
-sides' runs, medians and quartiles, and how many pairs the change won
-(ties count for neither side), together with each side's git sha, Python
-version and ``src`` line count.  Only the standard library is used; each
+child process.  With ``--counts`` each catalog and ``schoenberg`` row also
+makes one untimed cProfile run per side and records its call counts: the
+total, each ``scalars.poly_*`` kernel function and ``Tensor.add_term``.
+Counts do not drift with the machine's speed, so they tell a row that did
+more work from one that ran at a slower moment.  For every metric it
+records both sides' runs, medians and quartiles, and how many pairs the
+change won (ties count for neither side), together with each side's git
+sha, Python version and ``src`` line count.  Only the standard library is used; each
 checkout builds what it runs from its own ``src``.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
@@ -16,7 +20,7 @@ checkout builds what it runs from its own ``src``.
         --catalog freec.alg@3 --catalog free2.alg@4 --catalog-pairs 3 \\
         --out BENCH.json
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload none \\
-        --schoenberg freec.alg@5 --schoenberg car.alg+xxs.psi@4 \\
+        --schoenberg freec.alg@5 --schoenberg car.alg+xxs.psi@4 --counts \\
         --out BENCH.json
 
 An existing output file is updated in place: rows from this run replace
@@ -32,8 +36,10 @@ import json
 import os
 import resource
 import statistics
+import pstats
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -122,18 +128,24 @@ def child_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def cli_args(root: Path, command: str, spec: str) -> list:
+    """The arguments of ``braidhopf COMMAND ... --format json`` on a
+    bundled fixture of the checkout root."""
+    fixture, psi, degree = parse_spec(spec)
+    fixtures = root / "src" / "braidhopf" / "fixtures"
+    args = [command, str(fixtures / fixture)]
+    if psi:
+        args += ["--psi", str(fixtures / psi)]
+    return args + ["--max-degree", str(degree), "--format", "json"]
+
+
 def time_cli(root: Path, command: str, spec: str) -> tuple:
     """Wall time and CPU time of one ``braidhopf COMMAND ... --format
     json`` process on a bundled fixture, the counts of its report
     statuses, and its output."""
-    fixture, psi, degree = parse_spec(spec)
-    fixtures = root / "src" / "braidhopf" / "fixtures"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    cmd = [sys.executable, "-m", "braidhopf.cli", command,
-           str(fixtures / fixture)]
-    if psi:
-        cmd += ["--psi", str(fixtures / psi)]
-    cmd += ["--max-degree", str(degree), "--format", "json"]
+    cmd = [sys.executable, "-m", "braidhopf.cli",
+           *cli_args(root, command, spec)]
     cpu = child_cpu()
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
@@ -151,7 +163,33 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
         proc.stdout
 
 
-def bench_cli(dirs: dict, command: str, spec: str, pairs: int) -> dict:
+def count_calls(root: Path, command: str, spec: str) -> dict:
+    """Call counts of one cProfile run of ``braidhopf COMMAND ... --format
+    json``, with a fixed hash seed: the total, each ``scalars.poly_*``
+    function and ``Tensor.add_term``, recursive calls included."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "profile"
+        cmd = [sys.executable, "-m", "cProfile", "-o", str(out), "-m",
+               "braidhopf.cli", *cli_args(root, command, spec)]
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                              text=True)
+        if not out.exists():
+            sys.exit(f"{root}: {' '.join(cmd)} wrote no profile:\n"
+                     f"{proc.stderr}")
+        stats = pstats.Stats(str(out))
+    counts = {"total": stats.total_calls}
+    for (path, _, name), (_, calls, *_) in sorted(stats.stats.items()):
+        module = Path(path).parts[-2:]
+        if module == ("braidhopf", "scalars.py") and name.startswith("poly_"):
+            counts[f"scalars.{name}"] = calls
+        elif module == ("braidhopf", "algebra.py") and name == "add_term":
+            counts["Tensor.add_term"] = calls
+    return counts
+
+
+def bench_cli(dirs: dict, command: str, spec: str, pairs: int,
+              counts: bool = False) -> dict:
     walls = {side: [] for side in SIDES}
     cpus = {side: [] for side in SIDES}
     statuses = {}
@@ -171,6 +209,9 @@ def bench_cli(dirs: dict, command: str, spec: str, pairs: int) -> dict:
     # every run on both sides printed the same report
     row.update(unit="s", cpu=compare(cpus["parent"], cpus["change"], "lower"),
                statuses=statuses, identical_output=len(outputs) == 1)
+    if counts:
+        row["counts"] = {side: count_calls(dirs[side], command, spec)
+                         for side in SIDES}
     return row
 
 
@@ -192,6 +233,9 @@ def main(argv=None) -> int:
                     help="time a whole schoenberg run (repeatable)")
     ap.add_argument("--catalog-pairs", type=int, default=3,
                     help="pairs per --catalog or --schoenberg row")
+    ap.add_argument("--counts", action="store_true",
+                    help="add one untimed cProfile run per side to each "
+                         "--catalog and --schoenberg row, for call counts")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.catalog_pairs < 1:
@@ -218,7 +262,7 @@ def main(argv=None) -> int:
     for key, command in (("catalog", "verify"), ("schoenberg", "schoenberg")):
         for spec in getattr(args, key):
             doc.setdefault(key, {})[spec] = bench_cli(
-                dirs, command, spec, args.catalog_pairs)
+                dirs, command, spec, args.catalog_pairs, args.counts)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -27,7 +27,7 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      monoid, sesquilinearize, table_functional)
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
-from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, TPoly, T_ONE, T_T,
+from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, T_ONE, T_T,
                       T_ZERO, as_scalar, from_abds, poly_add, poly_flip,
                       poly_mul, poly_part, poly_shift)
 
@@ -556,7 +556,7 @@ class HermitianMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        entries = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(as_scalar, row)) for row in rows)
         n = len(entries)
         for row in entries:
             if len(row) != n:
@@ -578,10 +578,14 @@ class HermitianMatrix:
 
 
 def _non_hermitian_at(rows):
-    """The first (i, j), i <= j, with rows[j][i] != conj(rows[i][j])."""
-    n = len(rows)
-    return next(((i, j) for i in range(n) for j in range(i, n)
-                 if rows[j][i] != rows[i][j].conj()), None)
+    """The first (i, j), i <= j, with rows[j][i] != conj(rows[i][j]), read
+    on the canonical triples of the Scalars."""
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            a, b, d = row[j].abd
+            if rows[j][i].abd != (a, -b, d):
+                return (i, j)
+    return None
 
 
 def psd_exact(G: HermitianMatrix):
@@ -660,57 +664,34 @@ def require_confluence(alg: Algebra) -> None:
             f"{w['lhs']} and to {w['rhs']}", "confluence")
 
 
-def _gram(form: Functional, labels) -> list:
-    """The Gram matrix of a sesquilinear form on the given words."""
-    return [[form.on_key((a, b)) for b in labels] for a in labels]
-
-
-def _grade_sum(alg: Algebra, key) -> tuple:
-    """grade(a) + grade(b) for key = (a, b): the grade of every word of the
-    product a b."""
-    return tuple(map(add, *map(alg.grade, key)))
-
-
 def state_gram(defm: Deformation, psi: Functional, labels) -> list:
     """G(t), the Gram matrix of phi_t = e*^{t psi} on the words, with
-    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t].  On a length-homogeneous
-    algebra the words of mu_t(k (x) b) have the grades grade(k) + grade(b)
-    - (p + q), (p, q) in M(L.support), and phi_t vanishes off M(psi.support),
-    so an entry on (k, b) off M(psi.support | sigma.support) is zero
-    without mu_t."""
+    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t], the sum of
+    c phi_t(mu_t(k (x) b)) over the terms c k of a*.  On a
+    length-homogeneous algebra the words of mu_t(k (x) b) have the grades
+    grade(k) + grade(b) - (p + q), (p, q) in M(L.support), and phi_t
+    vanishes off M(psi.support), so a term on (k, b) off
+    M(psi.support | sigma.support) is zero without mu_t.  Each entry is
+    read once, so nothing is memoized."""
     alg, M = defm.alg, None
     if alg.homogeneous and None not in (psi.support, defm.sigma.support):
         M = monoid(psi.support | defm.sigma.support,
                    2 * max(map(len, labels), default=0), alg.grade(()))
+    grades = [alg.grade(b) for b in labels]
 
-    def entry(k):
-        if M is None or _grade_sum(alg, k) in M:
-            return conv_exp(psi, defm.mu_t_key(k))
-        return T_ZERO
+    def entry(star, b, gb):
+        tot = ()
+        for k, gk, c in star:
+            if M is None or tuple(map(add, gk, gb)) in M:
+                v = conv_exp(psi, defm.mu_t_key((k, b))).abds
+                if v:
+                    tot = poly_add(tot, poly_mul(v, c))
+        return from_abds(tot)
 
-    return _gram(sesquilinearize(Functional(alg, 2, entry)), labels)
-
-
-def conditional_gram(defm: Deformation, psi: Functional, labels) -> list:
-    """The Gram matrix of the sesquilinear form (psi.mul + L)~ on the
-    words, psi(a* b) + L(a* (x) b) in Q(i)[t].  Where psi records its
-    support, psi.mul vanishes on (k, b) unless grade(k) + grade(b) is in
-    it, and the product is not normal-ordered."""
-    alg = defm.alg
-
-    def entry(k):
-        v = defm.L.on_key(k)
-        if psi.support is None or _grade_sum(alg, k) in psi.support:
-            v = v + psi(alg.mul_words(*k))
-        return v
-
-    return _gram(sesquilinearize(Functional(alg, 2, entry)), labels)
-
-
-def _constant(p: TPoly) -> Scalar:
-    if p.degree() > 0:
-        raise ValueError("expected a t-free value")
-    return p.constant_term()
+    return [[entry(star, b, gb) for b, gb in zip(labels, grades)]
+            for star in ([(k, alg.grade(k), c) for (k,), c in
+                          alg.involution_word(a).terms.items()]
+                         for a in labels)]
 
 
 def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
@@ -718,8 +699,11 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
                      t_samples=(Fraction(0), Fraction(1, 2), Fraction(1),
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
-    property of the exponential family at each sample point: the state Gram
-    matrix G(t) is built once in Q(i)[t] and evaluated at every sample.
+    property of the exponential family at each sample point.  The state
+    Gram matrix G(t) is built once in Q(i)[t] and evaluated at every
+    sample; its t^1 block on ker delta is the conditional form,
+    psi(a* b) + L(a* (x) b) being the derivative at t = 0 of
+    phi_t(mu_t(a* (x) b)).
 
     psi is a support table, word -> scalar, or None for the zero
     functional.  The relations must be confluent, and the three hypotheses
@@ -753,10 +737,13 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
 
     defm = Deformation(alg)
 
-    # (a) conditional positivity of (psi.mul + L)~ over ker delta
-    kerdelta = [w for w in basis if w]
-    rows = [[_constant(p) for p in row]
-            for row in conditional_gram(defm, psi, kerdelta)]
+    # (a) conditional positivity of (psi.mul + L)~ over ker delta, the t^1
+    # coefficients of G(t) on the nonempty words (basis is shortlex, so
+    # basis[0] is the unit)
+    G = state_gram(defm, psi, basis)
+    kerdelta = basis[1:]
+    rows = [[p.coeffs[1] if p.degree() > 0 else S_ZERO for p in row[1:]]
+            for row in G[1:]]
 
     def blame(exc):
         # psi passed its hermitian gate, so blame L where its own form is
@@ -774,13 +761,13 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     conditional = _psd_report("schoenberg-conditional", rows, alg, kerdelta,
                               max_degree, blame)
 
-    # (b) the state property at each sample of G(t), built once in Q(i)[t]
-    G = state_gram(defm, psi, basis)
+    # (b) the state property at each sample of G(t)
     states = []
     for t0 in t_samples:
         r = as_scalar(t0)
         states.append(_psd_report(
-            "schoenberg-state", [[p.eval(r) for p in row] for row in G],
+            "schoenberg-state",
+            [[p.eval(r) if p else S_ZERO for p in row] for row in G],
             alg, basis, max_degree,
             lambda exc: SchoenbergError(
                 f"state Gram matrix is not hermitian ({exc})", "hermitian"),

@@ -69,3 +69,16 @@ def test_a_cli_row_records_wall_and_child_cpu_time(command, spec):
         assert 0 < cpu and 0 < wall
     assert row["cpu"]["better"] == "lower" and row["cpu"]["pairs"] == 1
     assert row["statuses"]["parent"] == row["statuses"]["change"]
+
+
+def test_a_counts_row_records_the_kernel_calls_of_each_side():
+    row = bench_pairs.bench_cli({"parent": ROOT, "change": ROOT},
+                                "schoenberg", "car.alg+xxs.psi@1", 1,
+                                counts=True)
+    parent, change = row["counts"]["parent"], row["counts"]["change"]
+    # one checkout under a fixed hash seed: the counts repeat exactly
+    assert parent == change
+    assert parent["total"] > parent["scalars.poly_mul"] > 0
+    assert parent["Tensor.add_term"] > 0
+    assert all(k in ("total", "Tensor.add_term") or k.startswith(
+        "scalars.poly_") for k in parent)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
-                       SchoenbergError, parse_presentation, parse_psi,
+                       SchoenbergError, TPoly, parse_presentation, parse_psi,
                        schoenberg_check, table_functional)
-from braidhopf.verify import conditional_gram, fixture_path, state_gram
+from braidhopf.verify import HermitianMatrix, fixture_path, state_gram
 
 from oracles import (state_gram_at, unpruned_conditional_gram,
                      unpruned_state_gram)
@@ -160,12 +160,49 @@ def test_state_gram_matches_the_walk_over_every_split(name):
                            unpruned_state_gram(defm.L, psi, basis))
 
 
+def t1_block(G):
+    """The t^1 coefficients of G on the nonempty words, as TPolys."""
+    return [[TPoly(p.coeffs[1:2]) for p in row[1:]] for row in G[1:]]
+
+
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
-def test_conditional_gram_matches_the_form_read_on_every_product(name):
+def test_t1_block_of_the_state_gram_is_the_conditional_form(name):
     defm, psi, basis = gram_case(name)
-    kerdelta = [w for w in basis if w]
-    assert_entrywise_equal(kerdelta, conditional_gram(defm, psi, kerdelta),
+    assert basis[0] == ()
+    kerdelta = basis[1:]
+    rows = t1_block(state_gram(defm, psi, basis))
+    if name != "car-unit.alg-None":       # neither L nor psi
+        assert any(p for row in rows for p in row)
+    assert_entrywise_equal(kerdelta, rows,
                            unpruned_conditional_gram(defm.L, psi, kerdelta))
+
+
+@settings(deadline=None)
+@given(gram_cases())
+def test_t1_block_is_the_conditional_form_for_any_psi(case):
+    # the identity needs only psi(1) = 0, which every drawn table keeps
+    defm, psi, basis, _ = case
+    kerdelta = basis[1:]
+    assert_entrywise_equal(kerdelta, t1_block(state_gram(defm, psi, basis)),
+                           unpruned_conditional_gram(defm.L, psi, kerdelta))
+
+
+# -- the hermiticity check of HermitianMatrix ------------------------------
+
+
+@pytest.mark.parametrize("rows, at", [
+    # an off-diagonal pair equal up to the sign of its imaginary part
+    ([[1, Scalar(2, 3)], [Scalar(2, 3), 1]], (0, 1)),
+    # a diagonal entry with a nonzero imaginary part
+    ([[1, 0, 0], [0, Scalar(1, 1), 0], [0, 0, 1]], (1, 1)),
+    # two offending pairs: (0, 3) comes first in upper-triangle row-major
+    # order, (1, 2) in column-major order
+    ([[0, 0, 0, 1], [0, 0, 5, 0], [0, 6, 0, 0], [2, 0, 0, 0]], (0, 3)),
+])
+def test_hermitian_matrix_names_the_first_offending_entry(rows, at):
+    with pytest.raises(ValueError) as exc:
+        HermitianMatrix(rows)
+    assert str(exc.value) == f"matrix is not hermitian at {at}"
 
 
 # -- hypothesis gates ------------------------------------------------------
