@@ -688,10 +688,12 @@ def state_gram(defm: Deformation, psi: Functional, labels) -> list:
                     tot = poly_add(tot, poly_mul(v, c))
         return from_abds(tot)
 
-    return [[entry(star, b, gb) for b, gb in zip(labels, grades)]
-            for star in ([(k, alg.grade(k), c) for (k,), c in
-                          alg.involution_word(a).terms.items()]
-                         for a in labels)]
+    def row(a):
+        star = [(k, alg.grade(k), c)
+                for (k,), c in alg.involution_word(a).terms.items()]
+        return [entry(star, b, gb) for b, gb in zip(labels, grades)]
+
+    return [row(a) for a in labels]
 
 
 def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
