@@ -11,8 +11,8 @@ Counts do not drift with the machine's speed, so they tell a row that did
 more work from one that ran at a slower moment.  For every metric it
 records both sides' runs, medians and quartiles, and how many pairs the
 change won (ties count for neither side), together with each side's git
-sha, Python version and ``src`` line count.  Only the standard library is used; each
-checkout builds what it runs from its own ``src``.
+sha, Python version and ``src`` line count.  Only the standard library is
+used; each checkout builds what it runs from its own ``src``.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \\
         --out BENCH.json
@@ -34,9 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pstats
 import resource
 import statistics
-import pstats
 import subprocess
 import sys
 import tempfile
