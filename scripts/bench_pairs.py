@@ -6,7 +6,8 @@ declares, and optionally times whole ``verify`` catalog runs and whole
 ``schoenberg`` runs the same way, by wall clock and by the CPU time of the
 child process.  With ``--counts`` each catalog and ``schoenberg`` row also
 makes one untimed cProfile run per side and records its call counts: the
-total, each ``scalars.poly_*`` kernel function and ``Tensor.add_term``.
+total, each ``scalars.poly_*`` kernel function, ``scalars._scalar`` (the
+Scalars built from triples) and ``Tensor.add_term``.
 Counts do not drift with the machine's speed, so they tell a row that did
 more work from one that ran at a slower moment.  For every metric it
 records both sides' runs, medians and quartiles, and how many pairs the
@@ -166,7 +167,8 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
 def count_calls(root: Path, command: str, spec: str) -> dict:
     """Call counts of one cProfile run of ``braidhopf COMMAND ... --format
     json``, with a fixed hash seed: the total, each ``scalars.poly_*``
-    function and ``Tensor.add_term``, recursive calls included."""
+    function, ``scalars._scalar`` (the Scalars built from triples) and
+    ``Tensor.add_term``, recursive calls included."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "profile"
@@ -181,7 +183,8 @@ def count_calls(root: Path, command: str, spec: str) -> dict:
     counts = {"total": stats.total_calls}
     for (path, _, name), (_, calls, *_) in sorted(stats.stats.items()):
         module = Path(path).parts[-2:]
-        if module == ("braidhopf", "scalars.py") and name.startswith("poly_"):
+        if module == ("braidhopf", "scalars.py") and (
+                name.startswith("poly_") or name == "_scalar"):
             counts[f"scalars.{name}"] = calls
         elif module == ("braidhopf", "algebra.py") and name == "add_term":
             counts["Tensor.add_term"] = calls
@@ -196,13 +199,13 @@ def bench_cli(dirs: dict, command: str, spec: str, pairs: int,
     outputs = set()
     for i in range(pairs):
         for side in pair_order(i):
-            wall, cpu, counts, stdout = time_cli(dirs[side], command, spec)
+            wall, cpu, tally, stdout = time_cli(dirs[side], command, spec)
             walls[side].append(wall)
             cpus[side].append(cpu)
-            statuses.setdefault(side, counts)
+            statuses.setdefault(side, tally)
             outputs.add(stdout)
             print(f"{command} {spec} pair {i + 1} {side}: {wall:.2f} s "
-                  f"wall {cpu:.2f} s cpu {counts}", file=sys.stderr)
+                  f"wall {cpu:.2f} s cpu {tally}", file=sys.stderr)
     # the row's own fields are wall time; cpu compares the child's CPU time
     row = compare(walls["parent"], walls["change"], "lower")
     # statuses are each side's first run; identical_output says whether

@@ -8,10 +8,11 @@ carries these; no floats anywhere.
 Both rest on one kernel of Python ints: a Gaussian rational is the
 canonical triple (a, b, d), meaning (a + b*i)/d with gcd(a, b, d) == 1 and
 d > 0.  The form is unique, so equal values have equal triples, and the
-functions _add, _mul and _inv keep every result canonical.  A polynomial
-is the tuple of its coefficients' triples with no trailing zero, kept so by
-the poly_* functions; a TPoly wraps one, a Tensor holds them bare (see
-algebra), and Scalar and TPoly objects are built only where asked for.
+functions abd_add, abd_mul and abd_inv keep every result canonical.  A
+polynomial is the tuple of its coefficients' triples with no trailing
+zero, kept so by the poly_* functions; a TPoly wraps one, a Tensor holds
+them bare (see algebra), and a hermitian matrix holds bare triples (see
+verify).  Scalar and TPoly objects are built only where asked for.
 
 The module is arithmetic and its printing.  Scalar values are read by
 presentation.parse_scalar, the element grammar without generators.
@@ -40,11 +41,11 @@ def signed_sum(bodies) -> str:
 
 # -- the int-triple kernel ---------------------------------------------------
 
-_Z = (0, 0, 1)          # the triple of zero
+ABD_ZERO = (0, 0, 1)    # the triple of zero
 _UNIT = ((1, 0, 1),)    # the triples of the constant polynomial 1
 
 
-def _add(x, y):
+def abd_add(x, y):
     a, b, d = x
     c, e, f = y
     if d == f:
@@ -66,7 +67,7 @@ def _add(x, y):
     return (a // g, b // g, d // g)
 
 
-def _mul(x, y):
+def abd_mul(x, y):
     a, b, d = x
     c, e, f = y
     if b or e:
@@ -82,7 +83,7 @@ def _mul(x, y):
     return (a // g, b // g, d // g)
 
 
-def _inv(x):
+def abd_inv(x):
     a, b, d = x
     if not b:
         if not a:
@@ -125,12 +126,12 @@ def poly_add(a, b):
     if len(a) < len(b):
         a, b = b, a
     if len(a) == 1:
-        c = _add(a[0], b[0])
-        return () if c == _Z else (c,)
+        c = abd_add(a[0], b[0])
+        return () if c == ABD_ZERO else (c,)
     out = list(a)
     for k, c in enumerate(b):
-        out[k] = _add(out[k], c)
-    while out and out[-1] == _Z:
+        out[k] = abd_add(out[k], c)
+    while out and out[-1] == ABD_ZERO:
         out.pop()
     return tuple(out)
 
@@ -148,13 +149,13 @@ def poly_mul(a, b):
         a, b = b, a
     if len(a) == 1:
         x = a[0]
-        return tuple([_mul(x, y) for y in b])
-    out = [_Z] * (len(a) + len(b) - 1)
+        return tuple([abd_mul(x, y) for y in b])
+    out = [ABD_ZERO] * (len(a) + len(b) - 1)
     for j, x in enumerate(a):
-        if x != _Z:
+        if x != ABD_ZERO:
             for k, y in enumerate(b, j):
-                if y != _Z:
-                    out[k] = _add(out[k], _mul(x, y))
+                if y != ABD_ZERO:
+                    out[k] = abd_add(out[k], abd_mul(x, y))
     return tuple(out)
 
 
@@ -175,7 +176,7 @@ def poly_flip(a):
 
 def poly_shift(a, j: int):
     """The s^j coefficient of p(t + s): sum_i C(i + j, j) p_{i+j} t^i."""
-    return tuple([_mul(c, (comb(i + j, j), 0, 1))
+    return tuple([abd_mul(c, (comb(i + j, j), 0, 1))
                   for i, c in enumerate(a[j:])])
 
 
@@ -183,13 +184,24 @@ def poly_integrate(a):
     """The antiderivative vanishing at t = 0: sum_k p_k t^{k+1}/(k+1)."""
     if not a:
         return ()
-    return (_Z,) + tuple([_mul(c, (1, 0, k)) for k, c in enumerate(a, 1)])
+    return (ABD_ZERO,) + tuple([abd_mul(c, (1, 0, k))
+                                for k, c in enumerate(a, 1)])
+
+
+def poly_eval(a, r):
+    """The value at the triple r, by Horner's rule."""
+    if not a:
+        return ABD_ZERO
+    acc = a[-1]
+    for c in a[-2::-1]:
+        acc = abd_add(abd_mul(acc, r), c)
+    return acc
 
 
 def poly_part(a, j: int):
     """The coefficient of t^j as a constant polynomial."""
     c = a[j:j + 1]
-    return () if c == (_Z,) else c
+    return () if c == (ABD_ZERO,) else c
 
 
 _new = object.__new__
@@ -238,7 +250,7 @@ class Scalar:
         y = other.abd if type(other) is Scalar else _abd(other)
         if y is None:
             return NotImplemented
-        return _scalar(_add(self.abd, y))
+        return _scalar(abd_add(self.abd, y))
 
     __radd__ = __add__
 
@@ -247,7 +259,7 @@ class Scalar:
         if y is None:
             return NotImplemented
         c, e, f = y
-        return _scalar(_add(self.abd, (-c, -e, f)))
+        return _scalar(abd_add(self.abd, (-c, -e, f)))
 
     def __rsub__(self, other):
         return -self + other
@@ -256,7 +268,7 @@ class Scalar:
         y = other.abd if type(other) is Scalar else _abd(other)
         if y is None:
             return NotImplemented
-        return _scalar(_mul(self.abd, y))
+        return _scalar(abd_mul(self.abd, y))
 
     __rmul__ = __mul__
 
@@ -269,13 +281,13 @@ class Scalar:
         return _scalar((a, -b, d))
 
     def inv(self) -> Scalar:
-        return _scalar(_inv(self.abd))
+        return _scalar(abd_inv(self.abd))
 
     def __truediv__(self, other):
         y = other.abd if type(other) is Scalar else _abd(other)
         if y is None:
             return NotImplemented
-        return _scalar(_mul(self.abd, _inv(y)))
+        return _scalar(abd_mul(self.abd, abd_inv(y)))
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -283,7 +295,7 @@ class Scalar:
     # -- predicates -------------------------------------------------------
 
     def __bool__(self):
-        return self.abd != _Z
+        return self.abd != ABD_ZERO
 
     def __eq__(self, other):
         y = other.abd if type(other) is Scalar else _abd(other)
@@ -318,12 +330,24 @@ def _scalar(x) -> Scalar:
     return s
 
 
+# the public name of _scalar, for a module that computes on triples
+from_abd = _scalar
+
+
 def as_scalar(x) -> Scalar:
     if type(x) is Scalar:
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+
+
+def as_abd(x):
+    """The triple of a Scalar, an int or a Fraction."""
+    y = _abd(x)
+    if y is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    return y
 
 
 S_ZERO = Scalar(0)
@@ -344,7 +368,7 @@ class TPoly:
 
     def __init__(self, coeffs=()):
         abds = tuple(as_scalar(c).abd for c in coeffs)
-        while abds and abds[-1] == _Z:
+        while abds and abds[-1] == ABD_ZERO:
             abds = abds[:-1]
         _set_abds(self, abds)
 
@@ -402,11 +426,7 @@ class TPoly:
 
     def eval(self, r) -> Scalar:
         """Exact value at a rational (or Gaussian-rational) point."""
-        r = as_scalar(r).abd
-        acc = _Z
-        for c in reversed(self.abds):
-            acc = _add(_mul(acc, r), c)
-        return _scalar(acc)
+        return _scalar(poly_eval(self.abds, as_abd(r)))
 
     def conj(self) -> TPoly:
         return from_abds(poly_conj(self.abds))
@@ -458,7 +478,7 @@ def _abds_of(x):
     x = _abd(x)
     if x is None:
         return None
-    return () if x == _Z else (x,)
+    return () if x == ABD_ZERO else (x,)
 
 
 def _format_coeff_power(c: Scalar, k: int) -> str:

@@ -27,9 +27,10 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      monoid, sesquilinearize, table_functional)
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
-from .scalars import (S_MINUS_ONE, S_ONE, S_ZERO, Scalar, T_ONE, T_T,
-                      T_ZERO, as_scalar, from_abds, poly_add, poly_flip,
-                      poly_mul, poly_part, poly_shift)
+from .scalars import (ABD_ZERO, S_ONE, Scalar, T_ONE, T_T, T_ZERO, abd_add,
+                      abd_inv, abd_mul, as_abd, as_scalar, from_abd,
+                      from_abds, poly_add, poly_eval, poly_flip, poly_mul,
+                      poly_part, poly_shift)
 
 
 def fixture_path(name: str):
@@ -551,79 +552,117 @@ def run_catalog(pres: AlgebraPresentation, ids=None, *,
 
 
 class HermitianMatrix:
-    """Square matrix of Scalars with entry (j,i) = conj(entry (i,j))."""
+    """Square matrix over Q(i) with entry (j, i) = conj(entry (i, j)), held
+    as abds, the rows of the canonical triples of its entries (see
+    scalars); entries builds their Scalars."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("abds",)
 
     def __init__(self, rows):
-        entries = tuple(tuple(map(as_scalar, row)) for row in rows)
-        n = len(entries)
-        for row in entries:
+        """The matrix of rows of Scalars, ints or Fractions."""
+        self._set(tuple(tuple(map(as_abd, row)) for row in rows))
+
+    @classmethod
+    def from_abds(cls, rows):
+        """The matrix of rows of canonical triples, validated alike."""
+        m = cls.__new__(cls)
+        m._set(rows)
+        return m
+
+    def _set(self, abds):
+        n = len(abds)
+        for row in abds:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-        bad = _non_hermitian_at(entries)
+        bad = _non_hermitian_at(abds)
         if bad is not None:
             raise ValueError(f"matrix is not hermitian at {bad}")
-        self.entries = entries
+        self.abds = abds
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(tuple(map(from_abd, row)) for row in self.abds)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.abds)
 
     def quadratic_form(self, v) -> Scalar:
-        """v* G v for a vector of Scalars; zero coordinates are skipped."""
-        nz = [(i, vi) for i, vi in enumerate(v) if vi]
-        return sum((vi.conj() * self.entries[i][j] * vj
-                    for i, vi in nz for j, vj in nz), S_ZERO)
+        """v* G v for a vector of Scalars, ints or Fractions of the
+        matrix's size; zero coordinates are skipped."""
+        if len(v) != len(self.abds):
+            raise ValueError(f"vector of length {len(v)} for a matrix of "
+                             f"size {len(self.abds)}")
+        nz = [(i, x) for i, x in enumerate(map(as_abd, v)) if x != ABD_ZERO]
+        tot = ABD_ZERO
+        for i, (a, b, d) in nz:
+            row = self.abds[i]
+            for j, y in nz:
+                tot = abd_add(tot, abd_mul(abd_mul((a, -b, d), row[j]), y))
+        return from_abd(tot)
 
 
 def _non_hermitian_at(rows):
     """The first (i, j), i <= j, with rows[j][i] != conj(rows[i][j]), read
-    on the canonical triples of the Scalars."""
+    on canonical triples."""
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
-            a, b, d = row[j].abd
-            if rows[j][i].abd != (a, -b, d):
+            a, b, d = row[j]
+            if rows[j][i] != (a, -b, d):
                 return (i, j)
     return None
 
 
 def psd_exact(G: HermitianMatrix):
     """('psd', None) or ('not-psd', witness) with witness* G witness < 0,
-    decided by recursive pivoting over exact scalars."""
-    return _psd([list(row) for row in G.entries])
+    a tuple of Scalars, decided by exact Gaussian elimination.
 
-
-def _psd(m):
+    Pivots are taken in place, in index order, on the triples of G's upper
+    triangle, the only part read.  A positive pivot a at k is inverted
+    once and updates, by G[i][j] -= G[i][k] G[k][j] / a, only the rows
+    i > k with G[i][k] nonzero, and in them only the columns j >= i where
+    row k is nonzero; a zero pivot with a zero row is passed over.  Any
+    other pivot k ends the elimination with a witness on the trailing
+    block: e_k if it is negative, else e_k + c e_j at the first j with
+    G[k][j] nonzero, c = -conj(G[k][j]), divided by G[j][j] where that is
+    positive.  Back-substitution through the earlier positive pivots, last
+    first, sets each one's coordinate to minus its row's product with the
+    later coordinates, over a.
+    """
+    m = [list(row) for row in G.abds]
     n = len(m)
-    if n == 0:
+    pivots = []                       # (k, 1/a) of each positive pivot
+    for k, row in enumerate(m):
+        a = row[k]
+        nz = [(j, row[j]) for j in range(k + 1, n) if row[j] != ABD_ZERO]
+        if a[0] > 0:
+            inv = abd_inv(a)
+            scaled = [(j, abd_mul(x, inv)) for j, x in nz]
+            for s, (i, (x, y, d)) in enumerate(nz):
+                c, mi = (-x, y, d), m[i]      # -G[i][k] = -conj(G[k][i])
+                for j, z in scaled[s:]:
+                    mi[j] = abd_add(mi[j], abd_mul(c, z))
+            pivots.append((k, inv))
+        elif a[0] < 0 or nz:
+            break
+    else:
         return ("psd", None)
-    a = m[0][0]
-    if a.abd[0] < 0:                  # the sign of the real part
-        return ("not-psd", (S_ONE,) + (S_ZERO,) * (n - 1))
-    if not a:
-        j = next((k for k in range(1, n) if m[0][k]), None)
-        if j is None:
-            verdict, wit = _psd([row[1:] for row in m[1:]])
-            if wit is None:
-                return (verdict, None)
-            return ("not-psd", (S_ZERO,) + wit)
-        p, _, e = m[j][j].abd           # re(m[j][j]) = p/e
-        wit = [S_ZERO] * n
-        wit[0] = S_ONE
-        wit[j] = m[0][j].conj() * (S_MINUS_ONE if p <= 0 else Scalar(-e) / p)
-        return ("not-psd", tuple(wit))
-    pivot_row = [x / a for x in m[0][1:]]
-    # a row with a zero pivot-column entry passes through unchanged
-    sub = [[x - row[0] * y for x, y in zip(row[1:], pivot_row)]
-           if row[0] else row[1:] for row in m[1:]]
-    verdict, wit = _psd(sub)
-    if wit is None:
-        return ("psd", None)
-    r_dot_y = Scalar(0)
-    for k, yk in enumerate(wit):
-        r_dot_y = r_dot_y + m[0][k + 1] * yk
-    return ("not-psd", (-(r_dot_y / a),) + wit)
+    wit = [ABD_ZERO] * n
+    wit[k] = S_ONE.abd
+    if a[0] == 0:
+        j, (x, y, d) = nz[0]
+        p, _, e = m[j][j]             # the real diagonal entry p/e
+        wit[j] = abd_mul((x, -y, d), (-1, 0, 1) if p <= 0 else (-e, 0, p))
+    support = [(j, w) for j, w in enumerate(wit) if w != ABD_ZERO]
+    for k, inv in reversed(pivots):
+        row, tot = m[k], ABD_ZERO
+        for j, w in support:
+            tot = abd_add(tot, abd_mul(row[j], w))
+        if tot != ABD_ZERO:
+            x, y, d = abd_mul(tot, inv)
+            wit[k] = (-x, -y, d)
+            support.append((k, wit[k]))
+    return ("not-psd", tuple(map(from_abd, wit)))
 
 
 # ---------------------------------------------------------------------------
@@ -672,26 +711,34 @@ def state_gram(defm: Deformation, psi: Functional, labels) -> list:
     grade(k) + grade(b) - (p + q), (p, q) in M(L.support), and phi_t
     vanishes off M(psi.support), so a term on (k, b) off
     M(psi.support | sigma.support) is zero without mu_t.  Each entry is
-    read once, so nothing is memoized."""
+    read once, so nothing is memoized.  The columns a term of grade g can
+    reach, the b with g + grade(b) in M, are listed once per g; every
+    other entry is T_ZERO without a test."""
     alg, M = defm.alg, None
     if alg.homogeneous and None not in (psi.support, defm.sigma.support):
         M = monoid(psi.support | defm.sigma.support,
                    2 * max(map(len, labels), default=0), alg.grade(()))
     grades = [alg.grade(b) for b in labels]
+    reach = {}                        # grade of a term of a* -> columns
 
-    def entry(star, b, gb):
-        tot = ()
-        for k, gk, c in star:
-            if M is None or tuple(map(add, gk, gb)) in M:
-                v = conv_exp(psi, defm.mu_t_key((k, b))).abds
-                if v:
-                    tot = poly_add(tot, poly_mul(v, c))
-        return from_abds(tot)
+    def columns(gk):
+        cols = reach.get(gk)
+        if cols is None:
+            cols = reach[gk] = [j for j, gb in enumerate(grades)
+                                if M is None or tuple(map(add, gk, gb)) in M]
+        return cols
 
     def row(a):
-        star = [(k, alg.grade(k), c)
-                for (k,), c in alg.involution_word(a).terms.items()]
-        return [entry(star, b, gb) for b, gb in zip(labels, grades)]
+        sums = {}
+        for (k,), c in alg.involution_word(a).terms.items():
+            for j in columns(alg.grade(k)):
+                v = conv_exp(psi, defm.mu_t_key((k, labels[j]))).abds
+                if v:
+                    sums[j] = poly_add(sums.get(j, ()), poly_mul(v, c))
+        out = [T_ZERO] * len(labels)
+        for j, tot in sums.items():
+            out[j] = from_abds(tot)
+        return out
 
     return [row(a) for a in labels]
 
@@ -702,10 +749,10 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
     property of the exponential family at each sample point.  The state
-    Gram matrix G(t) is built once in Q(i)[t] and evaluated at every
-    sample; its t^1 block on ker delta is the conditional form,
-    psi(a* b) + L(a* (x) b) being the derivative at t = 0 of
-    phi_t(mu_t(a* (x) b)).
+    Gram matrix G(t) is built once in Q(i)[t], and each sample evaluates
+    its nonzero entries on triples; its t^1 block on ker delta is the
+    conditional form, psi(a* b) + L(a* (x) b) being the derivative at
+    t = 0 of phi_t(mu_t(a* (x) b)).
 
     psi is a support table, word -> scalar, or None for the zero
     functional.  The relations must be confluent, and the three hypotheses
@@ -737,15 +784,17 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     if psi.on_key(((),)):
         raise SchoenbergError("psi(1) must vanish", "unit")
 
+    # G(t) as its nonzero entries (i, j, coefficient triples)
     defm = Deformation(alg)
+    G = [(i, j, p.abds) for i, row in enumerate(state_gram(defm, psi, basis))
+         for j, p in enumerate(row) if p]
 
     # (a) conditional positivity of (psi.mul + L)~ over ker delta, the t^1
     # coefficients of G(t) on the nonempty words (basis is shortlex, so
     # basis[0] is the unit)
-    G = state_gram(defm, psi, basis)
     kerdelta = basis[1:]
-    rows = [[p.coeffs[1] if p.degree() > 0 else S_ZERO for p in row[1:]]
-            for row in G[1:]]
+    rows = _matrix(len(kerdelta), [(i - 1, j - 1, c[1]) for i, j, c in G
+                                   if i and j and len(c) > 1])
 
     def blame(exc):
         # psi passed its hermitian gate, so blame L where its own form is
@@ -766,10 +815,10 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     # (b) the state property at each sample of G(t)
     states = []
     for t0 in t_samples:
-        r = as_scalar(t0)
+        r = as_abd(t0)
         states.append(_psd_report(
             "schoenberg-state",
-            [[p.eval(r) if p else S_ZERO for p in row] for row in G],
+            _matrix(len(basis), [(i, j, poly_eval(c, r)) for i, j, c in G]),
             alg, basis, max_degree,
             lambda exc: SchoenbergError(
                 f"state Gram matrix is not hermitian ({exc})", "hermitian"),
@@ -780,14 +829,23 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     return SchoenbergResult(conditional, states, equivalence)
 
 
+def _matrix(n, cells):
+    """The n x n rows of triples that are zero but at the cells (i, j, x)."""
+    rows = [[ABD_ZERO] * n for _ in range(n)]
+    for i, j, x in cells:
+        rows[i][j] = x
+    return rows
+
+
 def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
                 info=None) -> Report:
-    """psd_exact on the hermitian matrix rows as a pass or fail Report with
-    the details info; a failure adds the witness, as an element over the
-    words labels, and the form's value there.  A matrix that is not
-    hermitian raises the SchoenbergError not_hermitian(exc)."""
+    """psd_exact on the hermitian matrix of the rows of triples as a pass
+    or fail Report with the details info; a failure adds the witness, as
+    an element over the words labels, and the form's value there.  A
+    matrix that is not hermitian raises the SchoenbergError
+    not_hermitian(exc)."""
     try:
-        gram = HermitianMatrix(rows)
+        gram = HermitianMatrix.from_abds(rows)
     except ValueError as exc:
         raise not_hermitian(exc) from None
     verdict, wit = psd_exact(gram)

@@ -565,3 +565,44 @@ def psd_by_minors(entries):
         if d.re < 0:
             return False
     return True
+
+
+# -- positive semidefiniteness by recursive pivoting -------------------------
+#
+# psd_exact as it was before it pivoted in place on triples: one recursion
+# level per pivot, each building the Schur complement of its pivot as a new
+# matrix of Scalars, and the witness extended on the way back up.
+
+
+def recursive_psd(m):
+    """('psd', None) or ('not-psd', witness) for the hermitian matrix m,
+    rows of Scalars."""
+    n = len(m)
+    if n == 0:
+        return ("psd", None)
+    a = m[0][0]
+    zero, one = Scalar(0), Scalar(1)
+    if a.re < 0:
+        return ("not-psd", (one,) + (zero,) * (n - 1))
+    if not a:
+        j = next((k for k in range(1, n) if m[0][k]), None)
+        if j is None:
+            verdict, wit = recursive_psd([row[1:] for row in m[1:]])
+            if wit is None:
+                return (verdict, None)
+            return ("not-psd", (zero,) + wit)
+        d = m[j][j].re
+        wit = [zero] * n
+        wit[0] = one
+        wit[j] = m[0][j].conj() * Scalar(-1 if d <= 0 else -1 / d)
+        return ("not-psd", tuple(wit))
+    pivot_row = [x / a for x in m[0][1:]]
+    sub = [[x - row[0] * y for x, y in zip(row[1:], pivot_row)]
+           for row in m[1:]]
+    verdict, wit = recursive_psd(sub)
+    if wit is None:
+        return ("psd", None)
+    r_dot_y = zero
+    for k, yk in enumerate(wit):
+        r_dot_y = r_dot_y + m[0][k + 1] * yk
+    return ("not-psd", (-(r_dot_y / a),) + wit)

@@ -69,6 +69,7 @@ def test_a_cli_row_records_wall_and_child_cpu_time(command, spec):
         assert 0 < cpu and 0 < wall
     assert row["cpu"]["better"] == "lower" and row["cpu"]["pairs"] == 1
     assert row["statuses"]["parent"] == row["statuses"]["change"]
+    assert "counts" not in row
 
 
 def test_a_counts_row_records_the_kernel_calls_of_each_side():
@@ -79,6 +80,6 @@ def test_a_counts_row_records_the_kernel_calls_of_each_side():
     # one checkout under a fixed hash seed: the counts repeat exactly
     assert parent == change
     assert parent["total"] > parent["scalars.poly_mul"] > 0
-    assert parent["Tensor.add_term"] > 0
-    assert all(k in ("total", "Tensor.add_term") or k.startswith(
-        "scalars.poly_") for k in parent)
+    assert parent["Tensor.add_term"] > 0 and parent["scalars._scalar"] > 0
+    assert all(k in ("total", "Tensor.add_term", "scalars._scalar")
+               or k.startswith("scalars.poly_") for k in parent)

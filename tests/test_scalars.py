@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidhopf.presentation import PresentationError, parse_scalar
-from braidhopf.scalars import (_UNIT, _Z, Scalar, TPoly, S_ONE, S_ZERO,
-                               T_ONE, T_T, T_ZERO, as_scalar, as_tpoly,
+from braidhopf.scalars import (ABD_ZERO, _UNIT, Scalar, TPoly, S_ONE,
+                               S_ZERO, T_ONE, T_T, T_ZERO, as_scalar, as_tpoly,
                                from_abds, poly_add, poly_conj, poly_flip,
                                poly_integrate, poly_mul, poly_neg, poly_part,
                                poly_shift)
@@ -264,7 +264,7 @@ def _abds_agree(abds, ref):
     """abds is a canonical coefficient tuple, with no trailing zero, whose
     value is the oracle's."""
     assert type(abds) is tuple
-    assert not abds or abds[-1] != _Z
+    assert not abds or abds[-1] != ABD_ZERO
     return _poly_agrees(from_abds(abds), ref)
 
 

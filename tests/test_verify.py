@@ -11,7 +11,7 @@ from braidhopf.deform import conv_exp_key
 from braidhopf.scalars import TPoly, T_ONE
 from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
-from oracles import psd_by_minors
+from oracles import psd_by_minors, recursive_psd
 
 
 def load(name):
@@ -70,15 +70,17 @@ def random_hermitian(rng, n, density=1.0):
     return rows
 
 
-def random_gram(rng, n):
-    # B* B is positive semidefinite by construction
+def random_gram(rng, n, rank=None):
+    # B* B is positive semidefinite by construction; B has rank rows, n by
+    # default, and fewer leave zero pivots in the elimination
+    rank = n if rank is None else rank
     b = [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)]
-         for _ in range(n)]
+         for _ in range(rank)]
     rows = [[S0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = S0
-            for k in range(n):
+            for k in range(rank):
                 acc = acc + b[k][i].conj() * b[k][j]
             rows[i][j] = acc
     return rows
@@ -96,6 +98,51 @@ def test_psd_random_three_and_four_by_four():
                 for n in (3, 4, 5) for density in (0.2, 0.4)
                 for _ in range(30)]
     assert {"psd", "not-psd"} <= set(verdicts)
+
+
+def random_case(rng):
+    """A random hermitian matrix of size 1 to 6 with non-real off-diagonal
+    entries: dense, sparse, B* B of full or lower rank, or with zeros put
+    on part of its diagonal."""
+    n = rng.randint(1, 6)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return random_hermitian(rng, n)
+    if kind == 1:
+        return random_hermitian(rng, n, rng.choice((0.2, 0.4)))
+    if kind == 2:
+        return random_gram(rng, n)
+    if kind == 3:
+        return random_gram(rng, n, rng.randint(0, n - 1))
+    rows = random_hermitian(rng, n, rng.choice((0.3, 1.0)))
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        rows[i][i] = S0
+    return rows
+
+
+def test_psd_exact_agrees_with_the_recursive_elimination():
+    # the same verdict and the same witness as pivoting by recursion
+    rng = random.Random(20261020)
+    verdicts = []
+    for _ in range(3000):
+        rows = random_case(rng)
+        verdict, wit = psd_exact(HermitianMatrix(rows))
+        assert (verdict, wit) == recursive_psd(rows), rows
+        verdicts.append(verdict)
+    assert 1000 < verdicts.count("not-psd") < 2000
+
+
+def test_psd_decides_a_large_diagonal_matrix_without_recursion():
+    n, k = 1100, 1000
+    rows = [[S0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Scalar(i % 3 + 1)
+    rows[k][k] = Scalar(-2)
+    G = HermitianMatrix(rows)
+    verdict, wit = psd_exact(G)
+    assert verdict == "not-psd"
+    assert wit == (S0,) * k + (S1,) + (S0,) * (n - k - 1)
+    assert G.quadratic_form(wit) == Scalar(-2)
 
 
 def test_psd_spot_values():
@@ -121,6 +168,7 @@ def test_hermitian_matrix_validation():
         HermitianMatrix([[0.5]])
     G = HermitianMatrix([[Scalar(2)]])
     assert G.quadratic_form((Scalar(1, 1),)) == Scalar(4)
+    assert G.quadratic_form((3,)) == Scalar(18)
     assert G.size == 1
     assert G.entries[0][0] == Scalar(2)
 
@@ -321,3 +369,12 @@ def test_every_memoized_tensor_holds_coefficient_tuples(name):
     bad = [(key, c) for t in tensors for key, c in t.terms.items()
            if not is_canonical_poly(c)]
     assert bad == []
+
+
+@pytest.mark.parametrize("v", [(S1,), (S1, S0, S0), ()])
+def test_quadratic_form_refuses_a_vector_of_the_wrong_length(v):
+    G = HermitianMatrix([[S1, S0], [S0, Scalar(2)]])
+    with pytest.raises(ValueError) as exc:
+        G.quadratic_form(v)
+    assert str(exc.value) == (f"vector of length {len(v)} for a matrix "
+                              "of size 2")
