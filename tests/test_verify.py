@@ -173,6 +173,15 @@ def test_hermitian_matrix_validation():
     assert G.entries[0][0] == Scalar(2)
 
 
+@pytest.mark.parametrize("v", [(S1,), (S1, S0, S0), ()])
+def test_quadratic_form_refuses_a_vector_of_the_wrong_length(v):
+    G = HermitianMatrix([[S1, S0], [S0, Scalar(2)]])
+    with pytest.raises(ValueError) as exc:
+        G.quadratic_form(v)
+    assert str(exc.value) == (f"vector of length {len(v)} for a matrix "
+                              "of size 2")
+
+
 # -- the check catalog -----------------------------------------------------
 
 
@@ -370,11 +379,3 @@ def test_every_memoized_tensor_holds_coefficient_tuples(name):
            if not is_canonical_poly(c)]
     assert bad == []
 
-
-@pytest.mark.parametrize("v", [(S1,), (S1, S0, S0), ()])
-def test_quadratic_form_refuses_a_vector_of_the_wrong_length(v):
-    G = HermitianMatrix([[S1, S0], [S0, Scalar(2)]])
-    with pytest.raises(ValueError) as exc:
-        G.quadratic_form(v)
-    assert str(exc.value) == (f"vector of length {len(v)} for a matrix "
-                              "of size 2")
