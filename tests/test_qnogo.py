@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidhopf import Algebra, Scalar, Tensor, q_presentation, qnogo_eval
+from braidhopf import (Algebra, Scalar, Tensor, q_presentation, qnogo_eval,
+                       run_catalog)
 from braidhopf.scalars import T_T, TPoly
 
 
@@ -63,3 +64,24 @@ def test_q_presentation_structure():
     alg = Algebra(pres)
     nf = alg.normal_form_word((1, 0))
     assert nf.coefficient(((0, 1),)) == TPoly((Scalar(Fraction(1, 2)),))
+
+
+# the catalog at q = i, degree 3: the checks whose bodies compute braid
+# coefficients, involutions and the star on tensors, pinned by witness
+Q_I_FAILURES = {
+    "beta-compat-cocycle": {"input": "x (x) x (x) xs", "lhs": "-1",
+                            "rhs": "1"},
+    "gen-commute": {"input": "x (x) xs xs", "lhs": "(1 - i) xs",
+                    "rhs": "(1 + i) xs"},
+    "involution-antihom": {"input": "xs (x) x", "lhs": "i x xs",
+                           "rhs": "-i x xs"},
+    "star-tensor-squared": {"input": "x (x) x", "lhs": "- x (x) x",
+                            "rhs": "x (x) x"},
+}
+
+
+@pytest.mark.parametrize("cid", sorted(Q_I_FAILURES))
+def test_q_equal_i_catalog_failures_at_degree_3(cid):
+    (rep,) = run_catalog(q_presentation(Scalar(0, 1)), [cid], max_degree=3)
+    assert rep.status == "fail"
+    assert rep.witness == Q_I_FAILURES[cid]
