@@ -6,7 +6,7 @@ declares, and optionally times whole ``verify`` catalog runs and whole
 ``schoenberg`` runs the same way, by wall clock and by the CPU time of the
 child process.  With ``--counts`` each catalog and ``schoenberg`` row also
 makes one untimed cProfile run per side and records its call counts: the
-total, each ``scalars.poly_*`` kernel function, ``scalars._scalar`` (the
+total, each ``scalars.poly_*`` kernel function, ``scalars.from_abd`` (the
 Scalars built from triples) and ``Tensor.add_term``.
 Counts do not drift with the machine's speed, so they tell a row that did
 more work from one that ran at a slower moment.  For every metric it
@@ -167,7 +167,8 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
 def count_calls(root: Path, command: str, spec: str) -> dict:
     """Call counts of one cProfile run of ``braidhopf COMMAND ... --format
     json``, with a fixed hash seed: the total, each ``scalars.poly_*``
-    function, ``scalars._scalar`` (the Scalars built from triples) and
+    function, ``scalars.from_abd`` (the Scalars built from triples, under
+    its older name ``_scalar`` in a checkout that has it) and
     ``Tensor.add_term``, recursive calls included."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,13 +183,24 @@ def count_calls(root: Path, command: str, spec: str) -> dict:
         stats = pstats.Stats(str(out))
     counts = {"total": stats.total_calls}
     for (path, _, name), (_, calls, *_) in sorted(stats.stats.items()):
-        module = Path(path).parts[-2:]
-        if module == ("braidhopf", "scalars.py") and (
-                name.startswith("poly_") or name == "_scalar"):
-            counts[f"scalars.{name}"] = calls
-        elif module == ("braidhopf", "algebra.py") and name == "add_term":
-            counts["Tensor.add_term"] = calls
+        key = count_key(path, name)
+        if key is not None:
+            counts[key] = calls
     return counts
+
+
+def count_key(path: str, name: str):
+    """The --counts key of the function name defined in the file path, or
+    None for a function that is not counted."""
+    module = Path(path).parts[-2:]
+    if module == ("braidhopf", "scalars.py"):
+        if name.startswith("poly_"):
+            return f"scalars.{name}"
+        if name in ("from_abd", "_scalar"):
+            return "scalars.from_abd"
+    elif module == ("braidhopf", "algebra.py") and name == "add_term":
+        return "Tensor.add_term"
+    return None
 
 
 def bench_cli(dirs: dict, command: str, spec: str, pairs: int,

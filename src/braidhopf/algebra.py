@@ -9,9 +9,10 @@ an algebra element, rank 0 of a bare coefficient.
 A Tensor coefficient is the canonical triple tuple of a TPoly (its abds),
 combined by the scalars.poly_* kernel here, in braidtensor, deform and the
 check bodies of verify: most products there multiply by exactly 1, so a
-wrapper per operation costs more than the arithmetic.  A TPoly is built
-where a coefficient leaves that layer (iterating a Tensor, coefficient(),
-format, functional values); Tensor(rank, terms) takes TPoly, Scalar or int.
+wrapper per operation costs more than the arithmetic.  Tensor.scale takes
+such a tuple and Algebra.braid_coeff gives one.  A TPoly is built where a
+coefficient leaves that layer (iterating a Tensor, coefficient(), format,
+functional values); Tensor(rank, terms) takes TPoly, Scalar or int.
 
 Algebra bundles a presentation with memoized normal forms, word
 products, involutions, antipodes and braiding coefficients; the product of
@@ -34,9 +35,9 @@ from collections import defaultdict
 from functools import wraps
 
 from .presentation import AlgebraPresentation, parse_element_terms
-from .scalars import (S_MINUS_ONE, S_ONE, Scalar, TPoly, T_MINUS_ONE,
-                      T_ONE, as_tpoly, from_abds, poly_add, poly_conj,
-                      poly_mul, signed_sum)
+from .scalars import (TPoly, T_MINUS_ONE, T_ONE, abd_mul, as_abd, as_tpoly,
+                      from_abds, poly_add, poly_conj, poly_eval, poly_mul,
+                      poly_part, signed_sum)
 
 
 class Tensor:
@@ -85,12 +86,14 @@ class Tensor:
         return out
 
     def scale(self, c) -> "Tensor":
-        c = as_tpoly(c).abds
+        """Multiply every coefficient by the coefficient tuple c."""
         return self.map_coeffs(lambda v: poly_mul(v, c))
 
     def substitute(self, r) -> "Tensor":
-        """Evaluate every coefficient at the rational point r."""
-        return self.map_coeffs(lambda v: as_tpoly(from_abds(v).eval(r)).abds)
+        """Evaluate every coefficient at the rational point r, each value
+        a constant polynomial."""
+        r = as_abd(r)
+        return self.map_coeffs(lambda v: poly_part((poly_eval(v, r),), 0))
 
     def map_coeffs(self, fn) -> "Tensor":
         """Apply fn, a map of coefficient tuples, to every coefficient,
@@ -203,24 +206,24 @@ class Algebra:
     # -- braiding ---------------------------------------------------------
 
     @memoized
-    def braid_coeff(self, pair) -> Scalar:
-        """Coefficient picked up when the word u crosses over the word v,
-        pair = (u, v).  It is a bicharacter on letter counts, so it is also
-        the coefficient of a block of slots crossing another, taken on the
-        concatenated words."""
+    def braid_coeff(self, pair) -> tuple:
+        """Coefficient tuple of the constant picked up when the word u
+        crosses over the word v, pair = (u, v).  It is a bicharacter on
+        letter counts, so it is also the coefficient of a block of slots
+        crossing another, taken on the concatenated words."""
         u, v = pair
         if self.pres.braiding_kind == "graded-sign":
             g = self.pres.grades
             if (sum(g[k] for k in u) * sum(g[k] for k in v)) & 1:
-                return S_MINUS_ONE
-            return S_ONE
+                return T_MINUS_ONE.abds
+            return T_ONE.abds
         table = self.pres.braiding_table
-        c = S_ONE
+        c = (1, 0, 1)
         for a in u:
             row = table[a]
             for b in v:
-                c = c * row[b]
-        return c
+                c = abd_mul(c, row[b].abd)
+        return (c,)               # braid entries are nonzero
 
     # -- normal forms and products ---------------------------------------
 

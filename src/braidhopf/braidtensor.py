@@ -48,7 +48,7 @@ def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int) -> Tensor:
     for key, c in u.terms.items():
         left, right = key[start:mid], key[mid:end]
         out.terms[key[:start] + right + left + key[end:]] = poly_mul(
-            c, (coeff((sum(left, ()), sum(right, ()))).abd,))
+            c, coeff((sum(left, ()), sum(right, ()))))
     return out
 
 
@@ -59,7 +59,7 @@ def _product_keys(alg, akey, bkey) -> Tensor:
         return alg.mul_words(akey[0], bkey[0])
     # braid b's first slot leftward past a's tail, then multiply slotwise
     b0 = bkey[0]
-    coeff = (alg.braid_coeff((sum(akey[1:], ()), b0)).abd,)
+    coeff = alg.braid_coeff((sum(akey[1:], ()), b0))
     head = alg.mul_words(akey[0], b0)
     tail = _product_keys(alg, akey[1:], bkey[1:])
     out = Tensor(n)
@@ -172,4 +172,4 @@ def lambda2_walk(alg: Algebra, key, rights):
                 for a1, a2, ca in ta:
                     for b1, b2, cb in tb:
                         yield a1, b1, a2, b2, poly_mul(
-                            poly_mul(ca, cb), (coeff((a2, b1)).abd,))
+                            poly_mul(ca, cb), coeff((a2, b1)))

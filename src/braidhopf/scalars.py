@@ -2,8 +2,7 @@
 
 Two types live here: Scalar, a Gaussian rational a + b*i, and TPoly, a
 polynomial in the formal deformation parameter t with Scalar coefficients.
-Everything downstream (elements, tensors, functionals, Gram matrices)
-carries these; no floats anywhere.
+No floats anywhere.
 
 Both rest on one kernel of Python ints: a Gaussian rational is the
 canonical triple (a, b, d), meaning (a + b*i)/d with gcd(a, b, d) == 1 and
@@ -12,7 +11,9 @@ functions abd_add, abd_mul and abd_inv keep every result canonical.  A
 polynomial is the tuple of its coefficients' triples with no trailing
 zero, kept so by the poly_* functions; a TPoly wraps one, a Tensor holds
 them bare (see algebra), and a hermitian matrix holds bare triples (see
-verify).  Scalar and TPoly objects are built only where asked for.
+verify).  Scalar and TPoly objects are built only where asked for, as the
+values that are parsed, printed or returned by a functional, and carry
+only the operators those readers use.
 
 The module is arithmetic and its printing.  Scalar values are read by
 presentation.parse_scalar, the element grammar without generators.
@@ -103,15 +104,6 @@ def _abd(x):
     if isinstance(x, (int, Fraction)):
         return (x.numerator, 0, x.denominator)
     return None
-
-
-def _hash(x):
-    """Hash of a triple, equal to the hash of the int or Fraction of the
-    same value when the value is real."""
-    a, b, d = x
-    if b:
-        return hash(x)
-    return hash(a) if d == 1 else hash(Fraction(a, d))
 
 
 # -- polynomials as tuples of canonical triples ------------------------------
@@ -232,7 +224,7 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
-        return _scalar, (self.abd,)
+        return from_abd, (self.abd,)
 
     @property
     def re(self) -> Fraction:
@@ -250,47 +242,26 @@ class Scalar:
         y = other.abd if type(other) is Scalar else _abd(other)
         if y is None:
             return NotImplemented
-        return _scalar(abd_add(self.abd, y))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        y = other.abd if type(other) is Scalar else _abd(other)
-        if y is None:
-            return NotImplemented
-        c, e, f = y
-        return _scalar(abd_add(self.abd, (-c, -e, f)))
-
-    def __rsub__(self, other):
-        return -self + other
+        return from_abd(abd_add(self.abd, y))
 
     def __mul__(self, other):
         y = other.abd if type(other) is Scalar else _abd(other)
         if y is None:
             return NotImplemented
-        return _scalar(abd_mul(self.abd, y))
+        return from_abd(abd_mul(self.abd, y))
 
     __rmul__ = __mul__
 
     def __neg__(self):
         a, b, d = self.abd
-        return _scalar((-a, -b, d))
+        return from_abd((-a, -b, d))
 
     def conj(self) -> Scalar:
         a, b, d = self.abd
-        return _scalar((a, -b, d))
+        return from_abd((a, -b, d))
 
     def inv(self) -> Scalar:
-        return _scalar(abd_inv(self.abd))
-
-    def __truediv__(self, other):
-        y = other.abd if type(other) is Scalar else _abd(other)
-        if y is None:
-            return NotImplemented
-        return _scalar(abd_mul(self.abd, abd_inv(y)))
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
+        return from_abd(abd_inv(self.abd))
 
     # -- predicates -------------------------------------------------------
 
@@ -304,10 +275,12 @@ class Scalar:
         return self.abd == y
 
     def __hash__(self):
-        return _hash(self.abd)
-
-    def __repr__(self):
-        return f"Scalar({self.re!r}, {self.im!r})"
+        """Equal to the hash of the int or Fraction of the same value when
+        the value is real, as it compares equal to it."""
+        a, b, d = self.abd
+        if b:
+            return hash(self.abd)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     # -- text -------------------------------------------------------------
 
@@ -323,15 +296,11 @@ class Scalar:
 _set_abd = Scalar.__dict__["abd"].__set__
 
 
-def _scalar(x) -> Scalar:
+def from_abd(x) -> Scalar:
     """The Scalar of a canonical triple."""
     s = _new(Scalar)
     _set_abd(s, x)
     return s
-
-
-# the public name of _scalar, for a module that computes on triples
-from_abd = _scalar
 
 
 def as_scalar(x) -> Scalar:
@@ -380,29 +349,7 @@ class TPoly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(map(_scalar, self.abds))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        b = other.abds if type(other) is TPoly else _abds_of(other)
-        if b is None:
-            return NotImplemented
-        return from_abds(poly_add(self.abds, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = other.abds if type(other) is TPoly else _abds_of(other)
-        if b is None:
-            return NotImplemented
-        return from_abds(poly_add(self.abds, poly_neg(b)))
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return from_abds(poly_neg(self.abds))
+        return tuple(map(from_abd, self.abds))
 
     def __mul__(self, other):
         b = other.abds if type(other) is TPoly else _abds_of(other)
@@ -410,23 +357,15 @@ class TPoly:
             return NotImplemented
         return from_abds(poly_mul(self.abds, b))
 
-    __rmul__ = __mul__
-
-    # -- queries ----------------------------------------------------------
-
-    def degree(self) -> int:
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.abds) - 1
-
     def __bool__(self):
         return bool(self.abds)
 
     def constant_term(self) -> Scalar:
-        return _scalar(self.abds[0]) if self.abds else S_ZERO
+        return from_abd(self.abds[0]) if self.abds else S_ZERO
 
     def eval(self, r) -> Scalar:
         """Exact value at a rational (or Gaussian-rational) point."""
-        return _scalar(poly_eval(self.abds, as_abd(r)))
+        return from_abd(poly_eval(self.abds, as_abd(r)))
 
     def conj(self) -> TPoly:
         return from_abds(poly_conj(self.abds))
@@ -444,17 +383,6 @@ class TPoly:
         if b is None:
             return NotImplemented
         return self.abds == b
-
-    def __hash__(self):
-        """A polynomial of degree <= 0 hashes like its constant term, as it
-        compares equal to it."""
-        a = self.abds
-        if len(a) > 1:
-            return hash(a)
-        return _hash(a[0]) if a else 0
-
-    def __repr__(self):
-        return f"TPoly({self.coeffs!r})"
 
     def __str__(self):
         return signed_sum([_format_coeff_power(c, k)

@@ -27,7 +27,7 @@ from .deform import (Deformation, Functional, cocycle_defect, conv_exp,
                      monoid, sesquilinearize, table_functional)
 from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
-from .scalars import (ABD_ZERO, S_ONE, Scalar, T_ONE, T_T, T_ZERO, abd_add,
+from .scalars import (ABD_ZERO, Scalar, T_ONE, T_T, T_ZERO, abd_add,
                       abd_inv, abd_mul, as_abd, as_scalar, from_abd,
                       from_abds, poly_add, poly_eval, poly_flip, poly_mul,
                       poly_part, poly_shift)
@@ -309,8 +309,8 @@ def _gen_unit(ctx, a, b):
                     for w in ctx.basis))
 def _beta_cocycle(ctx, w, a, b):
     k = ctx.alg.braid_coeff
-    yield k((w, a)) * k((w, b)), S_ONE
-    yield k((a, w)) * k((b, w)), S_ONE
+    yield from_abds(poly_mul(k((w, a)), k((w, b)))), T_ONE
+    yield from_abds(poly_mul(k((a, w)), k((b, w)))), T_ONE
 
 
 @check("gen-commute", _BASE, pairs)
@@ -411,7 +411,7 @@ def _expL_hermitian(ctx, a, b):
 @check("primitive-formula", _DEFORM, generator_pairs)
 def _primitive_formula(ctx, a, b):
     yield (ctx.defm.mu_t_key((a, b)), ctx.alg.mul_words(a, b)
-           + ctx.alg.one().scale(T_T * ctx.L.on_key((a, b))))
+           + ctx.alg.one().scale((T_T * ctx.L.on_key((a, b))).abds))
 
 
 # -- deformed Hopf checks ---------------------------------------------------
@@ -554,34 +554,19 @@ def run_catalog(pres: AlgebraPresentation, ids=None, *,
 class HermitianMatrix:
     """Square matrix over Q(i) with entry (j, i) = conj(entry (i, j)), held
     as abds, the rows of the canonical triples of its entries (see
-    scalars); entries builds their Scalars."""
+    scalars)."""
 
     __slots__ = ("abds",)
 
     def __init__(self, rows):
-        """The matrix of rows of Scalars, ints or Fractions."""
-        self._set(tuple(tuple(map(as_abd, row)) for row in rows))
-
-    @classmethod
-    def from_abds(cls, rows):
-        """The matrix of rows of canonical triples, validated alike."""
-        m = cls.__new__(cls)
-        m._set(rows)
-        return m
-
-    def _set(self, abds):
-        n = len(abds)
-        for row in abds:
-            if len(row) != n:
+        """The matrix of rows of canonical triples."""
+        for row in rows:
+            if len(row) != len(rows):
                 raise ValueError("matrix is not square")
-        bad = _non_hermitian_at(abds)
+        bad = _non_hermitian_at(rows)
         if bad is not None:
             raise ValueError(f"matrix is not hermitian at {bad}")
-        self.abds = abds
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(tuple(map(from_abd, row)) for row in self.abds)
+        self.abds = rows
 
     @property
     def size(self) -> int:
@@ -648,7 +633,7 @@ def psd_exact(G: HermitianMatrix):
     else:
         return ("psd", None)
     wit = [ABD_ZERO] * n
-    wit[k] = S_ONE.abd
+    wit[k] = (1, 0, 1)
     if a[0] == 0:
         j, (x, y, d) = nz[0]
         p, _, e = m[j][j]             # the real diagonal entry p/e
@@ -776,8 +761,8 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
         if not psi.on_key((v,)):
             continue
         for w in basis:
-            if (alg.braid_coeff((w, v)) != S_ONE
-                    or alg.braid_coeff((v, w)) != S_ONE):
+            if (alg.braid_coeff((w, v)) != T_ONE.abds
+                    or alg.braid_coeff((v, w)) != T_ONE.abds):
                 raise SchoenbergError(
                     f"psi is not braiding-invariant at {pres.word_str(v)}",
                     "braiding-invariant")
@@ -845,7 +830,7 @@ def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
     matrix that is not hermitian raises the SchoenbergError
     not_hermitian(exc)."""
     try:
-        gram = HermitianMatrix.from_abds(rows)
+        gram = HermitianMatrix(rows)
     except ValueError as exc:
         raise not_hermitian(exc) from None
     verdict, wit = psd_exact(gram)

@@ -11,7 +11,9 @@ from braidhopf.braidtensor import (braid_at, comul, comul_word,
                                    lambda_n_key)
 from braidhopf.deform import conv_exp_key
 from braidhopf.presentation import Report
-from braidhopf.scalars import Scalar, TPoly, T_ONE, T_ZERO
+from braidhopf.scalars import (Scalar, TPoly, T_ONE, T_ZERO, as_abd,
+                               from_abds, poly_add)
+from braidhopf.verify import HermitianMatrix
 
 
 # -- Gaussian rationals as Fraction pairs -----------------------------------
@@ -155,7 +157,7 @@ def one_steps(combo, rules):
             if rhs is None:
                 continue
             nxt = dict(combo)
-            nxt[w] = nxt[w] - c
+            nxt[w] = nxt[w] + -c
             if not nxt[w]:
                 del nxt[w]
             for rw, rc in rhs:
@@ -267,10 +269,10 @@ def lambda2_splits(alg, a, b):
 
 def naive_conv2(alg, F, G):
     def h(a, b):
-        tot = T_ZERO
+        tot = ()
         for (a1, b1, a2, b2), c in lambda2_splits(alg, a, b):
-            tot = tot + c * F(a1, b1) * G(a2, b2)
-        return tot
+            tot = poly_add(tot, (c * F(a1, b1) * G(a2, b2)).abds)
+        return from_abds(tot)
     return h
 
 
@@ -284,12 +286,13 @@ def naive_power2(alg, F, k):
 
 
 def naive_exp2(alg, F, a, b, cutoff):
-    tot = T_ZERO
+    tot = ()
     for n in range(cutoff + 1):
         v = naive_power2(alg, F, n)(a, b)
         if v:
-            tot = tot + TPoly((0,) * n + (Fraction(1, factorial(n)),)) * v
-    return tot
+            tot = poly_add(tot, (TPoly((0,) * n + (Fraction(
+                1, factorial(n)),)) * v).abds)
+    return from_abds(tot)
 
 
 # -- the deformed product over every split -----------------------------------
@@ -313,14 +316,14 @@ def unpruned_convolve(alg, f, g, key):
     """(f * g)(key) over every split of Lambda_n; f and g map basis
     slot-tuples to TPoly values."""
     n = len(key)
-    tot = T_ZERO
+    tot = ()
     for k2, v in splits(alg, key):
         a = f(k2[:n])
         if a:
             b = g(k2[n:])
             if b:
-                tot = tot + v * a * b
-    return tot
+                tot = poly_add(tot, (v * a * b).abds)
+    return from_abds(tot)
 
 
 def unpruned_conv_power(F, k, key, powers):
@@ -336,12 +339,13 @@ def unpruned_conv_power(F, k, key, powers):
 
 
 def unpruned_conv_exp_key(F, key, powers):
-    tot = T_ZERO
+    tot = ()
     for k in range(sum(len(w) for w in key) + 1):
         v = unpruned_conv_power(F, k, key, powers)
         if v:
-            tot = tot + TPoly((0,) * k + (Fraction(1, factorial(k)),)) * v
-    return tot
+            tot = poly_add(tot, (TPoly((0,) * k + (Fraction(
+                1, factorial(k)),)) * v).abds)
+    return from_abds(tot)
 
 
 def unpruned_mu_t_key(L, key, powers):
@@ -363,13 +367,13 @@ def unpruned_state_gram(L, psi, labels):
     L_powers, psi_powers = {}, {}
 
     def entry(a, b):
-        tot = T_ZERO
+        tot = ()
         for (w,), c in alg.involution_word(a):
             for (p,), pc in unpruned_mu_t_key(L, (w, b), L_powers):
                 e = unpruned_conv_exp_key(psi, (p,), psi_powers)
                 if e:
-                    tot = tot + c * pc * e
-        return tot
+                    tot = poly_add(tot, (c * pc * e).abds)
+        return from_abds(tot)
 
     return [[entry(a, b) for b in labels] for a in labels]
 
@@ -380,12 +384,12 @@ def unpruned_conditional_gram(L, psi, labels):
     alg = L.alg
 
     def entry(a, b):
-        tot = T_ZERO
+        tot = ()
         for (w,), c in alg.involution_word(a):
-            tot = tot + c * L.on_key((w, b))
+            tot = poly_add(tot, (c * L.on_key((w, b))).abds)
             for (p,), pc in alg.mul_words(w, b):
-                tot = tot + c * pc * psi.on_key((p,))
-        return tot
+                tot = poly_add(tot, (c * pc * psi.on_key((p,))).abds)
+        return from_abds(tot)
 
     return [[entry(a, b) for b in labels] for a in labels]
 
@@ -462,13 +466,13 @@ def neg_time_st(defm, u):
 
 def hand_sigma_word(L, w):
     alg = L.alg
-    tot = T_ZERO
+    tot = ()
     for (k0, k1), v in comul_word(alg, w):
         for (sk,), sc in alg.antipode_word(k0):
             lv = L.on_key((sk, k1))
             if lv:
-                tot = tot + v * sc * lv
-    return tot
+                tot = poly_add(tot, (v * sc * lv).abds)
+    return from_abds(tot)
 
 
 # -- the conjugation paths, one term at a time ------------------------------
@@ -482,12 +486,12 @@ def hand_sigma_word(L, w):
 def hand_conv_sesqui(P, Q, a, b):
     """sum of conj(v') v'' P(a', b') Q(a'', b'') over the terms
     v' a' (x) a'' of comul(a) and v'' b' (x) b'' of comul(b)."""
-    tot = T_ZERO
+    tot = ()
     for (a1, a2), va in comul_word(P.alg, a):
         for (b1, b2), vb in comul_word(P.alg, b):
-            tot = tot + (va.conj() * vb * P.on_key((a1, b1))
-                         * Q.on_key((a2, b2)))
-    return tot
+            tot = poly_add(tot, (va.conj() * vb * P.on_key((a1, b1))
+                                 * Q.on_key((a2, b2))).abds)
+    return from_abds(tot)
 
 
 def hand_star_tensor(alg, u):
@@ -536,6 +540,11 @@ def state_gram_at(defm, psi, labels, t0):
 
 
 # -- positive semidefiniteness by principal minors --------------------------
+
+
+def hermitian(rows):
+    """The HermitianMatrix of rows of Scalars, ints or Fractions."""
+    return HermitianMatrix([list(map(as_abd, row)) for row in rows])
 
 
 def det(m):
@@ -596,8 +605,9 @@ def recursive_psd(m):
         wit[0] = one
         wit[j] = m[0][j].conj() * Scalar(-1 if d <= 0 else -1 / d)
         return ("not-psd", tuple(wit))
-    pivot_row = [x / a for x in m[0][1:]]
-    sub = [[x - row[0] * y for x, y in zip(row[1:], pivot_row)]
+    inv = a.inv()
+    pivot_row = [x * inv for x in m[0][1:]]
+    sub = [[x + -(row[0] * y) for x, y in zip(row[1:], pivot_row)]
            for row in m[1:]]
     verdict, wit = recursive_psd(sub)
     if wit is None:
@@ -605,4 +615,4 @@ def recursive_psd(m):
     r_dot_y = zero
     for k, yk in enumerate(wit):
         r_dot_y = r_dot_y + m[0][k + 1] * yk
-    return ("not-psd", (-(r_dot_y / a),) + wit)
+    return ("not-psd", (-(r_dot_y * inv),) + wit)

@@ -8,17 +8,16 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from braidhopf import (CHECK_IDS, Algebra, Deformation, HermitianMatrix,
-                       Scalar, Tensor, parse_presentation,
-                       psd_exact, run_catalog, schoenberg_check,
-                       tensor_product)
+from braidhopf import (CHECK_IDS, Algebra, Deformation, Scalar, Tensor,
+                       parse_presentation, psd_exact, run_catalog,
+                       schoenberg_check, tensor_product)
 from braidhopf.braidtensor import comul_word
 from braidhopf.cli import main
 from braidhopf.deform import conv_exp_key
 from braidhopf.scalars import T_ONE, T_T, as_tpoly
 from braidhopf.verify import fixture_path
 
-from oracles import naive_exp2, psd_by_minors
+from oracles import hermitian, naive_exp2, psd_by_minors
 
 
 def load(name):
@@ -59,7 +58,7 @@ def test_deformed_product_and_antipode_spot_values():
     total = Tensor(1)
     for (k0, k1), c in comul_word(alg, xxs):
         total = total + defm.mu_t(tensor_product(
-            Tensor.basis((k0,)), defm.st_word(k1))).scale(c)
+            Tensor.basis((k0,)), defm.st_word(k1))).scale(c.abds)
     assert not total.terms
 
 
@@ -130,9 +129,10 @@ def test_psd_and_exponential_match_independent_oracles():
     for a in ints:
         for d in ints:
             for b in gauss:
-                G = HermitianMatrix([[a, b], [b.conj(), d]])
+                rows = [[a, b], [b.conj(), d]]
+                G = hermitian(rows)
                 verdict, wit = psd_exact(G)
-                assert (verdict == "psd") == psd_by_minors(G.entries)
+                assert (verdict == "psd") == psd_by_minors(rows)
                 if wit is not None:
                     assert G.quadratic_form(wit).re < 0
 
@@ -147,9 +147,9 @@ def test_psd_and_exponential_match_independent_oracles():
                     b = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
                     rows[i][j] = b
                     rows[j][i] = b.conj()
-            G = HermitianMatrix(rows)
+            G = hermitian(rows)
             verdict, wit = psd_exact(G)
-            assert (verdict == "psd") == psd_by_minors(G.entries)
+            assert (verdict == "psd") == psd_by_minors(rows)
             if wit is not None:
                 assert G.quadratic_form(wit).re < 0
 

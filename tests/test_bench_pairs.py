@@ -80,6 +80,19 @@ def test_a_counts_row_records_the_kernel_calls_of_each_side():
     # one checkout under a fixed hash seed: the counts repeat exactly
     assert parent == change
     assert parent["total"] > parent["scalars.poly_mul"] > 0
-    assert parent["Tensor.add_term"] > 0 and parent["scalars._scalar"] > 0
-    assert all(k in ("total", "Tensor.add_term", "scalars._scalar")
+    assert parent["Tensor.add_term"] > 0 and parent["scalars.from_abd"] > 0
+    assert all(k in ("total", "Tensor.add_term", "scalars.from_abd")
                or k.startswith("scalars.poly_") for k in parent)
+
+
+def test_the_older_name_of_from_abd_counts_under_the_same_key():
+    # a parent checkout may build its Scalars through _scalar
+    for name in ("from_abd", "_scalar"):
+        assert bench_pairs.count_key("src/braidhopf/scalars.py",
+                                     name) == "scalars.from_abd"
+    assert bench_pairs.count_key("src/braidhopf/scalars.py",
+                                 "poly_mul") == "scalars.poly_mul"
+    assert bench_pairs.count_key("src/braidhopf/algebra.py",
+                                 "add_term") == "Tensor.add_term"
+    assert bench_pairs.count_key("src/braidhopf/scalars.py", "abd_mul") is None
+    assert bench_pairs.count_key("src/other/scalars.py", "poly_mul") is None

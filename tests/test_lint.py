@@ -228,10 +228,28 @@ def module_level_names(tree) -> list:
     return found
 
 
-def unreached_public_names(sources: dict, readme: str) -> list:
+def class_members(tree) -> list:
+    """(class, name) for each method or property defined in the body of a
+    module-level class of tree, in order."""
+    return [(cls.name, node.name) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def attributes(tree) -> set:
+    """The attribute names tree looks up."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def unreached_public_names(sources: dict, readme: str,
+                           readers: dict = None) -> list:
     """'module: name' for each public module-level function, class or
     assigned name of the modules sources (module name -> source) that no
-    module reads and readme does not name.  A read is a name loaded or an
+    module reads and readme does not name, then 'module: Class.name' for
+    each public method or property that neither a module of sources nor
+    one of readers (module name -> source) looks up as an attribute and
+    that readme does not name in backticks.  A read is a name loaded or an
     attribute looked up in code; an import alone, such as a re-export, or
     an assignment is not one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
@@ -240,12 +258,18 @@ def unreached_public_names(sources: dict, readme: str) -> list:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    looked_up = set().union(*map(attributes, trees.values()), *(
+        attributes(ast.parse(src)) for src in (readers or {}).values()))
+    read |= looked_up
+    quoted = " ".join(re.findall(r"`([^`]*)`", readme))
     return [f"{mod}: {name}" for mod, tree in trees.items()
             for name in module_level_names(tree)
             if not name.startswith("_") and name not in read
-            and not re.search(rf"\b{name}\b", readme)]
+            and not re.search(rf"\b{name}\b", readme)] + [
+        f"{mod}: {cls}.{name}" for mod, tree in trees.items()
+        for cls, name in class_members(tree)
+        if not name.startswith("_") and name not in looked_up
+        and not re.search(rf"\b{name}\b", quoted)]
 
 
 def test_unreached_public_names_are_found():
@@ -262,14 +286,30 @@ def test_unreached_public_names_are_found():
                "b": ("from .a import Dead, dead, used, UNREAD\n"
                      "__all__ = ['dead', 'UNREAD']\n"
                      "def by_attribute():\n    pass\n"
-                     "x = sys.modules[__name__].by_attribute\n")}
-    readme = "Call `documented()`, not `dead_end`; `x` is internal.\n"
-    assert unreached_public_names(sources, readme) == [
-        "a: dead", "a: Dead", "a: UNREAD", "a: OVERWRITTEN", "a: OVERWRITTEN"]
+                     "x = sys.modules[__name__].by_attribute\n"
+                     "class Value:\n"
+                     "    def read(self):\n        return self.timed\n"
+                     "    def timed(self):\n        pass\n"
+                     "    @property\n"
+                     "    def size(self):\n        pass\n"
+                     "    def unread(self):\n        return self.read()\n"
+                     "    def shown(self):\n        pass\n"
+                     "    def mentioned(self):\n        pass\n"
+                     "    def __eq__(self, other):\n        pass\n")}
+    readers = {"bench": "def probe(v):\n    return v.size, v.timed\n"}
+    readme = ("Call `documented()`, not `dead_end`; `x` is internal.\n"
+              "Use `Value.shown`; mentioned is not code.\n")
+    assert unreached_public_names(sources, readme, readers) == [
+        "a: dead", "a: Dead", "a: UNREAD", "a: OVERWRITTEN", "a: OVERWRITTEN",
+        "b: Value.unread", "b: Value.mentioned"]
+    # size is read only from the readers
+    assert "b: Value.size" in unreached_public_names(sources, readme)
 
 
 def test_every_public_name_is_read_or_documented():
     sources = {path.stem: path.read_text("utf-8") for path in sorted(
         (ROOT / "src" / "braidhopf").glob("*.py"))}
+    readers = {path.stem: path.read_text("utf-8") for path in sorted(
+        (ROOT / "perfbench").glob("*.py"))}
     readme = (ROOT / "README.md").read_text("utf-8")
-    assert unreached_public_names(sources, readme) == []
+    assert unreached_public_names(sources, readme, readers) == []
