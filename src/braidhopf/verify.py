@@ -560,8 +560,9 @@ class HermitianMatrix:
 
     def __init__(self, rows):
         """The matrix of rows of canonical triples."""
+        n = len(rows)
         for row in rows:
-            if len(row) != len(rows):
+            if len(row) != n:
                 raise ValueError("matrix is not square")
         bad = _non_hermitian_at(rows)
         if bad is not None:

@@ -290,8 +290,8 @@ def naive_exp2(alg, F, a, b, cutoff):
     for n in range(cutoff + 1):
         v = naive_power2(alg, F, n)(a, b)
         if v:
-            tot = poly_add(tot, (TPoly((0,) * n + (Fraction(
-                1, factorial(n)),)) * v).abds)
+            term = TPoly((0,) * n + (Fraction(1, factorial(n)),)) * v
+            tot = poly_add(tot, term.abds)
     return from_abds(tot)
 
 
@@ -343,8 +343,8 @@ def unpruned_conv_exp_key(F, key, powers):
     for k in range(sum(len(w) for w in key) + 1):
         v = unpruned_conv_power(F, k, key, powers)
         if v:
-            tot = poly_add(tot, (TPoly((0,) * k + (Fraction(
-                1, factorial(k)),)) * v).abds)
+            term = TPoly((0,) * k + (Fraction(1, factorial(k)),)) * v
+            tot = poly_add(tot, term.abds)
     return from_abds(tot)
 
 

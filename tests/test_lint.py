@@ -253,14 +253,13 @@ def unreached_public_names(sources: dict, readme: str,
     attribute looked up in code; an import alone, such as a re-export, or
     an assignment is not one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = set()
+    read = set().union(*map(attributes, trees.values()))
+    looked_up = read.union(*(attributes(ast.parse(src))
+                             for src in (readers or {}).values()))
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-    looked_up = set().union(*map(attributes, trees.values()), *(
-        attributes(ast.parse(src)) for src in (readers or {}).values()))
-    read |= looked_up
     quoted = " ".join(re.findall(r"`([^`]*)`", readme))
     return [f"{mod}: {name}" for mod, tree in trees.items()
             for name in module_level_names(tree)
@@ -288,21 +287,21 @@ def test_unreached_public_names_are_found():
                      "def by_attribute():\n    pass\n"
                      "x = sys.modules[__name__].by_attribute\n"
                      "class Value:\n"
-                     "    def read(self):\n        return self.timed\n"
-                     "    def timed(self):\n        pass\n"
+                     "    def read(self):\n        pass\n"
                      "    @property\n"
                      "    def size(self):\n        pass\n"
                      "    def unread(self):\n        return self.read()\n"
                      "    def shown(self):\n        pass\n"
                      "    def mentioned(self):\n        pass\n"
                      "    def __eq__(self, other):\n        pass\n")}
-    readers = {"bench": "def probe(v):\n    return v.size, v.timed\n"}
+    readers = {"bench": ("def probe(v):\n    return v.size\n"
+                         "probe(dead)\n")}
     readme = ("Call `documented()`, not `dead_end`; `x` is internal.\n"
               "Use `Value.shown`; mentioned is not code.\n")
     assert unreached_public_names(sources, readme, readers) == [
         "a: dead", "a: Dead", "a: UNREAD", "a: OVERWRITTEN", "a: OVERWRITTEN",
         "b: Value.unread", "b: Value.mentioned"]
-    # size is read only from the readers
+    # size is read only from the readers, which read no module-level name
     assert "b: Value.size" in unreached_public_names(sources, readme)
 
 
