@@ -330,7 +330,8 @@ class TPoly:
     Canonical form has no trailing zero coefficients; the zero polynomial
     has no coefficients.  The polynomial holds the triples of its
     coefficients; coeffs builds their Scalars.  t is a formal *real*
-    parameter, so conj acts on coefficients only.
+    parameter, so conj acts on coefficients only.  A constant compares
+    equal to its Scalar, int or Fraction; a TPoly is not hashable.
     """
 
     __slots__ = ("abds",)
