@@ -7,7 +7,9 @@ declares, and optionally times whole ``verify`` catalog runs and whole
 child process.  With ``--counts`` each catalog and ``schoenberg`` row also
 makes one untimed cProfile run per side and records its call counts: the
 total, each ``scalars.poly_*`` kernel function, ``scalars.from_abd`` (the
-Scalars built from triples) and ``Tensor.add_term``.
+Scalars built from triples), ``scalars.from_abds`` (the TPolys built from
+coefficient tuples) and ``Tensor.add_term``; the last three read 0 where
+nothing calls them.
 Counts do not drift with the machine's speed, so they tell a row that did
 more work from one that ran at a slower moment.  For every metric it
 records both sides' runs, medians and quartiles, and how many pairs the
@@ -168,7 +170,8 @@ def count_calls(root: Path, command: str, spec: str) -> dict:
     """Call counts of one cProfile run of ``braidhopf COMMAND ... --format
     json``, with a fixed hash seed: the total, each ``scalars.poly_*``
     function, ``scalars.from_abd`` (the Scalars built from triples, under
-    its older name ``_scalar`` in a checkout that has it) and
+    its older name ``_scalar`` in a checkout that has it),
+    ``scalars.from_abds`` (the TPolys built from coefficient tuples) and
     ``Tensor.add_term``, recursive calls included."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,7 +184,8 @@ def count_calls(root: Path, command: str, spec: str) -> dict:
             sys.exit(f"{root}: {' '.join(cmd)} wrote no profile:\n"
                      f"{proc.stderr}")
         stats = pstats.Stats(str(out))
-    counts = {"total": stats.total_calls}
+    counts = {"total": stats.total_calls, "scalars.from_abd": 0,
+              "scalars.from_abds": 0, "Tensor.add_term": 0}
     for (path, _, name), (_, calls, *_) in sorted(stats.stats.items()):
         key = count_key(path, name)
         if key is not None:
@@ -198,6 +202,8 @@ def count_key(path: str, name: str):
             return f"scalars.{name}"
         if name in ("from_abd", "_scalar"):
             return "scalars.from_abd"
+        if name == "from_abds":
+            return "scalars.from_abds"
     elif module == ("braidhopf", "algebra.py") and name == "add_term":
         return "Tensor.add_term"
     return None

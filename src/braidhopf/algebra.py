@@ -6,22 +6,23 @@ the linear basis of the quotient.  Tensor holds a finite linear
 combination of slot-tuples of words over Q(i)[t]; rank 1 plays the role of
 an algebra element, rank 0 of a bare coefficient.
 
-A Tensor coefficient is the canonical triple tuple of a TPoly (its abds),
-combined by the scalars.poly_* kernel here, in braidtensor, deform and the
-check bodies of verify: most products there multiply by exactly 1, so a
-wrapper per operation costs more than the arithmetic.  Tensor.scale takes
-such a tuple and Algebra.braid_coeff gives one.  A TPoly is built where a
-coefficient leaves that layer (iterating a Tensor, coefficient(), format,
-functional values); Tensor(rank, terms) takes TPoly, Scalar or int.
+A Tensor coefficient is a coefficient tuple (see scalars), combined by the
+scalars.poly_* kernel here, in braidtensor, deform and the check bodies of
+verify: most products there multiply by exactly 1, so a wrapper per
+operation costs more than the arithmetic.  Tensor.scale takes such a
+tuple, and Tensor.coefficient and Algebra.braid_coeff give one.
+Tensor(rank, terms) and the relations take numbers through
+scalars.as_poly; a coefficient becomes text only in Algebra.format.
 
 Algebra bundles a presentation with memoized normal forms, word
 products, involutions, antipodes and braiding coefficients; the product of
 elements is braidtensor.braided_product at rank 1.
 
 Three helpers serve every layer above: slot_map applies a word map to a
-run of slots, linearly; scalar_map turns a word-tuple -> TPoly map into a
-word map into rank-0 tensors; memoized keeps an owner's per-basis-input
-caches (an algebra, a functional, a deformation) in its one memo table.
+run of slots, linearly; scalar_map turns a map from word tuples to
+coefficient tuples into a word map into rank-0 tensors; memoized keeps an
+owner's per-basis-input caches (an algebra, a functional, a deformation)
+in its one memo table.
 Maps run once per word or element go through slot_map.  The per-input
 loops of the checks (braided_product, conv_sesqui, cocycle_defect,
 convolve_fn, mu_t_key) stay written out:
@@ -35,14 +36,13 @@ from collections import defaultdict
 from functools import wraps
 
 from .presentation import AlgebraPresentation, parse_element_terms
-from .scalars import (TPoly, T_MINUS_ONE, T_ONE, abd_mul, as_abd, as_tpoly,
-                      from_abds, poly_add, poly_conj, poly_eval, poly_mul,
-                      poly_part, signed_sum)
+from .scalars import (T_MINUS_ONE, T_ONE, abd_mul, as_abd, as_poly, poly_add,
+                      poly_conj, poly_eval, poly_mul, poly_part, poly_str,
+                      signed_sum)
 
 
 class Tensor:
-    """Rank-n tensor: dict mapping n-tuples of words to coefficients, each
-    the canonical triple tuple of a TPoly.
+    """Rank-n tensor: dict mapping n-tuples of words to coefficient tuples.
 
     Zero coefficients are dropped on the fly, so equal tensors compare
     equal as dicts.
@@ -55,12 +55,12 @@ class Tensor:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                self.add_term(key, as_tpoly(c).abds)
+                self.add_term(key, as_poly(c))
 
     @classmethod
     def basis(cls, key) -> "Tensor":
         t = cls(len(key))
-        t.terms[key] = T_ONE.abds
+        t.terms[key] = T_ONE
         return t
 
     def add_term(self, key, abds):
@@ -105,17 +105,13 @@ class Tensor:
                 out.terms[key] = c
         return out
 
-    def coefficient(self, key) -> TPoly:
-        return from_abds(self.terms.get(key, ()))
+    def coefficient(self, key) -> tuple:
+        return self.terms.get(key, ())
 
     def __eq__(self, other):
         if isinstance(other, Tensor):
             return self.rank == other.rank and self.terms == other.terms
         return NotImplemented
-
-    def __iter__(self):
-        """The pairs (key, TPoly coefficient)."""
-        return ((k, from_abds(v)) for k, v in self.terms.items())
 
     def __len__(self):
         return len(self.terms)
@@ -145,8 +141,8 @@ def slot_map(u: Tensor, i: int, k: int, fn, rank: int) -> Tensor:
 
 
 def scalar_map(f):
-    """The map f from word tuples to TPoly as a word map into rank-0
-    tensors, for slot_map."""
+    """The map f from word tuples to coefficient tuples as a word map into
+    rank-0 tensors, for slot_map."""
     return lambda *words: Tensor(0, {(): f(words)})
 
 
@@ -174,8 +170,8 @@ class Algebra:
     def __init__(self, pres: AlgebraPresentation):
         self.pres = pres
         # inconsistent duplicate left sides fail confluence
-        self._rules = {rule.lhs: tuple((w, as_tpoly(c).abds) for w, c in
-                                       rule.rhs) for rule in pres.rules}
+        self._rules = {rule.lhs: tuple((w, as_poly(c)) for w, c in rule.rhs)
+                       for rule in pres.rules}
         # rewriting, the comultiplication and the antipode preserve word
         # length: every rule rewrites to two-letter words (a unit term fails
         # quotient-compat) and every generator's antipode is letters
@@ -215,8 +211,8 @@ class Algebra:
         if self.pres.braiding_kind == "graded-sign":
             g = self.pres.grades
             if (sum(g[k] for k in u) * sum(g[k] for k in v)) & 1:
-                return T_MINUS_ONE.abds
-            return T_ONE.abds
+                return T_MINUS_ONE
+            return T_ONE
         table = self.pres.braiding_table
         c = (1, 0, 1)
         for a in u:
@@ -332,28 +328,28 @@ class Algebra:
 
     # -- formatting --------------------------------------------------------
 
-    def format_poly_coeff(self, p: TPoly) -> str:
-        """p, parenthesized when it has two nonzero coefficients or one
-        with both a real and an imaginary part."""
-        nonzero = [(a, b) for a, b, _ in p.abds if a or b]
+    def format_poly_coeff(self, p) -> str:
+        """The coefficient tuple p, parenthesized when it has two nonzero
+        coefficients or one with both a real and an imaginary part."""
+        nonzero = [(a, b) for a, b, _ in p if a or b]
         if len(nonzero) > 1 or any(a and b for a, b in nonzero):
-            return f"({p})"
-        return str(p)
+            return f"({poly_str(p)})"
+        return poly_str(p)
 
     def format(self, t: Tensor) -> str:
         """Human-readable rendering; slots joined with a tensor sign."""
         bodies = []
-        for key, c in sorted(
-            t, key=lambda kv: (-sum(len(w) for w in kv[0]), kv[0])):
+        for key, c in sorted(t.terms.items(), key=lambda kv: (
+                -sum(len(w) for w in kv[0]), kv[0])):
             word = " (x) ".join(self.pres.word_str(w) for w in key)
             if t.rank == 0:
-                bodies.append(str(c))
+                bodies.append(poly_str(c))
             elif c == T_ONE:
                 bodies.append(word)
             elif c == T_MINUS_ONE:
                 bodies.append(f"- {word}")
             elif key == ((),):
-                bodies.append(str(c))
+                bodies.append(poly_str(c))
             elif t.rank > 1:
                 bodies.append(f"{self.format_poly_coeff(c)} ({word})")
             else:

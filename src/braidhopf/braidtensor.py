@@ -35,7 +35,7 @@ is nonzero (the parser and q_presentation refuse a zero braid entry).
 from __future__ import annotations
 
 from .algebra import Algebra, Tensor, memoized, slot_map, tensor_product
-from .scalars import TPoly, T_ONE, poly_conj, poly_mul
+from .scalars import T_ONE, poly_conj, poly_mul
 
 
 def braid_at(alg: Algebra, u: Tensor, start: int, m: int, n: int) -> Tensor:
@@ -114,8 +114,8 @@ def comul(alg: Algebra, a: Tensor) -> Tensor:
     return slot_map(a, 0, 1, lambda w: comul_word(alg, w), 2)
 
 
-def counit(a: Tensor) -> TPoly:
-    """Coefficient of the all-units slot-tuple."""
+def counit(a: Tensor) -> tuple:
+    """Coefficient tuple of the all-units slot-tuple."""
     return a.coefficient(((),) * a.rank)
 
 

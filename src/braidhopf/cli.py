@@ -77,7 +77,7 @@ def cmd_eval(args) -> int:
     elif args.op == "mu_t":
         out = defm.mu_t(tensor_product(lhs, rhs))
     elif args.op == "expL":
-        out = conv_exp(defm.L, tensor_product(lhs, rhs))
+        out = Tensor(0, {(): conv_exp(defm.L, tensor_product(lhs, rhs))})
     elif args.op == "comul":
         out = comul(alg, lhs)
     elif args.op == "antipode":
@@ -85,12 +85,11 @@ def cmd_eval(args) -> int:
     elif args.op == "s_t":
         out = defm.st(lhs)
     else:
-        out = defm.sigma(lhs)
+        out = Tensor(0, {(): defm.sigma(lhs)})
 
     if args.t is not None:
-        t0 = _t_value(args.t)
-        out = out.substitute(t0) if isinstance(out, Tensor) else out.eval(t0)
-    print(alg.format(out) if isinstance(out, Tensor) else str(out))
+        out = out.substitute(_t_value(args.t))
+    print(alg.format(out))
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ with t kept as a formal polynomial variable throughout.  The module also
 builds sigma = L . (S (x) id) . comul, an arity-1 Functional that computes
 and memoizes its value on each word itself, the deformed antipode
 S_t = S * e*^{-t sigma}, and the sesquilinear forms used by the
-positivity checks (arity-2 functionals keyed on word pairs).  Everything
-evaluates to exact TPoly values, summed as coefficient tuples.  The
+positivity checks (arity-2 functionals keyed on word pairs).  Every
+functional value is an exact coefficient tuple in t (see scalars).  The
 convolution exponential E = e*^{tF} is the one solution of the generator
 equation dE/dt = F * E with E = counit at t = 0: on each key it is the
 counit plus the integral of (F * E)(key), memoized key by key.  F must
@@ -40,8 +40,8 @@ from operator import add, sub
 
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_buckets, comul_word, lambda2_walk
-from .scalars import (TPoly, T_ONE, T_ZERO, as_tpoly, from_abds, poly_add,
-                      poly_conj, poly_integrate, poly_mul, poly_neg)
+from .scalars import (T_ONE, as_poly, poly_add, poly_conj, poly_flip,
+                      poly_integrate, poly_mul, poly_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ from .scalars import (TPoly, T_ONE, T_ZERO, as_tpoly, from_abds, poly_add,
 
 class Functional:
     """Linear functional on rank-n tensors, memoized on basis slot-tuples;
-    fn maps a basis slot-tuple to its TPoly value.
+    fn maps a basis slot-tuple to its value, a coefficient tuple.
 
     support is a frozenset of grade tuples, grade(w_1) + ... + grade(w_n)
     concatenated (Algebra.grade), off which the functional vanishes on
@@ -69,24 +69,24 @@ class Functional:
         self.memo = defaultdict(dict)
 
     @memoized
-    def on_key(self, key) -> TPoly:
+    def on_key(self, key) -> tuple:
         return self._fn(key)
 
-    def __call__(self, u: Tensor) -> TPoly:
+    def __call__(self, u: Tensor) -> tuple:
         return _extend(self.arity, self.on_key, u)
 
 
-def _extend(arity: int, fn, u: Tensor) -> TPoly:
+def _extend(arity: int, fn, u: Tensor) -> tuple:
     """The linear extension of a basis-key map fn to a rank-arity tensor."""
     if u.rank != arity:
         raise ValueError(
             f"arity mismatch: functional takes rank {arity}, got {u.rank}")
     tot = ()
     for key, c in u.terms.items():
-        v = fn(key).abds
+        v = fn(key)
         if v:
             tot = poly_add(tot, poly_mul(v, c))
-    return from_abds(tot)
+    return tot
 
 
 def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
@@ -99,11 +99,11 @@ def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
         key = tuple(tuple(w) for w in key)
         if len(key) != arity:
             raise ValueError(f"table key {key!r} does not have arity {arity}")
-        val = as_tpoly(val)
+        val = as_poly(val)
         if val:
             tab[key] = val
     support = frozenset(sum(map(alg.grade, k), ()) for k in tab)
-    return Functional(alg, arity, lambda k: tab.get(k, T_ZERO),
+    return Functional(alg, arity, lambda k: tab.get(k, ()),
                       support=support if alg.homogeneous or not tab else None)
 
 
@@ -111,7 +111,7 @@ def _conv_key(F: Functional, g, key):
     """(F * g)(key) as a coefficient tuple, w.r.t. comul (arity 1) or
     Lambda_2 (arity 2), over the splits whose left part has its grades in
     F.support (every split where that is None); g maps a basis slot-tuple
-    to its TPoly value and is evaluated only where F is nonzero."""
+    to its coefficient tuple and is evaluated only where F is nonzero."""
     alg, S = F.alg, F.support
     rights = None
     if S is not None:
@@ -131,10 +131,10 @@ def _conv_key(F: Functional, g, key):
                   for left, right, v in buckets.get(r, ()))
     tot = ()
     for left, right, v in splits:
-        a = F.on_key(left).abds
+        a = F.on_key(left)
         if not a:
             continue
-        b = g(right).abds
+        b = g(right)
         if b:
             tot = poly_add(tot, poly_mul(poly_mul(v, a), b))
     return tot
@@ -150,8 +150,7 @@ def convolve_fn(F: Functional, G: Functional) -> Functional:
         raise ValueError("convolution needs equal arities")
     if F.arity not in (1, 2):
         raise ValueError("convolution takes arity 1 or 2")
-    return Functional(F.alg, F.arity,
-                      lambda key: from_abds(_conv_key(F, G.on_key, key)))
+    return Functional(F.alg, F.arity, lambda key: _conv_key(F, G.on_key, key))
 
 
 def _split_pairs(grades, h: int) -> dict:
@@ -198,7 +197,7 @@ def conv_power(F: Functional, k: int) -> Functional:
 
 
 @memoized
-def conv_exp_key(F: Functional, key) -> TPoly:
+def conv_exp_key(F: Functional, key) -> tuple:
     """e*^{tF} on a basis slot-tuple, formal in t: the solution E of
     dE/dt = F * E with E = counit at t = 0, so E(key) is the counit plus
     the integral from 0 to t of (F * E)(key); zero off M(F.support)."""
@@ -213,14 +212,13 @@ def conv_exp_key(F: Functional, key) -> TPoly:
         return T_ONE
     if F.support is not None and sum(map(F.alg.grade, key), ()) not in (
             support_monoid(F, sum(map(len, key)))):
-        return T_ZERO
+        return ()
     # F vanishes on the unit tuple, so every split read has a right part
     # with fewer letters than key: the recursion ends
-    return from_abds(poly_integrate(
-        _conv_key(F, lambda k: conv_exp_key(F, k), key)))
+    return poly_integrate(_conv_key(F, lambda k: conv_exp_key(F, k), key))
 
 
-def conv_exp(F: Functional, u: Tensor) -> TPoly:
+def conv_exp(F: Functional, u: Tensor) -> tuple:
     """e*^{tF}(u), exact in t."""
     return _extend(F.arity, lambda key: conv_exp_key(F, key), u)
 
@@ -246,10 +244,11 @@ class Deformation:
         self.memo = defaultdict(dict)
         # sigma = L . (S (x) id) . comul as an arity-1 functional; S keeps
         # grades where L's support bounds its powers, so sigma's support is
-        # {p + q} over L's (p, q)
-        S = self.L.support
+        # {p + q} over L's (p, q).  Its body reads L, not self, so that no
+        # reference cycle runs through self.
+        L, S = self.L, self.L.support
         self.sigma = Functional(
-            alg, 1, lambda key: self.L(slot_map(
+            alg, 1, lambda key: L(slot_map(
                 comul_word(alg, key[0]), 0, 1, alg.antipode_word, 1)),
             support=None if S is None else frozenset(
                 tuple(map(add, s[:len(s) // 2], s[len(s) // 2:])) for s in S))
@@ -266,7 +265,7 @@ class Deformation:
             rights = self._right_grades(len(key[0]) + len(key[1]))
         out = Tensor(1)
         for a1, b1, a2, b2, v in lambda2_walk(alg, key, rights):
-            e = conv_exp_key(self.L, (a2, b2)).abds
+            e = conv_exp_key(self.L, (a2, b2))
             if e:
                 v = poly_mul(v, e)
                 for (pw,), pc in alg.mul_words(a1, b1).terms.items():
@@ -291,7 +290,7 @@ class Deformation:
     @memoized
     def st_word(self, w) -> Tensor:
         """S_t = S * e*^{-t sigma} on a basis word, formal in t."""
-        f_neg_t = scalar_map(lambda k: conv_exp_key(self.sigma, k).flip_sign())
+        f_neg_t = scalar_map(lambda k: poly_flip(conv_exp_key(self.sigma, k)))
         return slot_map(slot_map(comul_word(self.alg, w), 1, 1, f_neg_t, 0),
                         0, 1, self.alg.antipode_word, 1)
 
@@ -329,14 +328,14 @@ def conv_sesqui(P: Functional, Q: Functional) -> Functional:
         for (a0, a1), va in comul_word(alg, key[0]).terms.items():
             vac = poly_conj(va)
             for (b0, b1), vb in comul_word(alg, key[1]).terms.items():
-                p = P.on_key((a0, b0)).abds
+                p = P.on_key((a0, b0))
                 if not p:
                     continue
-                q = Q.on_key((a1, b1)).abds
+                q = Q.on_key((a1, b1))
                 if q:
                     tot = poly_add(tot, poly_mul(
                         poly_mul(poly_mul(vac, vb), p), q))
-        return from_abds(tot)
+        return tot
 
     return Functional(alg, 2, fn)
 
@@ -345,19 +344,19 @@ def conv_sesqui(P: Functional, Q: Functional) -> Functional:
 # the coboundary
 
 
-def cocycle_defect(L: Functional, a, b, c) -> TPoly:
+def cocycle_defect(L: Functional, a, b, c) -> tuple:
     """The coboundary (delta (x) L) - L.(mul (x) id) + L.(id (x) mul)
     - (L (x) delta) evaluated at the basis words a (x) b (x) c."""
     alg = L.alg
-    tot = L.on_key((b, c)).abds if a == () else ()
+    tot = L.on_key((b, c)) if a == () else ()
     for (mw,), mc in alg.mul_words(a, b).terms.items():
-        v = L.on_key((mw, c)).abds
+        v = L.on_key((mw, c))
         if v:
             tot = poly_add(tot, poly_neg(poly_mul(mc, v)))
     for (mw,), mc in alg.mul_words(b, c).terms.items():
-        v = L.on_key((a, mw)).abds
+        v = L.on_key((a, mw))
         if v:
             tot = poly_add(tot, poly_mul(mc, v))
     if c == ():
-        tot = poly_add(tot, poly_neg(L.on_key((a, b)).abds))
-    return from_abds(tot)
+        tot = poly_add(tot, poly_neg(L.on_key((a, b))))
+    return tot

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .scalars import S_ZERO, Scalar, signed_sum
+from .scalars import S_ZERO, Scalar, from_abd, poly_str, signed_sum
 
 Word = tuple  # tuple[int, ...): generator indices; () is the unit monomial
 
@@ -500,12 +500,15 @@ def check_confluence(alg) -> Report:
     for a, b, c in overlaps:
         left = {w + (c,): k for w, k in by_lhs[a, b]}
         right = {(a,) + w: k for w, k in by_lhs[b, c]}
-        forms = [sorted((w, v.constant_term()) for (w,), v in slot_map(
-                     alg.element(side), 0, 1, alg.normal_form_word, 1))
+        # each normal form's terms (word, triple): its coefficients are
+        # constants, as the rules' are
+        forms = [sorted((w, v[0]) for (w,), v in slot_map(
+                     alg.element(side), 0, 1, alg.normal_form_word, 1)
+                        .terms.items())
                  for side in (left, right)]
         if forms[0] != forms[1]:
-            lhs, rhs = sorted(forms, key=lambda terms: [
-                (w, v.abd) for w, v in terms])
+            lhs, rhs = ([(w, from_abd(x)) for w, x in terms]
+                        for terms in sorted(forms))
             return Report("confluence", "fail", 3, {
                 "input": pres.word_str((a, b, c)),
                 "lhs": format_element_terms(lhs, pres),
@@ -553,7 +556,7 @@ def check_quotient_compatibility(alg, max_degree: int) -> Report:
 
         eps = rel.coefficient(((),))
         if eps:
-            return defect("b", str(eps), where)
+            return defect("b", poly_str(eps), where)
         out = comul(alg, rel)
         if out.terms:
             return defect("a", alg.format(out), where)

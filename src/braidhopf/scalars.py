@@ -1,19 +1,20 @@
 """Exact coefficient arithmetic.
 
-Two types live here: Scalar, a Gaussian rational a + b*i, and TPoly, a
-polynomial in the formal deformation parameter t with Scalar coefficients.
-No floats anywhere.
+One kernel of Python ints carries every value: a Gaussian rational
+a + b*i is the canonical triple (a, b, d), meaning (a + b*i)/d with
+gcd(a, b, d) == 1 and d > 0.  The form is unique, so equal values have
+equal triples, and the functions abd_add, abd_mul and abd_inv keep every
+result canonical.  A polynomial in the formal deformation parameter t is
+the coefficient tuple of its coefficients' triples with no trailing zero,
+kept so by the poly_* functions.  Tensor coefficients (see algebra),
+functional values (see deform) and the entries of a hermitian matrix (see
+verify) are such bare tuples and triples.  No floats anywhere.
 
-Both rest on one kernel of Python ints: a Gaussian rational is the
-canonical triple (a, b, d), meaning (a + b*i)/d with gcd(a, b, d) == 1 and
-d > 0.  The form is unique, so equal values have equal triples, and the
-functions abd_add, abd_mul and abd_inv keep every result canonical.  A
-polynomial is the tuple of its coefficients' triples with no trailing
-zero, kept so by the poly_* functions; a TPoly wraps one, a Tensor holds
-them bare (see algebra), and a hermitian matrix holds bare triples (see
-verify).  Scalar and TPoly objects are built only where asked for, as the
-values that are parsed, printed or returned by a functional, and carry
-only the operators those readers use.
+A number enters the engine through as_poly, the one coercion of a
+Scalar, int or Fraction to a coefficient tuple.  Two value types remain at
+the boundary: Scalar, the parsed scalar and the printed Gram witness, and
+TPoly, built only by poly_str to print a coefficient tuple.  Each carries
+only the operators its readers use.
 
 The module is arithmetic and its printing.  Scalar values are read by
 presentation.parse_scalar, the element grammar without generators.
@@ -43,7 +44,12 @@ def signed_sum(bodies) -> str:
 # -- the int-triple kernel ---------------------------------------------------
 
 ABD_ZERO = (0, 0, 1)    # the triple of zero
-_UNIT = ((1, 0, 1),)    # the triples of the constant polynomial 1
+
+# the coefficient tuples of 0, 1, -1 and t
+T_ZERO = ()
+T_ONE = ((1, 0, 1),)
+T_MINUS_ONE = ((-1, 0, 1),)
+T_T = (ABD_ZERO, (1, 0, 1))
 
 
 def abd_add(x, y):
@@ -131,9 +137,9 @@ def poly_add(a, b):
 def poly_mul(a, b):
     """The product of two coefficient tuples; over a field the product of
     the leading coefficients is nonzero, so nothing needs trimming."""
-    if b == _UNIT:                    # most factors are exactly 1
+    if b == T_ONE:                    # most factors are exactly 1
         return a
-    if a == _UNIT:
+    if a == T_ONE:
         return b
     if not a or not b:
         return ()
@@ -319,19 +325,28 @@ def as_abd(x):
     return y
 
 
+def as_poly(x):
+    """The coefficient tuple of x: a coefficient tuple or a TPoly as it
+    is, a Scalar, an int or a Fraction as a constant polynomial."""
+    if type(x) is tuple:
+        return x
+    if type(x) is TPoly:
+        return x.abds
+    x = as_abd(x)
+    return () if x == ABD_ZERO else (x,)
+
+
 S_ZERO = Scalar(0)
-S_ONE = Scalar(1)
-S_MINUS_ONE = Scalar(-1)
 
 
 class TPoly:
-    """Polynomial in t over Scalar: coeffs[k] is the coefficient of t^k.
+    """Polynomial in t over Scalar, built to print a coefficient tuple:
+    coeffs[k] is the coefficient of t^k.
 
     Canonical form has no trailing zero coefficients; the zero polynomial
     has no coefficients.  The polynomial holds the triples of its
-    coefficients; coeffs builds their Scalars.  t is a formal *real*
-    parameter, so conj acts on coefficients only.  A constant compares
-    equal to its Scalar, int or Fraction; a TPoly is not hashable.
+    coefficients; coeffs builds their Scalars.  A constant compares equal
+    to its Scalar, int or Fraction; a TPoly is not hashable.
     """
 
     __slots__ = ("abds",)
@@ -353,37 +368,16 @@ class TPoly:
         return tuple(map(from_abd, self.abds))
 
     def __mul__(self, other):
-        b = other.abds if type(other) is TPoly else _abds_of(other)
-        if b is None:
-            return NotImplemented
-        return from_abds(poly_mul(self.abds, b))
+        return from_abds(poly_mul(self.abds, as_poly(other)))
 
     def __bool__(self):
         return bool(self.abds)
 
-    def constant_term(self) -> Scalar:
-        return from_abd(self.abds[0]) if self.abds else S_ZERO
-
-    def eval(self, r) -> Scalar:
-        """Exact value at a rational (or Gaussian-rational) point."""
-        return from_abd(poly_eval(self.abds, as_abd(r)))
-
-    def conj(self) -> TPoly:
-        return from_abds(poly_conj(self.abds))
-
-    def shift(self, j: int) -> TPoly:
-        """The coefficient of s^j in p(t + s), a polynomial in t."""
-        return from_abds(poly_shift(self.abds, j))
-
-    def flip_sign(self) -> TPoly:
-        """Substitute t -> -t."""
-        return from_abds(poly_flip(self.abds))
-
     def __eq__(self, other):
-        b = other.abds if type(other) is TPoly else _abds_of(other)
-        if b is None:
+        try:
+            return self.abds == as_poly(other)
+        except TypeError:
             return NotImplemented
-        return self.abds == b
 
     def __str__(self):
         return signed_sum([_format_coeff_power(c, k)
@@ -401,13 +395,9 @@ def from_abds(abds) -> TPoly:
     return p
 
 
-def _abds_of(x):
-    """The coefficient triples of a Scalar, int or Fraction as a constant
-    polynomial; None for any other type."""
-    x = _abd(x)
-    if x is None:
-        return None
-    return () if x == ABD_ZERO else (x,)
+def poly_str(a) -> str:
+    """The text of the coefficient tuple a, written by its TPoly."""
+    return str(from_abds(a))
 
 
 def _format_coeff_power(c: Scalar, k: int) -> str:
@@ -422,18 +412,3 @@ def _format_coeff_power(c: Scalar, k: int) -> str:
     if c.re and c.im:
         cs = f"({cs})"
     return f"{cs} {tpart}"
-
-
-def as_tpoly(x) -> TPoly:
-    if type(x) is TPoly:
-        return x
-    abds = _abds_of(x)
-    if abds is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to TPoly")
-    return from_abds(abds)
-
-
-T_ZERO = TPoly(())
-T_ONE = TPoly((S_ONE,))
-T_MINUS_ONE = TPoly((S_MINUS_ONE,))
-T_T = TPoly((S_ZERO, S_ONE))

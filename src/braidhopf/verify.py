@@ -29,8 +29,8 @@ from .presentation import (AlgebraPresentation, Report, Rule,
                            check_confluence, check_quotient_compatibility)
 from .scalars import (ABD_ZERO, Scalar, T_ONE, T_T, T_ZERO, abd_add,
                       abd_inv, abd_mul, as_abd, as_scalar, from_abd,
-                      from_abds, poly_add, poly_eval, poly_flip, poly_mul,
-                      poly_part, poly_shift)
+                      poly_add, poly_conj, poly_eval, poly_flip, poly_mul,
+                      poly_part, poly_shift, poly_str)
 
 
 def fixture_path(name: str):
@@ -55,9 +55,9 @@ class VerifyContext:
         # the sesquilinear form L~, and the form pairs ((F * K)~, F~ (*) K~)
         # for (F, K) = (delta.mul, L) and (L, delta.mul)
         self.L_form = sesquilinearize(self.L)
+        alg = self.alg                # not self: no reference cycle
         delta_mul = Functional(
-            self.alg, 2,
-            lambda k: self.alg.mul_words(k[0], k[1]).coefficient(((),)))
+            alg, 2, lambda k: alg.mul_words(k[0], k[1]).coefficient(((),)))
         dm_form = sesquilinearize(delta_mul)
         self.sesqui_conv_sides = (
             (sesquilinearize(convolve_fn(delta_mul, self.L)),
@@ -69,8 +69,10 @@ class VerifyContext:
         return comul_word(self.alg, w)
 
     def fail(self, cid, key, lhs, rhs, extras=None) -> Report:
+        """The failure of check cid at the input key; each side is a Tensor
+        or a coefficient tuple."""
         def fmt(x):
-            return self.alg.format(x) if isinstance(x, Tensor) else str(x)
+            return self.alg.format(x) if isinstance(x, Tensor) else poly_str(x)
 
         wit = {"input": " (x) ".join(map(self.pres.word_str, key)),
                "lhs": fmt(lhs), "rhs": fmt(rhs)}
@@ -79,16 +81,17 @@ class VerifyContext:
 
 
 # -- two-time laws: f(t + s) = g(t, s), decided in Q(i)[t][s] one power of s
-# at a time.  The s^j coefficient of f(t + s) is f.shift(j); g depends on s
-# only through factors evaluated at s, each of which contributes its t^j
+# at a time.  The s^j coefficient of f(t + s) is poly_shift(f, j); g depends
+# on s only through factors evaluated at s, each of which contributes its t^j
 # coefficient.  Both sides vanish beyond the largest t-degree of f and of
 # those factors, so the powers compared are read off the polynomials.
 
 
 def _t_degree(*values) -> int:
-    """The largest t-degree among TPolys and the coefficients of Tensors."""
+    """The largest t-degree among coefficient tuples and the coefficients
+    of Tensors."""
     return max((len(p) - 1 for v in values for p in (
-        v.terms.values() if isinstance(v, Tensor) else (v.abds,))),
+        v.terms.values() if isinstance(v, Tensor) else (v,))),
         default=-1)
 
 
@@ -309,8 +312,8 @@ def _gen_unit(ctx, a, b):
                     for w in ctx.basis))
 def _beta_cocycle(ctx, w, a, b):
     k = ctx.alg.braid_coeff
-    yield from_abds(poly_mul(k((w, a)), k((w, b)))), T_ONE
-    yield from_abds(poly_mul(k((a, w)), k((b, w)))), T_ONE
+    yield poly_mul(k((w, a)), k((w, b))), T_ONE
+    yield poly_mul(k((a, w)), k((b, w))), T_ONE
 
 
 @check("gen-commute", _BASE, pairs)
@@ -328,7 +331,8 @@ def _cocycle(ctx, a, b, c):
 @check("gen-hermitian", _BASE, pairs)
 def _gen_hermitian(ctx, a, b):
     star = ctx.alg.involution_word
-    yield ctx.L(tensor_product(star(a), star(b))), ctx.L.on_key((b, a)).conj()
+    yield (ctx.L(tensor_product(star(a), star(b))),
+           poly_conj(ctx.L.on_key((b, a))))
 
 
 # -- deformation checks -----------------------------------------------------
@@ -395,9 +399,9 @@ def _expL_semigroup(ctx, a, b):
     for j in range(_t_degree(exp((a, b)), *(exp(k[2:]) for k in splits)) + 1):
         tot = ()
         for k, v in splits.items():
-            tot = poly_add(tot, poly_mul(poly_mul(v, exp(k[:2]).abds),
-                                         poly_part(exp(k[2:]).abds, j)))
-        yield exp((a, b)).shift(j), from_abds(tot), {"power of s": j}
+            tot = poly_add(tot, poly_mul(poly_mul(v, exp(k[:2])),
+                                         poly_part(exp(k[2:]), j)))
+        yield poly_shift(exp((a, b)), j), tot, {"power of s": j}
 
 
 @check("expL-hermitian", _DEFORM, pairs)
@@ -405,13 +409,13 @@ def _expL_hermitian(ctx, a, b):
     """Exact in Q(i)[t] because t is real, so conj acts on coefficients."""
     star = ctx.alg.involution_word
     yield (conv_exp(ctx.L, tensor_product(star(a), star(b))),
-           conv_exp_key(ctx.L, (b, a)).conj())
+           poly_conj(conv_exp_key(ctx.L, (b, a))))
 
 
 @check("primitive-formula", _DEFORM, generator_pairs)
 def _primitive_formula(ctx, a, b):
     yield (ctx.defm.mu_t_key((a, b)), ctx.alg.mul_words(a, b)
-           + ctx.alg.one().scale((T_T * ctx.L.on_key((a, b))).abds))
+           + ctx.alg.one().scale(poly_mul(T_T, ctx.L.on_key((a, b)))))
 
 
 # -- deformed Hopf checks ---------------------------------------------------
@@ -499,7 +503,7 @@ def _sesqui_conv(ctx, a, b):
 @check("sesqui-hermitian", _DEFORM, words)
 def _sesqui_hermitian(ctx, w):
     v = ctx.L_form.on_key((w, w))
-    yield v, v.conj()
+    yield v, poly_conj(v)
 
 
 CATALOG = tuple(_DECLARED)
@@ -699,7 +703,8 @@ def state_gram(defm: Deformation, psi: Functional, labels) -> list:
     M(psi.support | sigma.support) is zero without mu_t.  Each entry is
     read once, so nothing is memoized.  The columns a term of grade g can
     reach, the b with g + grade(b) in M, are listed once per g; every
-    other entry is T_ZERO without a test."""
+    other entry is zero without a test.  The entries are coefficient
+    tuples."""
     alg, M = defm.alg, None
     if alg.homogeneous and None not in (psi.support, defm.sigma.support):
         M = monoid(psi.support | defm.sigma.support,
@@ -718,13 +723,10 @@ def state_gram(defm: Deformation, psi: Functional, labels) -> list:
         sums = {}
         for (k,), c in alg.involution_word(a).terms.items():
             for j in columns(alg.grade(k)):
-                v = conv_exp(psi, defm.mu_t_key((k, labels[j]))).abds
+                v = conv_exp(psi, defm.mu_t_key((k, labels[j])))
                 if v:
                     sums[j] = poly_add(sums.get(j, ()), poly_mul(v, c))
-        out = [T_ZERO] * len(labels)
-        for j, tot in sums.items():
-            out[j] = from_abds(tot)
-        return out
+        return [sums.get(j, T_ZERO) for j in range(len(labels))]
 
     return [row(a) for a in labels]
 
@@ -755,15 +757,15 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
 
     # hypothesis gates, in order: hermitian, braiding-invariant, psi(1) = 0
     for w in basis:
-        if psi(alg.involution_word(w)) != psi.on_key((w,)).conj():
+        if psi(alg.involution_word(w)) != poly_conj(psi.on_key((w,))):
             raise SchoenbergError(
                 f"psi is not hermitian at {pres.word_str(w)}", "hermitian")
     for v in basis:
         if not psi.on_key((v,)):
             continue
         for w in basis:
-            if (alg.braid_coeff((w, v)) != T_ONE.abds
-                    or alg.braid_coeff((v, w)) != T_ONE.abds):
+            if (alg.braid_coeff((w, v)) != T_ONE
+                    or alg.braid_coeff((v, w)) != T_ONE):
                 raise SchoenbergError(
                     f"psi is not braiding-invariant at {pres.word_str(v)}",
                     "braiding-invariant")
@@ -772,7 +774,7 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
 
     # G(t) as its nonzero entries (i, j, coefficient triples)
     defm = Deformation(alg)
-    G = [(i, j, p.abds) for i, row in enumerate(state_gram(defm, psi, basis))
+    G = [(i, j, p) for i, row in enumerate(state_gram(defm, psi, basis))
          for j, p in enumerate(row) if p]
 
     # (a) conditional positivity of (psi.mul + L)~ over ker delta, the t^1
@@ -788,7 +790,7 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
         i, j = _non_hermitian_at(rows)
         a, b = kerdelta[i], kerdelta[j]
         L_form = sesquilinearize(defm.L)
-        if L_form.on_key((a, b)) != L_form.on_key((b, a)).conj():
+        if L_form.on_key((a, b)) != poly_conj(L_form.on_key((b, a))):
             return SchoenbergError(
                 f"the generator L is not hermitian at ({pres.word_str(a)}, "
                 f"{pres.word_str(b)})", "generator-hermitian")

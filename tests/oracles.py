@@ -12,7 +12,8 @@ from braidhopf.braidtensor import (braid_at, comul, comul_word,
 from braidhopf.deform import conv_exp_key
 from braidhopf.presentation import Report
 from braidhopf.scalars import (Scalar, TPoly, T_ONE, T_ZERO, as_abd,
-                               from_abds, poly_add)
+                               as_poly, from_abd, poly_add, poly_conj,
+                               poly_eval, poly_flip, poly_mul, poly_str)
 from braidhopf.verify import HermitianMatrix
 
 
@@ -138,6 +139,23 @@ class RefTPoly:
                                          enumerate(self.coeffs, 1)])
 
 
+# -- coefficient tuples ------------------------------------------------------
+
+
+def mul(*factors):
+    """The product of coefficient tuples, Scalars, ints and TPolys, as a
+    coefficient tuple."""
+    out = T_ONE
+    for f in factors:
+        out = poly_mul(out, as_poly(f))
+    return out
+
+
+def exp_term(n, v):
+    """t^n / n! times the coefficient tuple v."""
+    return mul(TPoly((0,) * n + (Fraction(1, factorial(n)),)), v)
+
+
 # -- exhaustive rewriting ---------------------------------------------------
 #
 # A state is a whole linear combination; one step rewrites one redex in one
@@ -260,10 +278,10 @@ def braid_key(pres, key, m, n):
 
 def lambda2_splits(alg, a, b):
     out = []
-    for (a1, a2), ca in comul_word(alg, a):
-        for (b1, b2), cb in comul_word(alg, b):
+    for (a1, a2), ca in comul_word(alg, a).terms.items():
+        for (b1, b2), cb in comul_word(alg, b).terms.items():
             out.append(((a1, b1, a2, b2),
-                        ca * cb * closed_form_braid_coeff(alg.pres, a2, b1)))
+                        mul(ca, cb, closed_form_braid_coeff(alg.pres, a2, b1))))
     return out
 
 
@@ -271,14 +289,14 @@ def naive_conv2(alg, F, G):
     def h(a, b):
         tot = ()
         for (a1, b1, a2, b2), c in lambda2_splits(alg, a, b):
-            tot = poly_add(tot, (c * F(a1, b1) * G(a2, b2)).abds)
-        return from_abds(tot)
+            tot = poly_add(tot, mul(c, F(a1, b1), G(a2, b2)))
+        return tot
     return h
 
 
 def naive_power2(alg, F, k):
     def delta2(a, b):
-        return TPoly((Scalar(1),)) if (a, b) == ((), ()) else T_ZERO
+        return T_ONE if (a, b) == ((), ()) else T_ZERO
     out = delta2
     for _ in range(k):
         out = naive_conv2(alg, F, out)
@@ -290,9 +308,8 @@ def naive_exp2(alg, F, a, b, cutoff):
     for n in range(cutoff + 1):
         v = naive_power2(alg, F, n)(a, b)
         if v:
-            term = TPoly((0,) * n + (Fraction(1, factorial(n)),)) * v
-            tot = poly_add(tot, term.abds)
-    return from_abds(tot)
+            tot = poly_add(tot, exp_term(n, v))
+    return tot
 
 
 # -- the deformed product over every split -----------------------------------
@@ -309,12 +326,12 @@ def splits(alg, key):
     """(slot-tuple, coefficient) for every term of Lambda_n on key."""
     if len(key) == 2:
         return lambda2_splits(alg, *key)
-    return lambda_n_key(alg, key)
+    return lambda_n_key(alg, key).terms.items()
 
 
 def unpruned_convolve(alg, f, g, key):
     """(f * g)(key) over every split of Lambda_n; f and g map basis
-    slot-tuples to TPoly values."""
+    slot-tuples to coefficient tuples."""
     n = len(key)
     tot = ()
     for k2, v in splits(alg, key):
@@ -322,8 +339,8 @@ def unpruned_convolve(alg, f, g, key):
         if a:
             b = g(k2[n:])
             if b:
-                tot = poly_add(tot, (v * a * b).abds)
-    return from_abds(tot)
+                tot = poly_add(tot, mul(v, a, b))
+    return tot
 
 
 def unpruned_conv_power(F, k, key, powers):
@@ -343,9 +360,8 @@ def unpruned_conv_exp_key(F, key, powers):
     for k in range(sum(len(w) for w in key) + 1):
         v = unpruned_conv_power(F, k, key, powers)
         if v:
-            term = TPoly((0,) * k + (Fraction(1, factorial(k)),)) * v
-            tot = poly_add(tot, term.abds)
-    return from_abds(tot)
+            tot = poly_add(tot, exp_term(k, v))
+    return tot
 
 
 def unpruned_mu_t_key(L, key, powers):
@@ -355,8 +371,8 @@ def unpruned_mu_t_key(L, key, powers):
     for k2, v in lambda2_splits(alg, *key):
         e = unpruned_conv_exp_key(L, k2[2:], powers)
         if e:
-            for (pw,), pc in alg.mul_words(k2[0], k2[1]):
-                out.add_term((pw,), (pc * v * e).abds)
+            for (pw,), pc in alg.mul_words(k2[0], k2[1]).terms.items():
+                out.add_term((pw,), mul(pc, v, e))
     return out
 
 
@@ -368,12 +384,13 @@ def unpruned_state_gram(L, psi, labels):
 
     def entry(a, b):
         tot = ()
-        for (w,), c in alg.involution_word(a):
-            for (p,), pc in unpruned_mu_t_key(L, (w, b), L_powers):
+        for (w,), c in alg.involution_word(a).terms.items():
+            for (p,), pc in unpruned_mu_t_key(L, (w, b),
+                                              L_powers).terms.items():
                 e = unpruned_conv_exp_key(psi, (p,), psi_powers)
                 if e:
-                    tot = poly_add(tot, (c * pc * e).abds)
-        return from_abds(tot)
+                    tot = poly_add(tot, mul(c, pc, e))
+        return tot
 
     return [[entry(a, b) for b in labels] for a in labels]
 
@@ -385,11 +402,11 @@ def unpruned_conditional_gram(L, psi, labels):
 
     def entry(a, b):
         tot = ()
-        for (w,), c in alg.involution_word(a):
-            tot = poly_add(tot, (c * L.on_key((w, b))).abds)
-            for (p,), pc in alg.mul_words(w, b):
-                tot = poly_add(tot, (c * pc * psi.on_key((p,))).abds)
-        return from_abds(tot)
+        for (w,), c in alg.involution_word(a).terms.items():
+            tot = poly_add(tot, mul(c, L.on_key((w, b))))
+            for (p,), pc in alg.mul_words(w, b).terms.items():
+                tot = poly_add(tot, mul(c, pc, psi.on_key((p,))))
+        return tot
 
     return [[entry(a, b) for b in labels] for a in labels]
 
@@ -424,7 +441,7 @@ def twin_quotient_compat(alg, max_degree):
 
         eps = rel.coefficient(((),))
         if eps:
-            return defect("b", str(eps), where)
+            return defect("b", poly_str(eps), where)
         out = nf_slots(comul(free, rel))
         if out.terms:
             return defect("a", alg.format(out), where)
@@ -451,9 +468,9 @@ def twin_quotient_compat(alg, max_degree):
 def neg_time_st(defm, u):
     """sum of c flip(S_t(w)) over the terms c w of u."""
     out = Tensor(1)
-    for (w,), c in u:
-        for key, v in defm.st_word(w):
-            out.add_term(key, (c * v.flip_sign()).abds)
+    for (w,), c in u.terms.items():
+        for key, v in defm.st_word(w).terms.items():
+            out.add_term(key, mul(c, poly_flip(v)))
     return out
 
 
@@ -467,18 +484,18 @@ def neg_time_st(defm, u):
 def hand_sigma_word(L, w):
     alg = L.alg
     tot = ()
-    for (k0, k1), v in comul_word(alg, w):
-        for (sk,), sc in alg.antipode_word(k0):
+    for (k0, k1), v in comul_word(alg, w).terms.items():
+        for (sk,), sc in alg.antipode_word(k0).terms.items():
             lv = L.on_key((sk, k1))
             if lv:
-                tot = poly_add(tot, (v * sc * lv).abds)
-    return from_abds(tot)
+                tot = poly_add(tot, mul(v, sc, lv))
+    return tot
 
 
 # -- the conjugation paths, one term at a time ------------------------------
 #
 # The convolution of two sesquilinear forms and the involution of the tensor
-# square as sums over basis terms in TPoly arithmetic, braided by the
+# square as sums over basis terms in coefficient tuples, braided by the
 # closed-form coefficient.  The bundled fixtures have real coefficients, so
 # these matter only on presentations with non-real ones.
 
@@ -487,22 +504,22 @@ def hand_conv_sesqui(P, Q, a, b):
     """sum of conj(v') v'' P(a', b') Q(a'', b'') over the terms
     v' a' (x) a'' of comul(a) and v'' b' (x) b'' of comul(b)."""
     tot = ()
-    for (a1, a2), va in comul_word(P.alg, a):
-        for (b1, b2), vb in comul_word(P.alg, b):
-            tot = poly_add(tot, (va.conj() * vb * P.on_key((a1, b1))
-                                 * Q.on_key((a2, b2))).abds)
-    return from_abds(tot)
+    for (a1, a2), va in comul_word(P.alg, a).terms.items():
+        for (b1, b2), vb in comul_word(P.alg, b).terms.items():
+            tot = poly_add(tot, mul(poly_conj(va), vb, P.on_key((a1, b1)),
+                                    Q.on_key((a2, b2))))
+    return tot
 
 
 def hand_star_tensor(alg, u):
     """braid . (* (x) *) . swap on a rank-2 tensor: m (x) n goes to
     n* (x) m*, then each term a (x) b of it to c(a, b) b (x) a."""
     out = Tensor(2)
-    for (m, n), c in u:
-        for (a,), ca in alg.involution_word(n):
-            for (b,), cb in alg.involution_word(m):
+    for (m, n), c in u.terms.items():
+        for (a,), ca in alg.involution_word(n).terms.items():
+            for (b,), cb in alg.involution_word(m).terms.items():
                 k = closed_form_braid_coeff(alg.pres, a, b)
-                out.add_term((b, a), (c.conj() * ca * cb * k).abds)
+                out.add_term((b, a), mul(poly_conj(c), ca, cb, k))
     return out
 
 
@@ -520,7 +537,8 @@ def state_gram_at(defm, psi, labels, t0):
 
     def phi(word):
         if word not in phi_vals:
-            phi_vals[word] = conv_exp_key(psi, (word,)).eval(t0)
+            phi_vals[word] = from_abd(poly_eval(conv_exp_key(psi, (word,)),
+                                                as_abd(t0)))
         return phi_vals[word]
 
     rows = []
@@ -529,11 +547,11 @@ def state_gram_at(defm, psi, labels, t0):
         row = []
         for b in labels:
             tot = Scalar(0)
-            for (iw,), ic in istar:
+            for (iw,), ic in istar.terms.items():
                 prod = defm.mu_t_key((iw, b)).substitute(t0)
-                for (pw,), pc in prod:
-                    tot = tot + (ic.constant_term() * pc.constant_term()
-                                 * phi(pw))
+                # both coefficients are nonzero constants
+                for (pw,), pc in prod.terms.items():
+                    tot = tot + from_abd(ic[0]) * from_abd(pc[0]) * phi(pw)
             row.append(tot)
         rows.append(row)
     return rows

@@ -81,7 +81,10 @@ def test_a_counts_row_records_the_kernel_calls_of_each_side():
     assert parent == change
     assert parent["total"] > parent["scalars.poly_mul"] > 0
     assert parent["Tensor.add_term"] > 0 and parent["scalars.from_abd"] > 0
-    assert all(k in ("total", "Tensor.add_term", "scalars.from_abd")
+    # every report passes, so no polynomial is printed and no TPoly built
+    assert parent["scalars.from_abds"] == 0
+    assert all(k in ("total", "Tensor.add_term", "scalars.from_abd",
+                     "scalars.from_abds")
                or k.startswith("scalars.poly_") for k in parent)
 
 
@@ -92,6 +95,8 @@ def test_the_older_name_of_from_abd_counts_under_the_same_key():
                                      name) == "scalars.from_abd"
     assert bench_pairs.count_key("src/braidhopf/scalars.py",
                                  "poly_mul") == "scalars.poly_mul"
+    assert bench_pairs.count_key("src/braidhopf/scalars.py",
+                                 "from_abds") == "scalars.from_abds"
     assert bench_pairs.count_key("src/braidhopf/algebra.py",
                                  "add_term") == "Tensor.add_term"
     assert bench_pairs.count_key("src/braidhopf/scalars.py", "abd_mul") is None

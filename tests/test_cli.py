@@ -286,6 +286,13 @@ def test_verify_missing_file(capsys):
     (("q2.alg", "--op", "comul", "--lhs", "x xs x"),
      "1/2 (1 (x) x x xs) + 3/2 (x (x) x xs) + 1/2 (x x (x) xs)"
      " + 1/2 (x x xs (x) 1) + 3 (x xs (x) x) + 2 (xs (x) x x)"),
+    # the functional ops at a value of t
+    (("freec.alg", "--op", "expL", "--lhs", "x xs x xs", "--rhs",
+      "xs x xs x", "--t", "1/2"), "1/4"),
+    (("car.alg", "--op", "sigma", "--lhs", "x", "--t", "2"), "0"),
+    (("car.alg", "--op", "expL", "--lhs", "xs", "--rhs", "x", "--t", "-3"),
+     "-3"),
+    (("freec.alg", "--op", "sigma", "--lhs", "x xs", "--t", "1/3"), "-2"),
 ))
 def test_eval_spot_outputs(capsys, argv, want):
     fixture, *options = argv

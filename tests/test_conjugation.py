@@ -14,6 +14,7 @@ from braidhopf import (Algebra, Scalar, Tensor, parse_presentation,
                        tensor_product)
 from braidhopf.braidtensor import comul_word, star_tensor
 from braidhopf.deform import conv_sesqui
+from braidhopf.scalars import as_poly
 from braidhopf.verify import fixture_path
 
 from oracles import hand_conv_sesqui, hand_star_tensor
@@ -62,7 +63,7 @@ def test_qi_passes_the_catalog_with_non_real_coefficients():
     assert len(reports) == 45 and all(r.ok() for r in reports)
     alg = qi()
     assert alg.involution_word(XY) == Tensor(1, {(XY,): I})
-    assert comul_word(alg, XY).coefficient(((1,), (0,))) == -I
+    assert comul_word(alg, XY).coefficient(((1,), (0,))) == as_poly(-I)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,14 +1,15 @@
+import gc
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from braidhopf import (CHECK_IDS, Deformation, Functional, HermitianMatrix,
-                       Scalar, Tensor, parse_presentation, psd_exact,
-                       run_catalog)
+from braidhopf import (CHECK_IDS, Algebra, Deformation, Functional,
+                       HermitianMatrix, Scalar, Tensor, parse_presentation,
+                       parse_psi, psd_exact, run_catalog, schoenberg_check)
 from braidhopf.deform import conv_exp_key
-from braidhopf.scalars import ABD_ZERO, TPoly, T_ONE, from_abds, poly_add
+from braidhopf.scalars import ABD_ZERO, TPoly, T_ONE, poly_add, poly_mul
 from braidhopf.verify import CATALOG, VerifyContext, fixture_path
 
 from oracles import hermitian, psd_by_minors, recursive_psd
@@ -304,29 +305,29 @@ def test_q_deformed_plane_fails_only_cocommutativity():
 G = [Fraction(r) for r in ("0", "1", "-1", "1/2", "-3/2")]
 P = T_ONE
 for r in sorted(set(G) | {a + b for a in G for b in G}):
-    P = P * TPoly((Scalar(-r), S1))
-CUBIC = TPoly((Scalar(0, 1),))
+    P = poly_mul(P, TPoly((Scalar(-r), S1)).abds)
+CUBIC = TPoly((Scalar(0, 1),)).abds
 for r in (Fraction(1, 2), 1, 2):
-    CUBIC = CUBIC * TPoly((Scalar(-r), S1))
+    CUBIC = poly_mul(CUBIC, TPoly((Scalar(-r), S1)).abds)
 XS_X = ((1,), (0,))
 
 
 def perturb_mu_t(ctx):
     ctx.defm.memo["mu_t_key"][XS_X] = (
-        ctx.defm.mu_t_key(XS_X) + ctx.alg.one().scale(P.abds))
+        ctx.defm.mu_t_key(XS_X) + ctx.alg.one().scale(P))
 
 
 def perturb_exp_by(p):
     def perturb(ctx):
-        ctx.L.memo["conv_exp_key"][XS_X] = from_abds(poly_add(
-            conv_exp_key(ctx.L, XS_X).abds, p.abds))
+        ctx.L.memo["conv_exp_key"][XS_X] = poly_add(
+            conv_exp_key(ctx.L, XS_X), p)
     return perturb
 
 
 def perturb_st(ctx):
     w = (0, 1)
     ctx.defm.memo["st_word"][w] = (ctx.defm.st_word(w)
-                                   + ctx.alg.one().scale(P.abds))
+                                   + ctx.alg.one().scale(P))
 
 
 @pytest.mark.parametrize("cid,perturb", [pytest.param(*p, id=p[0]) for p in (
@@ -346,19 +347,20 @@ def test_t_identities_reject_perturbations_invisible_at_sample_points(
 # -- one coefficient representation -----------------------------------------
 
 
-def memo_tensors(owner, seen):
-    """Every Tensor in the memo tables of owner, and of the functionals
-    those tables or owner's attributes hold, each table walked once."""
+def memo_entries(owner, seen):
+    """(table name, value) for every entry in the memo tables of owner, and
+    of the functionals those tables or owner's attributes hold, each table
+    walked once."""
     if id(owner) in seen:
         return
     seen.add(id(owner))
-    values = [v for table in owner.memo.values() for v in table.values()]
-    values += [getattr(owner, name, None) for name in ("sigma", "L")]
-    for v in values:
-        if isinstance(v, Tensor):
-            yield v
-        elif isinstance(v, (Functional, Deformation)):
-            yield from memo_tensors(v, seen)
+    entries = [(name, v) for name, table in owner.memo.items()
+               for v in table.values()]
+    yield from entries
+    for v in [v for _, v in entries] + [getattr(owner, name, None)
+                                        for name in ("sigma", "L")]:
+        if isinstance(v, (Functional, Deformation)):
+            yield from memo_entries(v, seen)
 
 
 def is_canonical_poly(abds):
@@ -372,15 +374,44 @@ def is_canonical_poly(abds):
 
 @pytest.mark.parametrize("name", ("car", "q2", "freec"))
 def test_every_memoized_tensor_holds_coefficient_tuples(name):
+    """Every memoized Tensor coefficient, functional value (on_key) and
+    exponential value (conv_exp_key) is a coefficient tuple."""
     ctx = VerifyContext(load(name + ".alg"), 2)
     for _, _, run in CATALOG:
         run(ctx)
     seen = set()
     owners = [ctx.alg, ctx.defm, ctx.L_form,
               *(f for pair in ctx.sesqui_conv_sides for f in pair)]
-    tensors = [t for o in owners for t in memo_tensors(o, seen)]
+    entries = [e for o in owners for e in memo_entries(o, seen)]
+    tensors = [v for _, v in entries if isinstance(v, Tensor)]
     assert len(tensors) > 100
     bad = [(key, c) for t in tensors for key, c in t.terms.items()
            if not is_canonical_poly(c)]
     assert bad == []
+    values = {name: [v for n, v in entries if n == name]
+              for name in ("on_key", "conv_exp_key")}
+    assert all(len(v) > 10 for v in values.values())
+    bad = [(name, v) for name, vs in values.items() for v in vs
+           if v != () and not is_canonical_poly(v)]
+    assert bad == []
 
+
+# -- no reference cycles ----------------------------------------------------
+
+
+def test_schoenberg_and_a_dropped_deformation_leave_no_cycles():
+    """Their memo tables die with their owners by reference counting, with
+    nothing left for the cyclic collector."""
+    pres = load("car.alg")
+    psi = parse_psi(fixture_path("xxs.psi").read_text(), pres)
+    gc.collect()
+    gc.disable()
+    try:
+        schoenberg_check(pres, psi, max_degree=3)
+        assert gc.collect() == 0
+        defm = Deformation(Algebra(pres))
+        defm.st(defm.alg.parse_element("x xs"))       # reads sigma
+        del defm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
