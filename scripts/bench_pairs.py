@@ -169,8 +169,7 @@ def time_cli(root: Path, command: str, spec: str) -> tuple:
 def count_calls(root: Path, command: str, spec: str) -> dict:
     """Call counts of one cProfile run of ``braidhopf COMMAND ... --format
     json``, with a fixed hash seed: the total, each ``scalars.poly_*``
-    function, ``scalars.from_abd`` (the Scalars built from triples, under
-    its older name ``_scalar`` in a checkout that has it),
+    function, ``scalars.from_abd`` (the Scalars built from triples),
     ``scalars.from_abds`` (the TPolys built from coefficient tuples) and
     ``Tensor.add_term``, recursive calls included."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -200,10 +199,8 @@ def count_key(path: str, name: str):
     if module == ("braidhopf", "scalars.py"):
         if name.startswith("poly_"):
             return f"scalars.{name}"
-        if name in ("from_abd", "_scalar"):
-            return "scalars.from_abd"
-        if name == "from_abds":
-            return "scalars.from_abds"
+        if name in ("from_abd", "from_abds"):
+            return f"scalars.{name}"
     elif module == ("braidhopf", "algebra.py") and name == "add_term":
         return "Tensor.add_term"
     return None

@@ -15,22 +15,23 @@ convolution exponential E = e*^{tF} is the one solution of the generator
 equation dE/dt = F * E with E = counit at t = 0: on each key it is the
 counit plus the integral of (F * E)(key), memoized key by key.  F must
 vanish on the unit tuple (this is enforced), so every split read has a
-right part with fewer letters than the key, and the recursion ends.
+right part with fewer letters than the key, and the recursion ends.  The
+k-th convolution power is memoized key by key too: conv_power(F, (k, key))
+is a coefficient tuple in F's table, and no memoized value reads F back.
 
 A Functional may record its support S, the grade tuples where it may be
 nonzero, where S also bounds its convolution powers: the k-th power then
 vanishes off the k-fold sums of S, and e*^{tF} off the monoid M(S) those
 sums make up.  The grade of a slot-tuple is the grades (Algebra.grade) of
 its words concatenated: their letter counts where the relations and the
-antipode keep them, else their lengths.  Tables (L, psi and the counit
-among them) and sigma record one on a length-homogeneous algebra
-(Algebra.homogeneous), an empty table on any algebra.  A convolution or a
-functional built from a bare function carries None.  Every convolution
-reads the support of its left factor and walks only the splits whose left
-part has its grades in S; conv_exp_key returns zero off M(S) without a
-convolution, and mu_t visits only the splits of Lambda_2 whose right pair
-has its grades in M(S).  Where the support is None each walks every
-split.
+antipode keep them, else their lengths.  Tables (L and psi among them) and
+sigma record one on a length-homogeneous algebra (Algebra.homogeneous), an
+empty table on any algebra.  A convolution or a functional built from a
+bare function carries None.  Every convolution reads the support of its
+left factor and walks only the splits whose left part has its grades in S;
+conv_exp_key returns zero off M(S) without a convolution, and mu_t visits
+only the splits of Lambda_2 whose right pair has its grades in M(S).
+Where the support is None each walks every split.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from operator import add, sub
 
 from .algebra import Algebra, Tensor, memoized, scalar_map, slot_map
 from .braidtensor import comul_buckets, comul_word, lambda2_walk
+from .presentation import is_normal_word
 from .scalars import (T_ONE, as_poly, poly_add, poly_conj, poly_flip,
                       poly_integrate, poly_mul, poly_neg)
 
@@ -90,15 +92,19 @@ def _extend(arity: int, fn, u: Tensor) -> tuple:
 
 
 def table_functional(alg: Algebra, table: dict, arity: int) -> Functional:
-    """Finite-support functional; keys are tuples of normal words.  It
-    records the grades of its keys as its support where that bounds the
-    convolution powers: on a length-homogeneous algebra, or for an all-zero
-    table."""
+    """Finite-support functional; keys are tuples of normal words, and any
+    other key is refused.  It records the grades of its keys as its support
+    where that bounds the convolution powers: on a length-homogeneous
+    algebra, or for an all-zero table."""
+    n, rules = len(alg.pres.generators), alg.pres.rules
     tab = {}
     for key, val in table.items():
         key = tuple(tuple(w) for w in key)
         if len(key) != arity:
             raise ValueError(f"table key {key!r} does not have arity {arity}")
+        if not all(is_normal_word(w, n, rules) for w in key):
+            raise ValueError(f"table key {key!r} is not a tuple of normal "
+                             "words")
         val = as_poly(val)
         if val:
             tab[key] = val
@@ -187,13 +193,17 @@ def support_monoid(F: Functional, n: int) -> frozenset:
 
 
 @memoized
-def conv_power(F: Functional, k: int) -> Functional:
-    """The k-th convolution power of F (k = 0 is the rank-n counit)."""
+def conv_power(F: Functional, power) -> tuple:
+    """F^{*k} on a basis slot-tuple, power = (k, key), as a coefficient
+    tuple: the rank-n counit for k = 0, F itself for k = 1."""
+    k, key = power
     if k == 0:
-        return table_functional(F.alg, {((),) * F.arity: 1}, F.arity)
+        return T_ONE if key == ((),) * F.arity else ()
     if k == 1:
-        return F
-    return convolve_fn(F, conv_power(F, k - 1))
+        return F.on_key(key)
+    if F.arity not in (1, 2):
+        raise ValueError("convolution takes arity 1 or 2")
+    return _conv_key(F, lambda r: conv_power(F, (k - 1, r)), key)
 
 
 @memoized

@@ -397,11 +397,18 @@ def _parse_rules(lines, names, gens):
     return tuple(rules)
 
 
+def is_normal_word(w, n: int, rules) -> bool:
+    """Whether w is a word in the letters 0, ..., n - 1 that no rule of
+    rules rewrites: no two adjacent letters form a rule's left side."""
+    lhs = {r.lhs for r in rules}
+    return (all(k in range(n) for k in w)
+            and not any(p in lhs for p in zip(w, w[1:])))
+
+
 def _parse_table(lines, shape, names, rules, section):
     """The 'key = scalar' lines of a [cocycle] or [psi] section as a dict
     from each key to its Scalar.  A key is one word per '|'-separated part
     of shape, and each word is a non-unit monomial in normal form."""
-    lhs_set = {r.lhs for r in rules}
     table = {}
     for lineno, line in lines:
         key_text, eq, val = line.partition("=")
@@ -413,8 +420,7 @@ def _parse_table(lines, shape, names, rules, section):
         if not all(key):
             raise PresentationError(
                 f"{section} keys must not involve the unit", lineno)
-        if any((w[k], w[k + 1]) in lhs_set
-               for w in key for k in range(len(w) - 1)):
+        if not all(is_normal_word(w, len(names), rules) for w in key):
             raise PresentationError(
                 f"{section} keys must be normal-form monomials", lineno)
         if key in table:

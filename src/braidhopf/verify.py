@@ -341,7 +341,7 @@ def _gen_hermitian(ctx, a, b):
 @check("nilpotency", _DEFORM, pairs)
 def _nilpotency(ctx, a, b):
     power = len(a) + len(b) + 1
-    yield conv_power(ctx.L, power).on_key((a, b)), T_ZERO, {"power": power}
+    yield conv_power(ctx.L, (power, (a, b))), T_ZERO, {"power": power}
 
 
 @check("delta-mu-t", _DEFORM, pairs)
@@ -693,9 +693,10 @@ def require_confluence(alg: Algebra) -> None:
             f"{w['lhs']} and to {w['rhs']}", "confluence")
 
 
-def state_gram(defm: Deformation, psi: Functional, labels) -> list:
-    """G(t), the Gram matrix of phi_t = e*^{t psi} on the words, with
-    G(t)[a][b] = phi_t(mu_t(a* (x) b)) in Q(i)[t], the sum of
+def state_gram(defm: Deformation, psi: Functional, labels) -> dict:
+    """G(t), the Gram matrix of phi_t = e*^{t psi} on the words, as its
+    nonzero cells: a map from (i, j) to G(t)[a][b] = phi_t(mu_t(a* (x) b))
+    in Q(i)[t] for a = labels[i], b = labels[j], the sum of
     c phi_t(mu_t(k (x) b)) over the terms c k of a*.  On a
     length-homogeneous algebra the words of mu_t(k (x) b) have the grades
     grade(k) + grade(b) - (p + q), (p, q) in M(L.support), and phi_t
@@ -704,31 +705,28 @@ def state_gram(defm: Deformation, psi: Functional, labels) -> list:
     read once, so nothing is memoized.  The columns a term of grade g can
     reach, the b with g + grade(b) in M, are listed once per g; every
     other entry is zero without a test.  The entries are coefficient
-    tuples."""
+    tuples, and no zero entry is stored."""
     alg, M = defm.alg, None
     if alg.homogeneous and None not in (psi.support, defm.sigma.support):
         M = monoid(psi.support | defm.sigma.support,
                    2 * max(map(len, labels), default=0), alg.grade(()))
     grades = [alg.grade(b) for b in labels]
     reach = {}                        # grade of a term of a* -> columns
-
-    def columns(gk):
-        cols = reach.get(gk)
-        if cols is None:
-            cols = reach[gk] = [j for j, gb in enumerate(grades)
-                                if M is None or tuple(map(add, gk, gb)) in M]
-        return cols
-
-    def row(a):
-        sums = {}
+    cells = {}
+    for i, a in enumerate(labels):
         for (k,), c in alg.involution_word(a).terms.items():
-            for j in columns(alg.grade(k)):
+            gk = alg.grade(k)
+            cols = reach.get(gk)
+            if cols is None:
+                cols = reach[gk] = [
+                    j for j, gb in enumerate(grades)
+                    if M is None or tuple(map(add, gk, gb)) in M]
+            for j in cols:
                 v = conv_exp(psi, defm.mu_t_key((k, labels[j])))
                 if v:
-                    sums[j] = poly_add(sums.get(j, ()), poly_mul(v, c))
-        return [sums.get(j, T_ZERO) for j in range(len(labels))]
-
-    return [row(a) for a in labels]
+                    cells[i, j] = poly_add(cells.get((i, j), ()),
+                                           poly_mul(v, c))
+    return {ij: p for ij, p in cells.items() if p}
 
 
 def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
@@ -736,11 +734,12 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
                      t_samples=(Fraction(0), Fraction(1, 2), Fraction(1),
                                 Fraction(2))) -> SchoenbergResult:
     """Conditional positivity of psi.mul + L over ker delta, plus the state
-    property of the exponential family at each sample point.  The state
-    Gram matrix G(t) is built once in Q(i)[t], and each sample evaluates
-    its nonzero entries on triples; its t^1 block on ker delta is the
-    conditional form, psi(a* b) + L(a* (x) b) being the derivative at
-    t = 0 of phi_t(mu_t(a* (x) b)).
+    property of the exponential family at each real sample point.  The
+    state Gram matrix G(t) is built once in Q(i)[t], as its nonzero cells,
+    and is hermitian for every real t or refused; each sample evaluates
+    the cells on triples.  Its t^1 block on ker delta is the conditional
+    form, psi(a* b) + L(a* (x) b) being the derivative at t = 0 of
+    phi_t(mu_t(a* (x) b)).
 
     psi is a support table, word -> scalar, or None for the zero
     functional.  The relations must be confluent, and the three hypotheses
@@ -748,6 +747,10 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     """
     if not t_samples:
         raise ValueError("no t sample points given")
+    samples = [(t0, as_abd(t0)) for t0 in t_samples]
+    for t0, r in samples:
+        if r[1]:
+            raise ValueError(f"t sample {t0} is not real")
     if max_degree < 1:
         raise ValueError(f"max degree must be positive, got {max_degree}")
     alg = Algebra(pres)
@@ -772,70 +775,63 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
     if psi.on_key(((),)):
         raise SchoenbergError("psi(1) must vanish", "unit")
 
-    # G(t) as its nonzero entries (i, j, coefficient triples)
     defm = Deformation(alg)
-    G = [(i, j, p) for i, row in enumerate(state_gram(defm, psi, basis))
-         for j, p in enumerate(row) if p]
+    G = state_gram(defm, psi, basis)
 
     # (a) conditional positivity of (psi.mul + L)~ over ker delta, the t^1
     # coefficients of G(t) on the nonempty words (basis is shortlex, so
     # basis[0] is the unit)
     kerdelta = basis[1:]
-    rows = _matrix(len(kerdelta), [(i - 1, j - 1, c[1]) for i, j, c in G
-                                   if i and j and len(c) > 1])
-
-    def blame(exc):
+    rows = _matrix(len(kerdelta), {(i - 1, j - 1): c[1]
+                                   for (i, j), c in G.items()
+                                   if i and j and len(c) > 1})
+    bad = _non_hermitian_at(rows)
+    if bad is not None:
         # psi passed its hermitian gate, so blame L where its own form is
         # not hermitian at the offending pair
-        i, j = _non_hermitian_at(rows)
-        a, b = kerdelta[i], kerdelta[j]
+        a, b = kerdelta[bad[0]], kerdelta[bad[1]]
         L_form = sesquilinearize(defm.L)
         if L_form.on_key((a, b)) != poly_conj(L_form.on_key((b, a))):
-            return SchoenbergError(
+            raise SchoenbergError(
                 f"the generator L is not hermitian at ({pres.word_str(a)}, "
                 f"{pres.word_str(b)})", "generator-hermitian")
-        return SchoenbergError(
-            f"conditional Gram matrix is not hermitian ({exc})", "hermitian")
-
+        raise SchoenbergError("conditional Gram matrix is not hermitian "
+                              f"(matrix is not hermitian at {bad})",
+                              "hermitian")
+    # hermitian for every real t iff coefficientwise; name the first cell
+    bad = min(((min(ij), max(ij)) for ij, p in G.items()
+               if G.get(ij[::-1], ()) != poly_conj(p)), default=None)
+    if bad is not None:
+        raise SchoenbergError("state Gram matrix is not hermitian "
+                              f"(matrix is not hermitian at {bad})",
+                              "hermitian")
     conditional = _psd_report("schoenberg-conditional", rows, alg, kerdelta,
-                              max_degree, blame)
+                              max_degree)
 
     # (b) the state property at each sample of G(t)
-    states = []
-    for t0 in t_samples:
-        r = as_abd(t0)
-        states.append(_psd_report(
-            "schoenberg-state",
-            _matrix(len(basis), [(i, j, poly_eval(c, r)) for i, j, c in G]),
-            alg, basis, max_degree,
-            lambda exc: SchoenbergError(
-                f"state Gram matrix is not hermitian ({exc})", "hermitian"),
-            {"t": str(t0)}))
-
-    nonneg = [r for t0, r in zip(t_samples, states) if t0 >= 0]
-    equivalence = conditional.ok() == all(r.ok() for r in nonneg)
+    states = [_psd_report("schoenberg-state",
+                          _matrix(len(basis), {ij: poly_eval(c, r)
+                                               for ij, c in G.items()}),
+                          alg, basis, max_degree, {"t": str(t0)})
+              for t0, r in samples]
+    nonneg = [rep for (_, r), rep in zip(samples, states) if r[0] >= 0]
+    equivalence = conditional.ok() == all(rep.ok() for rep in nonneg)
     return SchoenbergResult(conditional, states, equivalence)
 
 
 def _matrix(n, cells):
-    """The n x n rows of triples that are zero but at the cells (i, j, x)."""
+    """The n x n rows of triples, zero but at the cells (i, j) -> x."""
     rows = [[ABD_ZERO] * n for _ in range(n)]
-    for i, j, x in cells:
+    for (i, j), x in cells.items():
         rows[i][j] = x
     return rows
 
 
-def _psd_report(cid, rows, alg, labels, max_degree, not_hermitian,
-                info=None) -> Report:
+def _psd_report(cid, rows, alg, labels, max_degree, info=None) -> Report:
     """psd_exact on the hermitian matrix of the rows of triples as a pass
     or fail Report with the details info; a failure adds the witness, as
-    an element over the words labels, and the form's value there.  A
-    matrix that is not hermitian raises the SchoenbergError
-    not_hermitian(exc)."""
-    try:
-        gram = HermitianMatrix(rows)
-    except ValueError as exc:
-        raise not_hermitian(exc) from None
+    an element over the words labels, and the form's value there."""
+    gram = HermitianMatrix(rows)
     verdict, wit = psd_exact(gram)
     if verdict == "psd":
         return Report(cid, "pass", max_degree, info)

@@ -84,10 +84,20 @@ def test_conv_exp_requires_vanishing_on_unit():
         conv_exp_key(F, (X, XS))
 
 
+def test_a_table_key_that_is_not_a_tuple_of_normal_words_is_refused():
+    # xs x is not normal in CAR, and CAR has no generator 2
+    for key in (((1, 0), ()), (X, (2,))):
+        with pytest.raises(ValueError) as exc:
+            table_functional(CAR, {key: 1}, 2)
+        assert str(exc.value) == (f"table key {key!r} is not a tuple of "
+                                  "normal words")
+    # the unit word is normal
+    assert table_functional(CAR, {((), ()): 1}, 2).on_key(((), ())) == T_ONE
+
+
 def test_conv_power_zero_is_counit():
-    F = conv_power(L, 0)
-    assert F.on_key(((), ())) == T_ONE
-    assert F.on_key((X, XS)) == T_ZERO
+    assert conv_power(L, (0, ((), ()))) == T_ONE
+    assert conv_power(L, (0, (X, XS))) == T_ZERO
 
 
 def test_convolution_unit_law():
@@ -211,12 +221,12 @@ def pruning_cases(draw, arity):
 
 
 def assert_pruned_convolutions_match(F, G, keys):
-    """conv_power(F, k) for k = 2, 3, e*^{tF}, F * G and G * F against the
-    walk over every split; returns the oracle's powers of F."""
+    """conv_power(F, (k, key)) for k = 2, 3, e*^{tF}, F * G and G * F
+    against the walk over every split; returns the oracle's powers of F."""
     powers = {}
     for key in keys:
         for k in (2, 3):
-            assert conv_power(F, k).on_key(key) == unpruned_conv_power(
+            assert conv_power(F, (k, key)) == unpruned_conv_power(
                 F, k, key, powers)
         assert conv_exp_key(F, key) == unpruned_conv_exp_key(F, key, powers)
         for A, B in ((F, G), (G, F)):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from braidhopf import (Algebra, Deformation, PresentationError, Scalar,
                        SchoenbergError, parse_presentation, parse_psi,
                        schoenberg_check, table_functional)
-from braidhopf.scalars import as_abd, from_abd, poly_eval, poly_part
+from braidhopf.scalars import (ABD_ZERO, as_abd, from_abd, poly_eval,
+                               poly_mul, poly_part)
 from braidhopf.verify import fixture_path, state_gram
 
 from oracles import (hermitian, state_gram_at, unpruned_conditional_gram,
@@ -110,7 +111,7 @@ def gram_cases(draw):
 @given(gram_cases())
 def test_state_gram_evaluates_to_the_per_sample_matrix(case):
     defm, psi, basis, t0 = case
-    G = state_gram(defm, psi, basis)
+    G = dense(state_gram(defm, psi, basis), len(basis))
     r = as_abd(t0)
     assert ([[from_abd(poly_eval(p, r)) for p in row] for row in G]
             == state_gram_at(defm, psi, basis, t0))
@@ -145,6 +146,12 @@ def gram_case(name):
     return Deformation(alg), psi, alg.basis(3)
 
 
+def dense(cells, n):
+    """The n x n rows of coefficient tuples of a cell map, zero off its
+    cells."""
+    return [[cells.get((i, j), ()) for j in range(n)] for i in range(n)]
+
+
 def assert_entrywise_equal(basis, got, want):
     for a, row, want_row in zip(basis, got, want):
         for b, p, q in zip(basis, row, want_row):
@@ -154,7 +161,9 @@ def assert_entrywise_equal(basis, got, want):
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_state_gram_matches_the_walk_over_every_split(name):
     defm, psi, basis = gram_case(name)
-    G = state_gram(defm, psi, basis)
+    cells = state_gram(defm, psi, basis)
+    assert cells and all(cells.values())    # no zero cell is stored
+    G = dense(cells, len(basis))
     assert any(p for row in G for p in row)
     if name != "car-unit.alg-None":
         assert any(len(p) > 1 for row in G for p in row)
@@ -162,10 +171,10 @@ def test_state_gram_matches_the_walk_over_every_split(name):
                            unpruned_state_gram(defm.L, psi, basis))
 
 
-def t1_block(G):
-    """The t^1 coefficients of G on the nonempty words, as constant
-    coefficient tuples."""
-    return [[poly_part(p, 1) for p in row[1:]] for row in G[1:]]
+def t1_block(cells, n):
+    """The t^1 coefficients of the n x n cell map on the nonempty words, as
+    constant coefficient tuples."""
+    return [[poly_part(p, 1) for p in row[1:]] for row in dense(cells, n)[1:]]
 
 
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
@@ -173,7 +182,7 @@ def test_t1_block_of_the_state_gram_is_the_conditional_form(name):
     defm, psi, basis = gram_case(name)
     assert basis[0] == ()
     kerdelta = basis[1:]
-    rows = t1_block(state_gram(defm, psi, basis))
+    rows = t1_block(state_gram(defm, psi, basis), len(basis))
     if name != "car-unit.alg-None":       # neither L nor psi
         assert any(p for row in rows for p in row)
     assert_entrywise_equal(kerdelta, rows,
@@ -186,7 +195,8 @@ def test_t1_block_is_the_conditional_form_for_any_psi(case):
     # the identity needs only psi(1) = 0, which every drawn table keeps
     defm, psi, basis, _ = case
     kerdelta = basis[1:]
-    assert_entrywise_equal(kerdelta, t1_block(state_gram(defm, psi, basis)),
+    assert_entrywise_equal(kerdelta, t1_block(state_gram(defm, psi, basis),
+                                              len(basis)),
                            unpruned_conditional_gram(defm.L, psi, kerdelta))
 
 
@@ -211,6 +221,29 @@ def test_hermitian_matrix_names_the_first_offending_entry(rows, at):
 # -- hypothesis gates ------------------------------------------------------
 
 
+def test_a_state_gram_hermitian_only_at_the_samples_is_refused(monkeypatch):
+    # i t (t - 1/2) (t - 1) (t - 2) vanishes at every default sample, and
+    # its mirror cell is zero: G(t) is hermitian there and nowhere else
+    p = ((0, 1, 1),)
+    for r in (0, Fraction(1, 2), 1, 2):
+        p = poly_mul(p, (as_abd(-r), (1, 0, 1)))
+        assert poly_eval(p, as_abd(r)) == ABD_ZERO
+
+    def gram(defm, psi, labels):
+        assert len(labels) == 3              # 1, x, xs
+        cells = state_gram(defm, psi, labels)
+        assert (0, 1) not in cells and (1, 0) not in cells
+        return {**cells, (0, 1): p}
+
+    monkeypatch.setattr("braidhopf.verify.state_gram", gram)
+    with pytest.raises(SchoenbergError) as exc:
+        schoenberg_check(CAR, max_degree=1)
+    assert exc.value.hypothesis == "hermitian"
+    assert str(exc.value) == ("state Gram matrix is not hermitian (matrix "
+                              "is not hermitian at (0, 1))")
+
+
+
 def test_non_hermitian_psi_is_refused():
     with pytest.raises(SchoenbergError) as exc:
         schoenberg_check(CAR, psi=read_psi("nonhermitian.psi"), max_degree=2)
@@ -226,6 +259,34 @@ def test_non_hermitian_generator_is_blamed_not_psi():
         schoenberg_check(pres, max_degree=2)
     assert exc.value.hypothesis == "generator-hermitian"
     assert str(exc.value) == "the generator L is not hermitian at (x, x)"
+
+
+@pytest.mark.parametrize("key", [(1, 0), (5,)])
+def test_a_psi_key_that_is_not_a_normal_word_is_refused(key):
+    # xs x is - x xs in the quotient, and there is no generator 5: either
+    # table would read as the zero functional and pass vacuously
+    with pytest.raises(ValueError) as exc:
+        schoenberg_check(CAR, {key: 1}, max_degree=2)
+    assert not isinstance(exc.value, SchoenbergError)
+    assert str(exc.value) == (f"table key ({key!r},) is not a tuple of "
+                              "normal words")
+
+
+def test_a_real_scalar_sample_reads_as_its_number():
+    res = schoenberg_check(CAR, max_degree=2,
+                           t_samples=(Scalar(1), Scalar(Fraction(-1, 2))))
+    assert [r.witness["t"] for r in res.states] == ["1", "-1/2"]
+    assert res.states[0].ok() and not res.states[1].ok()
+    # only t >= 0 enters the equivalence
+    assert res.equivalence_observed
+
+
+def test_a_non_real_sample_is_refused():
+    with pytest.raises(ValueError) as exc:
+        schoenberg_check(CAR, max_degree=2,
+                         t_samples=(Fraction(0), Scalar(0, 1)))
+    assert not isinstance(exc.value, SchoenbergError)
+    assert str(exc.value) == "t sample i is not real"
 
 
 def test_psi_hitting_the_unit_is_refused():

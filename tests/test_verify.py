@@ -415,3 +415,18 @@ def test_schoenberg_and_a_dropped_deformation_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ("car.alg", "q2.alg", "freec.alg",
+                                  "free2.alg"))
+def test_a_catalog_run_leaves_nothing_to_the_cyclic_collector(name):
+    """The convolution powers are memoized as values, so no memo entry of
+    L reads L back."""
+    pres = load(name)
+    gc.collect()
+    gc.disable()
+    try:
+        run_catalog(pres, max_degree=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
