@@ -568,9 +568,12 @@ class HermitianMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-        bad = _non_hermitian_at(rows)
-        if bad is not None:
-            raise ValueError(f"matrix is not hermitian at {bad}")
+        # the first (i, j), i <= j, row-major, with an offending mirror
+        for i, row in enumerate(rows):
+            for j in range(i, n):
+                a, b, d = row[j]
+                if rows[j][i] != (a, -b, d):
+                    raise ValueError(f"matrix is not hermitian at {(i, j)}")
         self.abds = rows
 
     @property
@@ -590,17 +593,6 @@ class HermitianMatrix:
             for j, y in nz:
                 tot = abd_add(tot, abd_mul(abd_mul((a, -b, d), row[j]), y))
         return from_abd(tot)
-
-
-def _non_hermitian_at(rows):
-    """The first (i, j), i <= j, with rows[j][i] != conj(rows[i][j]), read
-    on canonical triples."""
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            a, b, d = row[j]
-            if rows[j][i] != (a, -b, d):
-                return (i, j)
-    return None
 
 
 def psd_exact(G: HermitianMatrix):
@@ -780,12 +772,11 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
 
     # (a) conditional positivity of (psi.mul + L)~ over ker delta, the t^1
     # coefficients of G(t) on the nonempty words (basis is shortlex, so
-    # basis[0] is the unit)
+    # basis[0] is the unit) as constant cells
     kerdelta = basis[1:]
-    rows = _matrix(len(kerdelta), {(i - 1, j - 1): c[1]
-                                   for (i, j), c in G.items()
-                                   if i and j and len(c) > 1})
-    bad = _non_hermitian_at(rows)
+    t1 = {(i - 1, j - 1): p for (i, j), c in G.items()
+          if i and j and (p := poly_part(c, 1))}
+    bad = _skew_at(t1)
     if bad is not None:
         # psi passed its hermitian gate, so blame L where its own form is
         # not hermitian at the offending pair
@@ -798,32 +789,39 @@ def schoenberg_check(pres: AlgebraPresentation, psi: dict | None = None, *,
         raise SchoenbergError("conditional Gram matrix is not hermitian "
                               f"(matrix is not hermitian at {bad})",
                               "hermitian")
-    # hermitian for every real t iff coefficientwise; name the first cell
-    bad = min(((min(ij), max(ij)) for ij, p in G.items()
-               if G.get(ij[::-1], ()) != poly_conj(p)), default=None)
+    bad = _skew_at(G)
     if bad is not None:
         raise SchoenbergError("state Gram matrix is not hermitian "
                               f"(matrix is not hermitian at {bad})",
                               "hermitian")
-    conditional = _psd_report("schoenberg-conditional", rows, alg, kerdelta,
-                              max_degree)
+    conditional = _psd_report(
+        "schoenberg-conditional", _matrix(len(kerdelta), t1, ABD_ZERO), alg,
+        kerdelta, max_degree)
 
     # (b) the state property at each sample of G(t)
-    states = [_psd_report("schoenberg-state",
-                          _matrix(len(basis), {ij: poly_eval(c, r)
-                                               for ij, c in G.items()}),
-                          alg, basis, max_degree, {"t": str(t0)})
+    states = [_psd_report("schoenberg-state", _matrix(len(basis), G, r), alg,
+                          basis, max_degree, {"t": str(t0)})
               for t0, r in samples]
     nonneg = [rep for (_, r), rep in zip(samples, states) if r[0] >= 0]
     equivalence = conditional.ok() == all(rep.ok() for rep in nonneg)
     return SchoenbergResult(conditional, states, equivalence)
 
 
-def _matrix(n, cells):
-    """The n x n rows of triples, zero but at the cells (i, j) -> x."""
+def _skew_at(cells):
+    """The first (i, j), i <= j, in row-major order where the map of cells
+    (i, j) -> coefficient tuple, zero off its keys, is not hermitian for
+    every real t: where cell (j, i) is not the conjugate of cell (i, j)
+    coefficient by coefficient.  None if there is no such cell."""
+    return min(((min(ij), max(ij)) for ij, p in cells.items()
+                if cells.get(ij[::-1], ()) != poly_conj(p)), default=None)
+
+
+def _matrix(n, cells, r):
+    """The n x n rows of triples of the map of cells (i, j) ->
+    coefficient tuple at t = r, zero off its keys."""
     rows = [[ABD_ZERO] * n for _ in range(n)]
-    for (i, j), x in cells.items():
-        rows[i][j] = x
+    for (i, j), p in cells.items():
+        rows[i][j] = poly_eval(p, r)
     return rows
 
 

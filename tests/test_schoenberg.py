@@ -224,10 +224,11 @@ def test_hermitian_matrix_names_the_first_offending_entry(rows, at):
 def test_a_state_gram_hermitian_only_at_the_samples_is_refused(monkeypatch):
     # i t (t - 1/2) (t - 1) (t - 2) vanishes at every default sample, and
     # its mirror cell is zero: G(t) is hermitian there and nowhere else
+    samples = (0, Fraction(1, 2), 1, 2)
     p = ((0, 1, 1),)
-    for r in (0, Fraction(1, 2), 1, 2):
+    for r in samples:
         p = poly_mul(p, (as_abd(-r), (1, 0, 1)))
-        assert poly_eval(p, as_abd(r)) == ABD_ZERO
+    assert all(poly_eval(p, as_abd(r)) == ABD_ZERO for r in samples)
 
     def gram(defm, psi, labels):
         assert len(labels) == 3              # 1, x, xs
@@ -241,7 +242,6 @@ def test_a_state_gram_hermitian_only_at_the_samples_is_refused(monkeypatch):
     assert exc.value.hypothesis == "hermitian"
     assert str(exc.value) == ("state Gram matrix is not hermitian (matrix "
                               "is not hermitian at (0, 1))")
-
 
 
 def test_non_hermitian_psi_is_refused():
